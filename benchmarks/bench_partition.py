@@ -2,10 +2,10 @@
 
 ``ExecutionConfig(scheduler="parallel", partitions=P)`` exists to make
 rule processing scale with shards instead of tables: target scans
-carrying a partition-key conjunct prune to one shard, and rules with a
-static-partition or Definition 6.5 commutativity certificate run
-concurrently on copy-on-write forks whose net effects merge back in
-canonical order. This gate pins both properties:
+carrying a partition-key conjunct prune to one shard, and eligible
+rules from different static partitions run concurrently on
+copy-on-write forks whose net effects merge back in canonical order.
+This gate pins both properties:
 
 * **speedup** — on the 10⁵-row multi-domain drain workload
   (:mod:`repro.workloads.partitioned`), the parallel configuration at
@@ -128,8 +128,8 @@ def run_speedup_gate(
 def run_powernet_equivalence_gate() -> dict:
     """The power-network case study agrees scheduler-for-scheduler.
 
-    Its rules share tables, so concurrency here rides entirely on
-    Definition 6.5 commute certificates rather than static partitions.
+    Its rules share tables and so form one static partition: the
+    parallel scheduler must degenerate to the serial loop here.
     """
     records = {}
     for name, config in MODES.items():
@@ -170,9 +170,9 @@ def run_generated_equivalence_gate(runs: int = 8) -> dict:
     """Seeded random rule sets agree scheduler-for-scheduler.
 
     Random sets exercise the conservative side of admission: most
-    pairs carry no commute proof and serialize, so parallel rounds
-    degenerate to the serial loop except where the oracle actually
-    certifies independence.
+    rules share a table, hence a partition, with another rule, so
+    parallel rounds degenerate to the serial loop except between the
+    partitions that do separate.
     """
     generator_config = GeneratorConfig(
         n_tables=4,

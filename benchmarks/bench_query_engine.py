@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import time
 
+from repro.config import ExecutionConfig
 from repro.engine import plan
 from repro.engine.query import DatabaseProvider, execute_select
 from repro.workloads.queries import (
@@ -45,11 +46,12 @@ def _run_workload(database, queries, planner: bool, repeats: int) -> tuple:
     ``seconds / repeats``.
     """
     provider = DatabaseProvider(database)
+    config = ExecutionConfig(planner=planner)
     results = []
     started = time.perf_counter()
     for pass_index in range(repeats):
         pass_results = [
-            execute_select(provider, query, planner=planner)
+            execute_select(provider, query, config=config)
             for query in queries
         ]
         if pass_index == 0:

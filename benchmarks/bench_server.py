@@ -65,7 +65,7 @@ def _drive(
     server = RuleServer(
         workload.ruleset,
         workload.database,
-        config=ExecutionConfig(durable=True, wal=wal_path),
+        config=ExecutionConfig(wal=wal_path),
         options=ServerOptions(
             group_commit=group_commit,
             max_delay=max_delay,

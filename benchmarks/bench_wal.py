@@ -27,6 +27,7 @@ import os
 import tempfile
 import time
 
+from repro.config import ExecutionConfig
 from repro.engine.database import Database
 from repro.engine.wal import WalWriter, recover_database
 from repro.runtime.processor import RuleProcessor
@@ -45,8 +46,7 @@ def _drive_powernet(size: int, transitions: int, wal_path: str | None):
         workload.ruleset,
         workload.database.copy(),
         max_steps=50_000,
-        durable=wal_path is not None,
-        wal_path=wal_path,
+        config=ExecutionConfig(wal=wal_path),
     )
     considered: list[str] = []
     started = time.perf_counter()

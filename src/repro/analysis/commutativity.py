@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.derived import DerivedDefinitions
+from repro.analysis.derived import OBS_TABLE, DerivedDefinitions
 from repro.engine.expressions import Evaluator, RowContext
 from repro.engine.values import sql_is_truthy
 from repro.errors import ReproError
@@ -385,7 +385,13 @@ class CommutativityAnalyzer:
           target table's columns, with no subqueries — so it can be
           evaluated on a candidate row without any database state;
         * that evaluation is False or UNKNOWN for every literal row.
+
+        The synthetic ``Obs`` table is never discharged: it has no
+        schema entry, and the interference two observable rules have
+        through it is what Corollary 8.2 relies on.
         """
+        if table == OBS_TABLE:
+            return False
         ri_rule = self.definitions.ruleset.rule(ri)
         rj_rule = self.definitions.ruleset.rule(rj)
         columns = self.definitions.ruleset.schema.table(table).column_names

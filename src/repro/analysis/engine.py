@@ -570,7 +570,6 @@ class AnalysisEngine:
             self.commutativity,
             self.termination_analyzer,
             engine=self,
-            _internal=True,
         )
         analysis = analyzer.analyze(tables)
         self.stats.add_time("partial_confluence", time.perf_counter() - start)
@@ -585,7 +584,6 @@ class AnalysisEngine:
             priorities=self.ruleset.priorities,
             termination_analyzer=self.termination_analyzer,
             engine=self,
-            _internal=True,
         )
         analysis = analyzer.analyze()
         self.stats.add_time("observable", time.perf_counter() - start)

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.analysis._deprecation import warn_direct_construction
 from repro.analysis.commutativity import CommutativityAnalyzer
 from repro.analysis.confluence import ConfluenceAnalysis, ConfluenceAnalyzer
 from repro.analysis.derived import DerivedDefinitions
@@ -94,12 +93,10 @@ class PartialConfluenceAnalysis:
 class PartialConfluenceAnalyzer:
     """Runs the Theorem 7.2 pipeline for a given ``T'``.
 
-    .. deprecated::
-        Construct analyses through :class:`repro.RuleAnalyzer` (or an
-        :class:`~repro.analysis.engine.AnalysisEngine`) instead; this
-        stand-alone path re-judges every pair on every call. When an
-        *engine* is supplied, the Definition 6.5 confluence step over
-        ``Sig(T')`` is served from the engine's memoized pair verdicts.
+    Without an *engine* this is the memo-free reference path: it
+    re-judges every pair on every call. When an *engine* is supplied,
+    the Definition 6.5 confluence step over ``Sig(T')`` is served from
+    the engine's memoized pair verdicts.
     """
 
     def __init__(
@@ -110,10 +107,7 @@ class PartialConfluenceAnalyzer:
         termination_analyzer: TerminationAnalyzer | None = None,
         *,
         engine=None,
-        _internal: bool = False,
     ) -> None:
-        if not _internal:
-            warn_direct_construction("PartialConfluenceAnalyzer")
         self.definitions = definitions
         self.priorities = priorities
         self.commutativity = commutativity or CommutativityAnalyzer(definitions)
@@ -133,13 +127,9 @@ class PartialConfluenceAnalyzer:
         if self.engine is not None:
             confluence = self.engine.analyze_confluence(universe=significant)
         else:
-            confluence_analyzer = ConfluenceAnalyzer(
-                self.definitions,
-                self.priorities,
-                self.commutativity,
-                _internal=True,
-            )
-            confluence = confluence_analyzer.analyze(universe=significant)
+            confluence = ConfluenceAnalyzer(
+                self.definitions, self.priorities, self.commutativity
+            ).analyze(universe=significant)
 
         return PartialConfluenceAnalysis(
             tables=wanted,

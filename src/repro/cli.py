@@ -220,10 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("serial", "parallel"),
         default="serial",
         help="with --run: rule scheduling — 'serial' (one rule per "
-        "round, the default) or 'parallel' (rules with a static "
-        "partition or Definition 6.5 commutativity certificate run "
-        "concurrently on copy-on-write forks; pairs without a proof "
-        "serialize)",
+        "round, the default) or 'parallel' (rules from different "
+        "static partitions run concurrently on copy-on-write forks; "
+        "rules sharing a partition serialize)",
     )
     parser.add_argument(
         "--partitions",
@@ -281,10 +280,13 @@ def main(argv: list[str] | None = None) -> int:
         payload = report.to_dict()
         if args.run:
             try:
-                payload.update(_run_json(ruleset, schema, args, profile))
+                sections, __ = _execute_run(
+                    ruleset, schema, args, profile, trace=False
+                )
             except ReproError as error:
                 print(f"error: {error}", file=sys.stderr)
                 return 2
+            payload.update(sections)
         if args.profile:
             payload["profile"] = _profile_section(profile)
         print(json.dumps(payload, indent=2))
@@ -369,10 +371,13 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.run and not args.json:
         try:
-            _run_and_trace(ruleset, schema, args, profile)
+            sections, events = _execute_run(
+                ruleset, schema, args, profile, trace=True
+            )
         except ReproError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
+        _print_run(sections, events)
 
     # After --run, so execution-side counters (planner, rete) reflect
     # the run they describe rather than the pre-run state.
@@ -390,176 +395,138 @@ def main(argv: list[str] | None = None) -> int:
     return 0 if all_good else 1
 
 
-def _execution_config(args) -> tuple[ExecutionConfig, str | None]:
-    """The run's ExecutionConfig (and the WAL path, when durable)."""
-    durable = getattr(args, "durable", None)
+def _execution_config(args) -> ExecutionConfig:
+    """The run's ExecutionConfig; ``--durable FILE`` becomes its WAL."""
     matching = getattr(args, "matching", "planned")
-    return (
-        ExecutionConfig(
-            matching=matching,
-            planner=matching != "naive",
-            durable=durable is not None,
-            wal=durable,
-            profile=bool(getattr(args, "profile", False)),
-            scheduler=getattr(args, "scheduler", "serial"),
-            partitions=getattr(args, "partitions", 1),
-        ),
-        durable,
+    return ExecutionConfig(
+        matching=matching,
+        planner=matching != "naive",
+        wal=getattr(args, "durable", None),
+        scheduler=getattr(args, "scheduler", "serial"),
+        partitions=getattr(args, "partitions", 1),
     )
 
 
-def _run_json(
-    ruleset: RuleSet, schema: Schema, args, profile: dict | None = None
-) -> dict:
-    """Execute --run (and --explore) for machine-readable output.
+def _execute_run(
+    ruleset: RuleSet, schema: Schema, args, profile: dict, *, trace: bool
+) -> tuple[dict, list | None]:
+    """Execute ``--run`` (and ``--explore``) once for either renderer.
 
-    Returns an ``execution`` section (outcome, steps, final tables,
-    processor substrate counters) and, with ``--explore``, an
-    ``exploration`` section (``ExecutionGraph.stats()``) — so that the
-    runtime's observability lands in the same JSON surface as the
-    analysis engine's counters.
+    Returns the report sections and the per-step trace. ``execution``
+    holds the outcome, steps, final tables, substrate counters and the
+    WAL summary of a ``--durable`` run; with ``--explore``,
+    ``exploration`` holds ``ExecutionGraph.stats()``. With *trace*, a
+    serial run records the trace; a parallel batch round has no single
+    choice sequence, so its trace is None.
     """
     database = (
         load_data(args.data, schema) if args.data else Database(schema)
     )
-
-    config, durable = _execution_config(args)
+    config = _execution_config(args)
     processor = RuleProcessor(ruleset, database.copy(), config=config)
     started = time.perf_counter()
     for statement in args.run:
         processor.execute_user(statement)
-    result = processor.run()
-    wal_section = _finish_durable(processor, durable)
-    if profile is not None:
-        profile["execution"] = time.perf_counter() - started
-        profile["triggering"] = processor.stats.trigger_seconds
+    if trace and config.scheduler == "serial":
+        result, events = trace_run(processor)
+    else:
+        result, events = processor.run(), None
+    wal = _finish_durable(processor)
+    profile["execution"] = time.perf_counter() - started
+    profile["triggering"] = processor.stats.trigger_seconds
 
-    sections: dict = {
-        "execution": {
-            "outcome": result.outcome,
-            "steps": len(result.steps),
-            "rules_considered": result.rules_considered,
-            "observables": [str(action) for action in result.observables],
-            "final_tables": {
-                table.name: processor.database.table(
-                    table.name
-                ).value_tuples()
-                for table in schema
-            },
-            "stats": processor.stats.to_dict(),
-            "planner_stats": plan.STATS.to_dict(),
-            "rete_stats": rete.STATS.to_dict(),
-        }
+    execution = {
+        "outcome": result.outcome,
+        "steps": len(result.steps),
+        "rules_considered": result.rules_considered,
+        "observables": [str(action) for action in result.observables],
+        "final_tables": {
+            table.name: processor.database.table(table.name).value_tuples()
+            for table in schema
+        },
+        "stats": processor.stats.to_dict(),
+        "planner_stats": plan.STATS.to_dict(),
+        "rete_stats": rete.STATS.to_dict(),
     }
     if config.scheduler == "parallel":
         from repro.runtime import parallel
 
-        sections["execution"]["scheduler_stats"] = parallel.STATS.to_dict()
-    if wal_section is not None:
-        sections["execution"]["wal"] = wal_section
+        execution["scheduler_stats"] = parallel.STATS.to_dict()
+    if wal is not None:
+        execution["wal"] = wal
+    sections: dict = {"execution": execution}
 
     if args.explore:
         fresh = RuleProcessor(
-            ruleset,
-            database.copy(),
-            config=config.with_options(durable=False, wal=None),
+            ruleset, database.copy(), config=config.with_options(wal=None)
         )
         for statement in args.run:
             fresh.execute_user(statement)
         started = time.perf_counter()
         graph = explore(fresh)
-        if profile is not None:
-            profile["exploration"] = time.perf_counter() - started
-        sections["exploration"] = graph.stats()
-        sections["exploration"]["substrate_stats"] = fresh.stats.to_dict()
-    return sections
+        profile["exploration"] = time.perf_counter() - started
+        sections["exploration"] = {
+            **graph.stats(),
+            "substrate_stats": fresh.stats.to_dict(),
+        }
+    return sections, events
 
 
-def _finish_durable(processor: RuleProcessor, durable: str | None):
+def _finish_durable(processor: RuleProcessor) -> dict | None:
     """Commit (or abort-close) the durable run; return the WAL summary.
 
     A rolled-back transaction already wrote its abort marker — closing
     without a commit leaves recovery at the previous durable state,
     which is exactly the rollback semantics.
     """
-    if durable is None:
+    path = processor.config.wal
+    if path is None:
         return None
     stats = processor.wal.stats
     frames = None if processor.rolled_back else processor.commit()
     processor.close()
     return {
-        "path": durable,
+        "path": path,
         "committed": frames is not None,
         "frames": frames if frames is not None else stats.frames_emitted,
         **stats.to_dict(),
     }
 
 
-def _run_and_trace(
-    ruleset: RuleSet, schema: Schema, args, profile: dict | None = None
-) -> None:
-    database = (
-        load_data(args.data, schema) if args.data else Database(schema)
-    )
-
-    config, durable = _execution_config(args)
-    processor = RuleProcessor(ruleset, database.copy(), config=config)
-    started = time.perf_counter()
-    for statement in args.run:
-        processor.execute_user(statement)
-    if config.scheduler == "parallel":
-        # The step trace narrates one serial choice sequence; a batch
-        # round has no single such sequence, so parallel runs report
-        # outcomes and stats without the per-step narration.
-        result, events = processor.run(), None
-    else:
-        result, events = trace_run(processor)
-    wal_section = _finish_durable(processor, durable)
-    if profile is not None:
-        profile["execution"] = time.perf_counter() - started
-        profile["triggering"] = processor.stats.trigger_seconds
-
+def _print_run(sections: dict, events: list | None) -> None:
+    """Render :func:`_execute_run`'s sections as text."""
     print("\n== rule processing trace ==")
     if events is None:
         print("(per-step trace unavailable under --scheduler parallel)")
     else:
         print(render_trace(events))
-    print(f"outcome: {result.outcome} after {len(result.steps)} steps")
+    execution = sections["execution"]
+    print(f"outcome: {execution['outcome']} after {execution['steps']} steps")
     print("final state:")
-    for table in schema:
-        rows = processor.database.table(table.name).value_tuples()
-        print(f"  {table.name}: {rows}")
-    if wal_section is not None:
+    for name, rows in execution["final_tables"].items():
+        print(f"  {name}: {rows}")
+    wal = execution.get("wal")
+    if wal is not None:
         print("\n== durability ==")
-        state = "committed" if wal_section["committed"] else "aborted"
-        print(f"WAL {wal_section['path']}: {state}")
+        state = "committed" if wal["committed"] else "aborted"
+        print(f"WAL {wal['path']}: {state}")
         print(
-            f"frames: {wal_section['frames']}  "
-            f"primitives: {wal_section['primitives_logged']}  "
-            f"bytes: {wal_section['bytes_written']}  "
-            f"fsyncs: {wal_section['syncs']}"
+            f"frames: {wal['frames']}  "
+            f"primitives: {wal['primitives_logged']}  "
+            f"bytes: {wal['bytes_written']}  "
+            f"fsyncs: {wal['syncs']}"
         )
 
-    if args.explore:
-        fresh = RuleProcessor(
-            ruleset,
-            database.copy(),
-            config=config.with_options(durable=False, wal=None),
-        )
-        for statement in args.run:
-            fresh.execute_user(statement)
-        started = time.perf_counter()
-        graph = explore(fresh)
-        if profile is not None:
-            profile["exploration"] = time.perf_counter() - started
+    exploration = sections.get("exploration")
+    if exploration is not None:
         print("\n== execution-graph exploration ==")
-        print(f"states explored:     {graph.state_count}")
-        print(f"states deduped:      {graph.states_deduped}")
-        print(f"terminates:          {graph.terminates}")
-        print(f"confluent:           {graph.is_confluent}")
-        print(f"observable streams:  {len(graph.observable_streams)}")
-        print(f"paths to final:      {graph.paths_to_final()}")
-        if graph.streams_truncated:
+        print(f"states explored:     {exploration['states']}")
+        print(f"states deduped:      {exploration['states_deduped']}")
+        print(f"terminates:          {exploration['terminates']}")
+        print(f"confluent:           {exploration['confluent']}")
+        print(f"observable streams:  {exploration['observable_streams']}")
+        print(f"paths to final:      {exploration['paths_to_final']}")
+        if exploration["streams_truncated"]:
             print("(stream enumeration truncated by budget)")
 
 
@@ -1241,9 +1208,7 @@ def _run_serve(args) -> int:
             max_delay=args.max_delay,
             max_batch=args.max_batch,
         )
-        config = ExecutionConfig(
-            durable=args.durable is not None, wal=args.durable
-        )
+        config = ExecutionConfig(wal=args.durable)
         database = (
             workload.database if workload is not None else build_database()
         )

@@ -1,16 +1,13 @@
-"""The unified execution configuration for runtime sessions.
+"""The execution configuration for runtime sessions.
 
-Execution options used to be scattered keyword arguments —
-``RuleProcessor(incremental=..., planner=..., durable=..., wal_path=...,
-wal=...)``, ``execute_select(..., planner=False)``, ``Evaluator(...,
-planner=False)`` — each surface naming its own subset.
-:class:`ExecutionConfig` is the single entry point: one frozen value
-object accepted (as ``config=``) by :class:`~repro.runtime.processor.RuleProcessor`,
+:class:`ExecutionConfig` is the one way to choose execution options: a
+frozen value object accepted (as ``config=``) by
+:class:`~repro.runtime.processor.RuleProcessor`,
+:class:`~repro.runtime.server.RuleServer`,
 :class:`~repro.engine.expressions.Evaluator`,
 :func:`~repro.engine.query.execute_select`,
-:func:`~repro.engine.dml.execute_statement`, and the CLI. The legacy
-keywords keep working for one release behind a ``DeprecationWarning``
-(see :func:`repro.analysis._deprecation.warn_legacy_kwargs`).
+:func:`~repro.engine.dml.execute_statement`, and the CLI. Every entry
+point falls back to :data:`DEFAULT_CONFIG` when none is passed.
 
 Fields:
 
@@ -21,26 +18,21 @@ Fields:
   conditions), or ``"naive"`` (the tree-walking reference evaluator);
 * ``planner`` — route statement/subquery SELECTs through the planned
   executor (:mod:`repro.engine.plan`) rather than the naive
-  cross-product reference path;
+  cross-product reference path (``matching="naive", planner=False`` is
+  the naive path throughout);
 * ``incremental`` — the processor's incremental triggering substrate
   (cached net effects, touch index, COW snapshots);
-* ``durable`` — write-ahead logging; ``wal`` names the WAL (a path
-  string) or supplies an open ``WalWriter``;
-* ``profile`` — collect per-phase wall-clock timings where supported;
+* ``wal`` — write-ahead logging: a path string or an open
+  ``WalWriter``; ``None`` (the default) runs in memory only;
 * ``scheduler`` — the rule-consideration loop: ``"serial"`` (one
-  eligible rule per round, the default) or ``"parallel"`` (the
-  commutativity-certified batch scheduler of
-  :mod:`repro.runtime.parallel`, which runs provably-commuting eligible
-  rules concurrently on copy-on-write forks and merges their net
-  effects in a canonical order);
+  eligible rule per round, the default) or ``"parallel"`` (the batch
+  scheduler of :mod:`repro.runtime.parallel`, which runs eligible rules
+  from different static partitions concurrently on copy-on-write forks
+  and merges their net effects in a canonical order);
 * ``partitions`` — hash-partition declared tables into this many
   shards (:meth:`repro.engine.storage.TableData.shard`), enabling
   partition pruning and per-shard fan-out of condition/action scans;
   ``1`` (the default) keeps the flat layout.
-
-The legacy ``planner=False`` keyword historically selected the naive
-path for *both* condition matching and statement execution, so it maps
-to ``ExecutionConfig(matching="naive", planner=False)``.
 """
 
 from __future__ import annotations
@@ -53,11 +45,6 @@ MATCHING_MODES = ("rete", "planned", "naive")
 #: the rule-scheduling modes `ExecutionConfig.scheduler` accepts
 SCHEDULER_MODES = ("serial", "parallel")
 
-#: sentinel distinguishing "not passed" from every real value, so legacy
-#: keyword defaults do not trigger deprecation warnings
-_UNSET = object()
-
-
 @dataclass(frozen=True)
 class ExecutionConfig:
     """Immutable execution options for one runtime session."""
@@ -65,10 +52,8 @@ class ExecutionConfig:
     matching: str = "planned"
     planner: bool = True
     incremental: bool = True
-    durable: bool = False
-    #: WAL path (str) or an open WalWriter; implies ``durable`` when set
+    #: WAL path (str) or an open WalWriter; None runs in memory only
     wal: object = None
-    profile: bool = False
     scheduler: str = "serial"
     partitions: int = 1
 
@@ -94,8 +79,8 @@ class ExecutionConfig:
 
     @property
     def wants_wal(self) -> bool:
-        """True when this config asks for durability in any form."""
-        return self.durable or self.wal is not None
+        """True when this config asks for durability (a WAL is set)."""
+        return self.wal is not None
 
 
 #: the default configuration every entry point falls back to
@@ -178,67 +163,3 @@ class ServerOptions:
 #: the default server options
 DEFAULT_SERVER_OPTIONS = ServerOptions()
 
-
-def resolve_config(
-    config: ExecutionConfig | None,
-    api: str,
-    *,
-    incremental: object = _UNSET,
-    planner: object = _UNSET,
-    durable: object = _UNSET,
-    wal_path: object = _UNSET,
-    wal: object = _UNSET,
-) -> ExecutionConfig:
-    """Merge an explicit *config* with legacy keyword arguments.
-
-    Exactly one style may be used per call: passing both ``config=`` and
-    a legacy keyword raises ``ValueError`` (there is no sensible merge
-    order). Legacy keywords emit one ``DeprecationWarning`` naming the
-    replacement, then map onto a config:
-
-    * ``planner=False`` selects the naive path throughout, so it becomes
-      ``matching="naive", planner=False``;
-    * ``durable=True``/``wal_path=``/``wal=`` become ``durable``/``wal``.
-    """
-    legacy = {
-        name: value
-        for name, value in (
-            ("incremental", incremental),
-            ("planner", planner),
-            ("durable", durable),
-            ("wal_path", wal_path),
-            ("wal", wal),
-        )
-        if value is not _UNSET
-    }
-    if not legacy:
-        return config if config is not None else DEFAULT_CONFIG
-    if config is not None:
-        raise ValueError(
-            f"{api} accepts either config= or the legacy keyword(s) "
-            f"{', '.join(sorted(legacy))}, not both"
-        )
-
-    # Imported lazily: repro.analysis's package init pulls in the
-    # analysis stack, which itself imports the engine modules that call
-    # this resolver at their own import time.
-    from repro.analysis._deprecation import warn_legacy_kwargs
-
-    warn_legacy_kwargs(api, sorted(legacy))
-
-    changes: dict = {}
-    if "incremental" in legacy:
-        changes["incremental"] = bool(legacy["incremental"])
-    if "planner" in legacy:
-        use_planner = bool(legacy["planner"])
-        changes["planner"] = use_planner
-        changes["matching"] = "planned" if use_planner else "naive"
-    if legacy.get("durable"):
-        changes["durable"] = True
-    if legacy.get("wal_path") is not None:
-        changes["durable"] = True
-        changes["wal"] = legacy["wal_path"]
-    if legacy.get("wal") is not None:
-        changes["durable"] = True
-        changes["wal"] = legacy["wal"]
-    return replace(DEFAULT_CONFIG, **changes)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.config import _UNSET, ExecutionConfig, resolve_config
+from repro.config import DEFAULT_CONFIG, ExecutionConfig
 from repro.engine import partition as PART
 from repro.engine import plan as P
 from repro.engine.database import Database
@@ -43,7 +43,6 @@ def execute_statement(
     stmt: ast.Statement,
     provider=None,
     log: DeltaLog | None = None,
-    planner: object = _UNSET,
     *,
     config: ExecutionConfig | None = None,
 ) -> StatementResult:
@@ -54,10 +53,10 @@ def execute_statement(
     A :class:`~repro.errors.RollbackSignal` propagates out of ROLLBACK.
     Execution options arrive as an
     :class:`~repro.config.ExecutionConfig`: ``config.planner=False``
-    forces the naive reference executor throughout. The legacy
-    ``planner=`` keyword still works behind a ``DeprecationWarning``.
+    forces the naive reference executor throughout.
     """
-    config = resolve_config(config, "execute_statement", planner=planner)
+    if config is None:
+        config = DEFAULT_CONFIG
     if provider is None:
         provider = DatabaseProvider(database)
 
@@ -87,12 +86,10 @@ def execute_script(
     statements: list[ast.Statement],
     provider=None,
     log: DeltaLog | None = None,
-    planner: object = _UNSET,
     *,
     config: ExecutionConfig | None = None,
 ) -> list[StatementResult]:
     """Execute statements in order, stopping on rollback (which re-raises)."""
-    config = resolve_config(config, "execute_script", planner=planner)
     return [
         execute_statement(database, stmt, provider=provider, log=log, config=config)
         for stmt in statements

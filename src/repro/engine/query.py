@@ -15,7 +15,7 @@ hash-join builds without scanning.
 
 Execution is planned by default (see :mod:`repro.engine.plan`):
 pushed-down filters, order-preserving hash joins, and compiled
-predicates. ``execute_select(..., planner=False)`` keeps the original
+predicates. ``ExecutionConfig(planner=False)`` keeps the original
 cross-product-over-full-scans path as the reference implementation; the
 two are required to produce byte-identical results, which the
 equivalence harness and the ``bench_query_engine`` gate enforce.
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import _UNSET, ExecutionConfig, resolve_config
+from repro.config import DEFAULT_CONFIG, ExecutionConfig
 from repro.engine import plan as P
 from repro.engine import values as V
 from repro.engine.database import Database
@@ -147,7 +147,6 @@ def execute_select(
     provider,
     select: ast.Select,
     outer_context: RowContext | None = None,
-    planner: object = _UNSET,
     *,
     config: ExecutionConfig | None = None,
 ) -> QueryResult:
@@ -157,10 +156,10 @@ def execute_select(
     select is a correlated subquery. Execution options arrive as an
     :class:`~repro.config.ExecutionConfig`: ``config.planner=False``
     forces the naive cross-product reference path (both paths must
-    return byte-identical results). The legacy ``planner=`` keyword
-    still works behind a ``DeprecationWarning``.
+    return byte-identical results).
     """
-    config = resolve_config(config, "execute_select", planner=planner)
+    if config is None:
+        config = DEFAULT_CONFIG
     planner = config.planner
     evaluator = Evaluator(provider, config=config)
 

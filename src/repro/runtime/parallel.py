@@ -1,14 +1,12 @@
-"""Commutativity-certified parallel rule scheduling (Theorem 6.7 at runtime).
+"""Partition-parallel rule scheduling.
 
-The paper's Lemma 6.1 / Definition 6.5 machinery proves, statically,
-that certain rule pairs *commute*: applying them in either order from
-any state reaches the same state. Section 9 observes that rule sets
-further partition into groups that share no tables and no priority
-edges. Both results are usually read as analysis conveniences; this
-module uses them as a *runtime scheduler's correctness oracle* — rule
-applications proven to commute may be reordered, and therefore run
-concurrently, without changing the reachable final states (Theorem 6.7:
-all serializations agree, so executing any one of them is sound).
+Section 9 observes that a rule set partitions into groups that share no
+tables and no priority edges. Rules from different groups trivially
+commute: neither reads or writes anything the other touches, and no
+priority orders one before the other. This module uses that partition
+as a *runtime scheduler's correctness oracle* — rule applications from
+different groups may be reordered, and therefore run concurrently,
+without changing the reachable final states.
 
 The :class:`ParallelScheduler` drives a
 :class:`~repro.runtime.processor.RuleProcessor` to quiescence the same
@@ -17,20 +15,9 @@ eligible rules instead of one:
 
 * the strategy's pick always leads the batch (so a singleton batch
   degenerates to exactly the serial loop);
-* a further eligible rule joins iff, against every admitted member, it
-  either lives in a different static partition
-  (:func:`~repro.analysis.partitioning.partition_rules` — no shared
-  tables, no priority edge, hence trivially commuting) or carries a
-  positive memoized Definition 6.5 commute verdict *and* writes a
-  disjoint set of tables. Any pair lacking a commute proof serializes —
-  the analysis verdict is the admission ticket, never a heuristic.
-
-The disjoint-write-tables requirement is deliberately stricter than the
-column-granularity oracle: batch effects are merged as folded net
-effects whose update entries carry whole tuples, so two rules updating
-different *columns* of the same row — commuting under Lemma 6.1 —
-would lose one side's write in the merge. Partition-disjoint and
-table-disjoint batches never meet that case.
+* a further eligible rule joins iff it lives in a static partition
+  (:func:`~repro.analysis.partitioning.partition_rules`) that no
+  admitted member lives in. Rules sharing a partition serialize.
 
 Execution: every batch member runs on a copy-on-write
 :meth:`RuleProcessor.fork` from the same base state, on the shared
@@ -42,12 +29,12 @@ a canonical order fully determined by the batch, so parallel execution
 is deterministic run-to-run. Net-effect folding guarantees delete and
 update entries reference only pre-batch tids (an insert-then-update
 folds into the insert; an insert-then-delete annihilates), and
-disjoint write tables guarantee no two members' effects overlap, so
-replaying onto the base is exactly a serialization of the batch:
-member k's marker advances just before its effects replay, which
-reproduces the serial discipline where a rule sees its own operations
-as a fresh transition and earlier-considered rules see later rules'
-operations as pending.
+members from different partitions write disjoint tables, so no two
+members' effects overlap and replaying onto the base is exactly a
+serialization of the batch: member k's marker advances just before its
+effects replay, which reproduces the serial discipline where a rule
+sees its own operations as a fresh transition and earlier-considered
+rules see later rules' operations as pending.
 
 A fork that rolls back aborts the batch wholesale: rollback restores
 the *transaction* snapshot, which does not compose with merging, so the
@@ -61,7 +48,6 @@ from __future__ import annotations
 
 import time
 
-from repro.analysis.commutativity import CommutativityAnalyzer
 from repro.analysis.derived import DerivedDefinitions
 from repro.analysis.partitioning import partition_rules
 from repro.engine import partition as PART
@@ -80,11 +66,9 @@ class SchedulerStats(StatsBase):
 
     ``parallel_considerations`` counts rules that ran on batch forks;
     ``serial_considerations`` counts singleton rounds (including
-    rollback fallbacks). ``commute_serializations`` counts admission
-    refusals — pairs the oracle could not certify (or whose write
-    tables overlap), which therefore serialized. ``merge_seconds`` is
-    the wall time spent replaying fork effects onto the main processor
-    (the ``--profile`` ``parallel_merge`` phase).
+    rollback fallbacks). ``merge_seconds`` is the wall time spent
+    replaying fork effects onto the main processor (the ``--profile``
+    ``parallel_merge`` phase).
     """
 
     FIELDS = (
@@ -93,8 +77,6 @@ class SchedulerStats(StatsBase):
         "serial_considerations",
         "parallel_considerations",
         "forks",
-        "commute_checks",
-        "commute_serializations",
         "rollback_fallbacks",
         "merged_primitives",
         "merge_seconds",
@@ -110,57 +92,33 @@ class ParallelScheduler:
 
     Built lazily by :meth:`RuleProcessor.run` when the session config
     says ``scheduler="parallel"``, and cached on the processor so the
-    static partition map and the memoized pair verdicts persist across
-    assertion points.
+    static partition map persists across assertion points.
     """
 
     def __init__(self, processor) -> None:
         self.processor = processor
         ruleset = processor.ruleset
-        self._definitions = DerivedDefinitions(ruleset)
-        #: the Definition 6.5 oracle; verdicts memoize per unordered pair
-        self._analyzer = CommutativityAnalyzer(self._definitions)
         self._partition_of: dict[str, int] = {}
         for i, group in enumerate(
-            partition_rules(self._definitions, ruleset.priorities)
+            partition_rules(DerivedDefinitions(ruleset), ruleset.priorities)
         ):
             for name in group:
                 self._partition_of[name] = i
-        self._write_tables = {
-            name: frozenset(
-                event.table for event in self._definitions.performs(name)
-            )
-            for name in self._definitions.rule_names
-        }
 
     # ------------------------------------------------------------------
     # Batch admission
     # ------------------------------------------------------------------
 
     def _independent(self, first: str, second: str) -> bool:
-        """May *first* and *second* run concurrently in one batch?
-
-        True iff they belong to different static partitions (no shared
-        tables, no priority edge — trivially commuting) or the analysis
-        certifies commutativity *and* their write-table sets are
-        disjoint (the merge-soundness requirement documented above).
-        Unknown or negative verdicts serialize.
-        """
-        if self._partition_of.get(first) != self._partition_of.get(second):
-            return True
-        STATS.commute_checks += 1
-        if not self._analyzer.commute(first, second):
-            STATS.commute_serializations += 1
-            return False
-        if self._write_tables[first] & self._write_tables[second]:
-            STATS.commute_serializations += 1
-            return False
-        return True
+        """May *first* and *second* run concurrently in one batch? True
+        iff they belong to different static partitions (no shared
+        tables, no priority edge — trivially commuting)."""
+        return self._partition_of[first] != self._partition_of[second]
 
     def _admit(self, eligible: tuple[str, ...], limit: int) -> list[str]:
         """The batch for this round: the strategy's pick plus every
-        further eligible rule pairwise independent of all admitted
-        members, in eligibility (definition) order."""
+        further eligible rule whose partition no admitted member shares,
+        in eligibility (definition) order."""
         first = self.processor.strategy.choose(eligible)
         batch = [first]
         for rule in eligible:
@@ -286,8 +244,8 @@ class ParallelScheduler:
 
         Matches :meth:`RuleProcessor.run` step for step — quiescence
         marker advance, rollback outcome, ``max_steps`` discipline —
-        except that each round may consider a certified batch instead
-        of a single rule.
+        except that each round may consider a batch of rules from
+        different partitions instead of a single rule.
         """
         proc = self.processor
         steps: list[ConsiderationOutcome] = []

@@ -37,7 +37,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.config import _UNSET, ExecutionConfig, resolve_config
+from repro.config import DEFAULT_CONFIG, ExecutionConfig
 from repro.engine import plan as P
 from repro.engine.database import Database
 from repro.engine.dml import execute_statement
@@ -163,11 +163,6 @@ class RuleProcessor:
         database: Database,
         strategy=None,
         max_steps: int = 10_000,
-        incremental: object = _UNSET,
-        planner: object = _UNSET,
-        durable: object = _UNSET,
-        wal_path: object = _UNSET,
-        wal: object = _UNSET,
         *,
         config: ExecutionConfig | None = None,
     ) -> None:
@@ -179,17 +174,8 @@ class RuleProcessor:
         self.database = database
         self.strategy = strategy or FirstEligibleStrategy()
         self.max_steps = max_steps
-        #: the session's execution options; the legacy keyword arguments
-        #: map onto it (with a DeprecationWarning) via resolve_config
-        self.config = resolve_config(
-            config,
-            "RuleProcessor",
-            incremental=incremental,
-            planner=planner,
-            durable=durable,
-            wal_path=wal_path,
-            wal=wal,
-        )
+        #: the session's execution options
+        self.config = config if config is not None else DEFAULT_CONFIG
         self.incremental = self.config.incremental
         #: route condition/action SELECTs through the planned executor
         #: (plans and compiled predicates are cached per rule AST, so
@@ -230,19 +216,12 @@ class RuleProcessor:
         #: WAL writer when running durably, else None. Every primitive
         #: the delta log records is framed into the WAL under the open
         #: transaction id; begin/commit/abort markers bracket it.
-        wal_setting = self.config.wal
-        self.wal = None
-        if wal_setting is not None and not isinstance(wal_setting, str):
-            self.wal = wal_setting
-        self._txn_id = 1
-        if self.wal is None and self.config.wants_wal:
-            if not isinstance(wal_setting, str):
-                raise RuleProcessingError(
-                    "durable mode needs wal_path (or a WalWriter via wal=)"
-                )
+        self.wal = self.config.wal
+        if isinstance(self.wal, str):
             from repro.engine.wal import WalWriter
 
-            self.wal = WalWriter(wal_setting, schema=database.schema)
+            self.wal = WalWriter(self.wal, schema=database.schema)
+        self._txn_id = 1
         if self.wal is not None:
             if any(len(database.table(t.name)) for t in database.schema):
                 # The session may start from a pre-loaded database whose
@@ -544,7 +523,7 @@ class RuleProcessor:
         into the next assertion point's transitions.)
 
         With ``config.scheduler == "parallel"`` the loop is delegated
-        to the commutativity-certified batch scheduler
+        to the partition-batching scheduler
         (:class:`~repro.runtime.parallel.ParallelScheduler`), which is
         required to reach a byte-identical final state.
         """

@@ -300,7 +300,7 @@ class RuleServer:
     server serializes only session opening and commit
     validation/publication under one mutex, so rule processing — the
     expensive part — runs fully outside it. In durable mode
-    (``config.durable``/``config.wal``) winning commits flow through a
+    (``config.wal`` set) winning commits flow through a
     :class:`~repro.engine.wal.GroupCommitWal` coalescer; recovery of
     the server's WAL replays exactly the committed sessions in commit
     order.
@@ -327,9 +327,7 @@ class RuleServer:
         #: sessions run their forks non-durably: the *server's* log is
         #: the durable one, fed at publication with the published
         #: primitives (fork-side primitives never hit disk)
-        self.session_config = self.config.with_options(
-            durable=False, wal=None
-        )
+        self.session_config = self.config.with_options(wal=None)
         self._database = database
         self._mutex = threading.Lock()
         self._log = DeltaLog()
@@ -373,18 +371,11 @@ class RuleServer:
         if self.config.wants_wal:
             from repro.engine.wal import GroupCommitWal, WalWriter
 
-            wal_setting = self.config.wal
-            if wal_setting is None or isinstance(wal_setting, str):
-                if not isinstance(wal_setting, str):
-                    raise RuleProcessingError(
-                        "durable server needs a WAL path "
-                        "(ExecutionConfig(wal=...))"
-                    )
+            writer = self.config.wal
+            if isinstance(writer, str):
                 writer = WalWriter(
-                    wal_setting, schema=schema, fault_plan=fault_plan
+                    writer, schema=schema, fault_plan=fault_plan
                 )
-            else:
-                writer = wal_setting
             if self.options.group_commit:
                 group = GroupCommitWal(
                     writer,
@@ -729,7 +720,7 @@ def serial_replay(
     the server's — that equality is the gate's oracle check.
     """
     replay_config = (config if config is not None else DEFAULT_CONFIG)
-    replay_config = replay_config.with_options(durable=False, wal=None)
+    replay_config = replay_config.with_options(wal=None)
     processor = RuleProcessor(
         ruleset,
         database,

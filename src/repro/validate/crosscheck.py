@@ -17,7 +17,7 @@ can *run* the program lands where the meaning says it should:
   reachable execution order by construction), checked whenever
   exploration is feasible;
 * **mode agreement** — all operational modes implement one
-  deterministic semantics (same default strategy, commute-certified
+  deterministic semantics (same default strategy, partition-batched
   parallel merge, match-mode equivalence), so their finals must agree
   pairwise regardless of certification;
 * **durability** — the database recovered from a durable mode's WAL
@@ -235,7 +235,7 @@ def _run_mode(
         wal_path = None
         if persistence == "durable":
             wal_path = os.path.join(wal_dir, f"{mode}.wal")
-            config = config.with_options(durable=True, wal=wal_path)
+            config = config.with_options(wal=wal_path)
         processor = RuleProcessor(
             case.ruleset, database, max_steps=case.max_steps, config=config
         )

@@ -1,18 +1,12 @@
 """AnalysisEngine tests: memoization, precise invalidation, parallel
-determinism, restricted threading, report round-trips, deprecations."""
+determinism, restricted threading, report round-trips."""
 
 import json
-import warnings
 
 import pytest
 
 from repro.analysis.analyzer import AnalysisReport, RuleAnalyzer
-from repro.analysis.commutativity import CommutativityAnalyzer
-from repro.analysis.confluence import ConfluenceAnalyzer
-from repro.analysis.derived import DerivedDefinitions
 from repro.analysis.engine import AnalysisEngine
-from repro.analysis.observable import ObservableDeterminismAnalyzer
-from repro.analysis.partial_confluence import PartialConfluenceAnalyzer
 from repro.rules.events import TriggerEvent
 from repro.rules.ruleset import RuleSet
 from repro.schema.catalog import schema_from_spec
@@ -397,35 +391,6 @@ class TestReportRoundTrip:
             verdicts["observably_deterministic"]
             == report.observably_deterministic
         )
-
-
-class TestDeprecationPolicy:
-    def test_direct_construction_warns(self, schema):
-        ruleset = RuleSet.parse(CLUSTERED, schema)
-        definitions = DerivedDefinitions(ruleset)
-        commutativity = CommutativityAnalyzer(definitions)
-        with pytest.warns(DeprecationWarning):
-            ConfluenceAnalyzer(definitions, ruleset.priorities, commutativity)
-        with pytest.warns(DeprecationWarning):
-            PartialConfluenceAnalyzer(
-                definitions, ruleset.priorities, commutativity
-            )
-        with pytest.warns(DeprecationWarning):
-            ObservableDeterminismAnalyzer(ruleset)
-
-    def test_facade_paths_do_not_warn(self, schema):
-        analyzer = RuleAnalyzer(RuleSet.parse(CLUSTERED, schema))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            analyzer.analyze(tables=[["u"]])
-            analyzer.repair_confluence()
-            analyzer.analyze_restricted([TriggerEvent.insert("t")])
-
-    def test_building_blocks_are_not_deprecated(self, schema):
-        ruleset = RuleSet.parse(CLUSTERED, schema)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            CommutativityAnalyzer(DerivedDefinitions(ruleset))
 
 
 class TestRepairLoopOnEngine:

@@ -283,3 +283,30 @@ class TestFacadeRefineFlag:
         assert not plain.confluent
         assert refined.confluent
         assert refined.observably_deterministic
+
+
+class TestObservablePrograms:
+    """The refinement never discharges interference through the
+    synthetic Obs table (it has no schema entry), so programs with two
+    or more observable rules analyze, with the same verdicts as the
+    unrefined analysis (Corollary 8.2)."""
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_refined_analysis_matches_plain(self, seed):
+        from repro.analysis.analyzer import RuleAnalyzer
+        from repro.workloads.generator import (
+            GeneratorConfig,
+            RandomRuleSetGenerator,
+        )
+
+        config = GeneratorConfig(
+            n_tables=8, n_rules=12, p_observable=0.1, p_priority=0.02
+        )
+        ruleset = RandomRuleSetGenerator(config, seed=seed).generate()
+        refined = RuleAnalyzer(ruleset, refine=True).analyze()
+        plain = RuleAnalyzer(ruleset, refine=False).analyze()
+        assert refined.confluent == plain.confluent
+        assert (
+            refined.observably_deterministic
+            == plain.observably_deterministic
+        )

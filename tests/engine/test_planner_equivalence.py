@@ -20,6 +20,7 @@ import pytest
 
 from tests.seeding import derive_seed
 
+from repro.config import ExecutionConfig
 from repro.engine import plan
 from repro.engine.database import Database
 from repro.engine.query import (
@@ -95,8 +96,12 @@ def _random_predicate(rng, bindings, depth=0):
 
 def _assert_equivalent(provider, text):
     select = parse_statement(text)
-    naive = execute_select(provider, select, planner=False)
-    planned = execute_select(provider, select, planner=True)
+    naive = execute_select(
+        provider, select, config=ExecutionConfig(planner=False)
+    )
+    planned = execute_select(
+        provider, select, config=ExecutionConfig(planner=True)
+    )
     assert naive.columns == planned.columns, text
     assert naive.rows == planned.rows, text
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.engine.database import Database
 from repro.engine.query import (
     DatabaseProvider,
@@ -214,7 +215,9 @@ class TestQueryResultImmutability:
         ):
             for planner in (False, True):
                 result = execute_select(
-                    provider, parse_statement(source), planner=planner
+                    provider,
+                    parse_statement(source),
+                    config=ExecutionConfig(planner=planner),
                 )
                 assert isinstance(result.rows, tuple), (source, planner)
 

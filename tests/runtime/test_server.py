@@ -382,7 +382,7 @@ class TestDurable:
             schema,
             "create rule r on t when inserted "
             "then insert into log_t values (0, 0)",
-            config=ExecutionConfig(durable=True, wal=path),
+            config=ExecutionConfig(wal=path),
             options=ServerOptions(max_delay=0.05, max_batch=4),
         )
 
@@ -410,7 +410,7 @@ class TestDurable:
         path = str(tmp_path / "baseline.wal")
         server = server_for(
             schema,
-            config=ExecutionConfig(durable=True, wal=path),
+            config=ExecutionConfig(wal=path),
             options=ServerOptions(group_commit=False),
         )
         for i in range(5):
@@ -419,18 +419,12 @@ class TestDurable:
         assert server.wal.stats.batch_sizes == {1: 5}
         server.close()
 
-    def test_wal_requires_a_path(self, schema):
-        with pytest.raises(RuleProcessingError):
-            server_for(schema, config=ExecutionConfig(durable=True))
-
 
 class TestStats:
     def test_stats_sections_shape(self, schema, tmp_path):
         server = server_for(
             schema,
-            config=ExecutionConfig(
-                durable=True, wal=str(tmp_path / "s.wal")
-            ),
+            config=ExecutionConfig(wal=str(tmp_path / "s.wal")),
         )
         server.run_transaction(["insert into t values (1, 1, 0)"])
         server.close()

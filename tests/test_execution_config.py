@@ -1,30 +1,27 @@
-"""The unified ExecutionConfig session API and its legacy-kwarg bridge.
+"""The ExecutionConfig session API.
 
-One frozen value object carries every execution option; the scattered
-keyword arguments it replaced (``planner=``, ``incremental=``,
-``durable=``, ``wal_path=``, ``wal=``) keep working for one release
-behind a ``DeprecationWarning``. These tests pin the config's defaults
-and validation, the exact legacy-to-config mapping (``planner=False``
-historically meant the naive path *throughout*, so it selects
-``matching="naive"`` too), the mutual-exclusion rule, and the CLI's
-``--matching`` surface.
+One frozen value object carries every execution option; it is the only
+way to configure a session. These tests pin the config's fields,
+defaults and validation, that the pre-config keyword arguments are
+gone, and the CLI's ``--matching`` surface.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from repro import DEFAULT_CONFIG, ExecutionConfig
-from repro.config import resolve_config
 from repro.engine.database import Database
 from repro.engine.dml import execute_statement
-from repro.engine.expressions import Evaluator
+from repro.engine.expressions import Evaluator, RowContext
 from repro.engine.query import DatabaseProvider, execute_select
 from repro.lang.parser import parse_expression, parse_statement
 from repro.rules.ruleset import RuleSet
 from repro.runtime.processor import RuleProcessor
+from repro.runtime.server import RuleServer
 from repro.schema.catalog import schema_from_spec
 
 
@@ -51,9 +48,7 @@ class TestConfigValue:
         assert config.matching == "planned"
         assert config.planner is True
         assert config.incremental is True
-        assert config.durable is False
         assert config.wal is None
-        assert config.profile is False
         assert config == DEFAULT_CONFIG
 
     def test_rejects_unknown_matching_mode(self):
@@ -71,105 +66,67 @@ class TestConfigValue:
 
     def test_wants_wal(self):
         assert not ExecutionConfig().wants_wal
-        assert ExecutionConfig(durable=True).wants_wal
         assert ExecutionConfig(wal="x.wal").wants_wal
 
 
 class TestResolveConfig:
-    def test_no_arguments_yields_default(self):
-        assert resolve_config(None, "api") is DEFAULT_CONFIG
+    """Every entry point falls back to DEFAULT_CONFIG and uses an
+    explicit config exactly as given."""
 
-    def test_explicit_config_passes_through(self):
-        config = ExecutionConfig(matching="naive", planner=False)
-        assert resolve_config(config, "api") is config
+    def test_no_arguments_yields_default(self, ruleset, schema):
+        assert RuleProcessor(ruleset, Database(schema)).config is DEFAULT_CONFIG
+        with RuleServer(ruleset, Database(schema)) as server:
+            assert server.config is DEFAULT_CONFIG
 
-    def test_planner_false_selects_naive_throughout(self):
-        with pytest.deprecated_call():
-            config = resolve_config(None, "api", planner=False)
-        assert config.matching == "naive"
-        assert config.planner is False
-
-    def test_wal_path_implies_durable(self):
-        with pytest.deprecated_call():
-            config = resolve_config(None, "api", wal_path="x.wal")
-        assert config.durable is True
-        assert config.wal == "x.wal"
-
-    def test_config_plus_legacy_is_an_error(self):
-        with pytest.raises(ValueError, match="not both"):
-            resolve_config(ExecutionConfig(), "api", planner=False)
-
-    def test_warning_names_the_api_and_keywords(self):
-        with pytest.warns(DeprecationWarning, match="RuleProcessor"):
-            resolve_config(None, "RuleProcessor", incremental=False)
-
-
-class TestLegacyKeywordsStillWork:
-    def test_rule_processor_legacy_kwargs(self, ruleset, schema):
-        with pytest.deprecated_call():
-            processor = RuleProcessor(
-                ruleset, Database(schema), incremental=False, planner=False
-            )
-        assert processor.incremental is False
-        assert processor.planner is False
-        assert processor.config.matching == "naive"
-
-    def test_rule_processor_config_and_legacy_conflict(self, ruleset, schema):
-        with pytest.raises(ValueError, match="not both"):
-            RuleProcessor(
-                ruleset,
-                Database(schema),
-                planner=False,
-                config=ExecutionConfig(),
-            )
-
-    def test_evaluator_legacy_planner(self, schema):
-        database = Database(schema)
-        database.load("t", [(1, 9)])
-        provider = DatabaseProvider(database)
-        expr = parse_expression("exists (select * from t where v > 5)")
-        with pytest.deprecated_call():
-            evaluator = Evaluator(provider, planner=False)
-        from repro.engine.expressions import RowContext
-
-        assert evaluator.evaluate(expr, RowContext()) is True
-
-    def test_execute_select_legacy_planner(self, schema):
+    def test_explicit_config_passes_through(self, ruleset, schema):
+        naive = ExecutionConfig(matching="naive", planner=False)
         database = Database(schema)
         database.load("t", [(1, 9), (2, 1)])
+        processor = RuleProcessor(ruleset, database, config=naive)
+        assert processor.config is naive
+        assert processor.planner is False
         provider = DatabaseProvider(database)
         select = parse_statement("select * from t where v > 5")
-        with pytest.deprecated_call():
-            result = execute_select(provider, select, planner=False)
-        assert result.rows == ((1, 9),)
-
-    def test_execute_statement_legacy_planner(self, schema):
-        database = Database(schema)
-        database.load("t", [(1, 9), (2, 1)])
-        with pytest.deprecated_call():
-            execute_statement(
-                database,
-                parse_statement("delete from t where v > 5"),
-                planner=False,
-            )
+        assert execute_select(provider, select, config=naive).rows == (
+            (1, 9),
+        )
+        expr = parse_expression("exists (select * from t where v > 5)")
+        evaluator = Evaluator(provider, config=naive)
+        assert evaluator.evaluate(expr, RowContext()) is True
+        execute_statement(
+            database, parse_statement("delete from t where v > 5"), config=naive
+        )
         assert database.table("t").value_tuples() == [(2, 1)]
 
-    def test_config_style_emits_no_warning(self, ruleset, schema):
-        import warnings
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            RuleProcessor(
-                ruleset,
-                Database(schema),
-                config=ExecutionConfig(matching="rete"),
-            )
-            database = Database(schema)
-            execute_statement(
-                database,
-                parse_statement("insert into t values (1, 2)"),
-                config=ExecutionConfig(),
-            )
+class TestConfigIsTheOnlySpelling:
+    """The scattered keywords ExecutionConfig replaced are not accepted."""
+
+    def test_fields(self):
+        assert [field.name for field in fields(ExecutionConfig)] == [
+            "matching",
+            "planner",
+            "incremental",
+            "wal",
+            "scheduler",
+            "partitions",
+        ]
+
+    def test_entry_points_reject_the_old_keywords(self, ruleset, schema):
+        database = Database(schema)
+        provider = DatabaseProvider(database)
+        select = parse_statement("select * from t")
+        calls = [
+            lambda: RuleProcessor(ruleset, database, incremental=False),
+            lambda: RuleProcessor(ruleset, database, wal_path="x.wal"),
+            lambda: Evaluator(provider, planner=False),
+            lambda: execute_select(provider, select, planner=False),
+            lambda: execute_statement(database, select, planner=False),
+            lambda: ExecutionConfig(durable=True),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
 
 
 class TestCliMatching:

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.engine.database import Database
 from repro.engine.wal import WalWriter, recover_database, scan_frames
 from repro.errors import RuleProcessingLimitExceeded
@@ -100,9 +101,7 @@ def run_durable_session(
         database,
         strategy=FirstEligibleStrategy(),
         max_steps=200,
-        durable=wal is None,
-        wal_path=path if wal is None else None,
-        wal=wal,
+        config=ExecutionConfig(wal=path if wal is None else wal),
     )
     commits: list[CommitPoint] = []
     try:

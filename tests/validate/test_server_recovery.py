@@ -181,7 +181,7 @@ def run_concurrent_server(
     server = RuleServer(
         ruleset,
         database,
-        config=ExecutionConfig(durable=True, wal=path),
+        config=ExecutionConfig(wal=path),
         options=ServerOptions(max_delay=0.05, max_batch=workers),
         fault_plan=DeviceLatency(fsync_seconds=fsync_seconds),
         record_commit_canonicals=True,
@@ -311,7 +311,7 @@ def run_stratified_server(path: str, transactions: list[list[str]]):
     server = RuleServer(
         workload.ruleset,
         workload.database.copy(),
-        config=ExecutionConfig(durable=True, wal=path),
+        config=ExecutionConfig(wal=path),
         record_commit_canonicals=True,
     )
     for statements in transactions:
