@@ -522,8 +522,13 @@ def _print_run(sections: dict, events: list | None) -> None:
         print("\n== execution-graph exploration ==")
         print(f"states explored:     {exploration['states']}")
         print(f"states deduped:      {exploration['states_deduped']}")
-        print(f"terminates:          {exploration['terminates']}")
-        print(f"confluent:           {exploration['confluent']}")
+        verdicts = {
+            "terminates:": exploration["terminates"],
+            "confluent:": exploration["confluent"],
+            "obs. deterministic:": exploration["observably_deterministic"],
+        }
+        for label, value in verdicts.items():
+            print(f"{label:<21}{'undecided' if value is None else value}")
         print(f"observable streams:  {exploration['observable_streams']}")
         print(f"paths to final:      {exploration['paths_to_final']}")
         if exploration["streams_truncated"]:

@@ -46,7 +46,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 
 from repro.engine.partition import stable_shard
-from repro.engine.values import row_sort_key, sort_key
+from repro.engine.values import CanonicalFragment, row_sort_key, sort_key
 from repro.errors import ExecutionError
 
 _PLAN_STATS = None
@@ -488,10 +488,13 @@ class TableData:
         Tids are deliberately excluded: two database states are "the
         same" (for execution-graph state identity and for confluence
         checking) when they hold the same bags of tuples, regardless of
-        internal surrogate ids.
+        internal surrogate ids. The result is a
+        :class:`~repro.engine.values.CanonicalFragment`: memoized until
+        the next write and shared with copy-on-write forks, it carries
+        its hash along, so keying a state re-hashes no rows.
         """
         if self._canonical is None:
-            self._canonical = tuple(
+            self._canonical = CanonicalFragment(
                 sorted(self._rows.values(), key=row_sort_key)
             )
         return self._canonical

@@ -39,6 +39,29 @@ def row_sort_key(values: tuple) -> tuple:
     return tuple(sort_key(value) for value in values)
 
 
+class CanonicalFragment(tuple):
+    """A memoized canonical form that hashes itself once.
+
+    Execution-graph state keys embed whole tables' canonical forms and
+    are hashed at every dict operation; a plain tuple re-hashes every
+    row each time. Hash and equality are exactly the plain tuple's, so
+    a fragment and the plain tuple of its items are interchangeable as
+    dict keys and compare equal. The cached hash is only valid in the
+    process that computed it (string hashes are salted per process),
+    so pickling and copying rebuild the fragment without it.
+    """
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = value = tuple.__hash__(self)
+            return value
+
+    def __reduce__(self):
+        return (CanonicalFragment, (tuple(self),))
+
+
 def _numeric(value: SqlValue, op: str) -> float | int:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise EvaluationError(

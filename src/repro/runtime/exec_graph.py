@@ -14,8 +14,15 @@ three properties the paper analyzes statically:
   over all complete paths.
 
 Observable streams are path-dependent (not a function of the state), so
-the explorer tracks the set of observable streams that can reach each
-state and the streams at final states.
+the explorer collects them from the complete paths that lead from the
+initial state to a final one. What one edge emits *is* a function of
+its source state and rule: a rule's actions read only the database and
+the pending transition on its own table, both part of the state key,
+and select payloads are sorted. So exploration records each edge's
+observable actions once, while it builds the graph, and then walks the
+complete paths of the finished acyclic graph over those recorded edges,
+concatenating what each edge emitted: one consideration per edge, and
+no path is replayed on a live processor.
 """
 
 from __future__ import annotations
@@ -40,7 +47,9 @@ class ExecutionGraph:
     final_states: set[tuple] = field(default_factory=set)
     #: canonical database state for each final state key
     final_databases: dict[tuple, tuple] = field(default_factory=dict)
-    #: distinct full observable streams over all complete paths
+    #: distinct full observable streams over all complete paths (over
+    #: the first ``max_paths`` paths, depth first, when
+    #: ``streams_truncated``)
     observable_streams: set[tuple[ObservableAction, ...]] = field(
         default_factory=set
     )
@@ -48,15 +57,17 @@ class ExecutionGraph:
     has_cycle: bool = False
     #: True if exploration hit its state/depth budget (result is partial)
     truncated: bool = False
-    #: True if path enumeration hit its budget (streams are partial)
+    #: True if there are more complete paths than ``max_paths`` (streams
+    #: are partial)
     streams_truncated: bool = False
     #: duplicate states merged during exploration: a consider() produced
     #: a state whose fingerprint (memoized Database.canonical() plus the
     #: per-rule pending transitions) was already seen, so the branch was
     #: folded into the existing node instead of re-explored
     states_deduped: int = 0
-    #: complete paths enumerated by the stream phase (0 when that phase
-    #: was skipped because the graph is cyclic or truncated)
+    #: complete paths walked by the stream pass, capped at the
+    #: explorer's ``max_paths`` (0 when the pass was skipped because
+    #: the graph is cyclic or truncated)
     _path_count: int = 0
 
     @property
@@ -87,9 +98,34 @@ class ExecutionGraph:
         return len(self.observable_streams) <= 1
 
     def paths_to_final(self) -> int:
-        """Number of distinct complete paths (may be exponential; capped
-        by the explorer's budget — partial iff ``streams_truncated``)."""
+        """The exact number of complete paths, capped only by the
+        explorer's ``max_paths``: ``min(paths, max_paths)``, with
+        ``streams_truncated`` set iff the cap cut it. 0 when the graph
+        is cyclic or truncated (no stream pass ran)."""
         return self._path_count
+
+    def verdicts(self) -> tuple[bool | None, bool | None, bool | None]:
+        """``(terminates, confluent, observably_deterministic)``, each
+        None when this graph cannot decide it.
+
+        A cycle among explored states is an infinite execution, so it
+        decides non-termination even in a truncated graph; a truncated
+        graph decides nothing else. Confluence and observable
+        determinism are defined over terminating executions. When the
+        stream pass hit ``max_paths``, the streams it kept are those of
+        real complete paths: two of them refute observable determinism,
+        fewer decide nothing.
+        """
+        if self.has_cycle:
+            return False, None, None
+        if self.truncated:
+            return None, None, None
+        undecided = self.streams_truncated and len(self.observable_streams) <= 1
+        return (
+            True,
+            self.is_confluent,
+            None if undecided else self.is_observably_deterministic,
+        )
 
     def looping_path(self) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
         """A concrete path witnessing ``has_cycle``.
@@ -133,6 +169,7 @@ class ExecutionGraph:
     def stats(self) -> dict:
         """Exploration counters, machine-readable (the CLI ``--json``
         surface; mirrors the analysis engine's stats section)."""
+        terminates, confluent, deterministic = self.verdicts()
         return {
             "states": self.state_count,
             "states_deduped": self.states_deduped,
@@ -140,9 +177,9 @@ class ExecutionGraph:
             "distinct_final_databases": len(set(self.final_databases.values())),
             "observable_streams": len(self.observable_streams),
             "paths_to_final": self.paths_to_final(),
-            "terminates": self.terminates,
-            "confluent": self.is_confluent,
-            "observably_deterministic": self.is_observably_deterministic,
+            "terminates": terminates,
+            "confluent": confluent,
+            "observably_deterministic": deterministic,
             "has_cycle": self.has_cycle,
             "truncated": self.truncated,
             "streams_truncated": self.streams_truncated,
@@ -170,20 +207,23 @@ def explore(
 
     graph = ExecutionGraph(initial=initial_key)
 
-    # Phase 1: build the deduplicated state graph (termination/confluence).
-    # Frontier entries carry the state key computed at enqueue time —
-    # state_key() is memoized per processor but re-deriving the tuple
-    # for every dequeue is still O(rules).
+    # Phase 1: build the deduplicated state graph (termination and
+    # confluence), recording what each edge emits. Frontier entries
+    # carry the state key computed at enqueue time, so each state's key
+    # is built once.
     frontier: deque[tuple[RuleProcessor, int, tuple]] = deque(
         [(initial, 0, initial_key)]
     )
-    seen: dict[tuple, bool] = {initial_key: True}
+    # Maps each key to itself: a successor that merges into a seen state
+    # is recorded under the stored key object, so later lookups of it
+    # (the cycle DFS, the path walk) compare by identity, not fragment
+    # by fragment.
+    seen: dict[tuple, tuple] = {initial_key: initial_key}
+    # state key -> (successor key, observable actions) of each edge
+    emitted: dict[tuple, list[tuple[tuple, tuple[ObservableAction, ...]]]] = {}
 
     while frontier:
         current, depth, key = frontier.popleft()
-        if key in graph.edges or key in graph.final_states:
-            continue
-
         eligible = current.eligible_rules()
         if not eligible:
             graph.final_states.add(key)
@@ -202,6 +242,8 @@ def explore(
             break
 
         successors: list[tuple[str, tuple]] = []
+        steps: list[tuple[tuple, tuple[ObservableAction, ...]]] = []
+        before = len(current.observables)
         for rule_name in eligible:
             # The fork shares the parent's cached per-rule net effects,
             # canonical fragments, and COW database pages; consider()
@@ -209,83 +251,62 @@ def explore(
             child = current.fork()
             child.consider(rule_name, eligible=eligible)
             child_key = child.state_key()
-            successors.append((rule_name, child_key))
-            if child_key not in seen:
-                seen[child_key] = True
+            known = seen.get(child_key)
+            if known is None:
+                seen[child_key] = child_key
                 frontier.append((child, depth + 1, child_key))
             else:
+                child_key = known
                 graph.states_deduped += 1
+            successors.append((rule_name, child_key))
+            steps.append((child_key, tuple(child.observables[before:])))
         graph.edges[key] = successors
+        emitted[key] = steps
 
-    graph.has_cycle = _has_reachable_cycle(graph)
+    graph.has_cycle = graph.looping_path() is not None
 
-    # Phase 2: enumerate complete paths for observable streams. Skipped
-    # when the graph is cyclic or truncated (streams would be unbounded).
+    # Phase 2: path count and observable streams from a walk over the
+    # recorded edges. Skipped when the graph is cyclic or truncated
+    # (streams would be unbounded or partial).
     if not graph.has_cycle and not graph.truncated:
-        _collect_observable_streams(processor, graph, max_paths)
+        _walk_paths(graph, emitted, tuple(processor.observables), max_paths)
 
     return graph
 
 
-def _has_reachable_cycle(graph: ExecutionGraph) -> bool:
-    """Detect a cycle among explored states (iterative DFS, 3-color)."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[tuple, int] = {}
-
-    for root in list(graph.edges):
-        if color.get(root, WHITE) != WHITE:
-            continue
-        stack: list[tuple[tuple, int]] = [(root, 0)]
-        color[root] = GRAY
-        while stack:
-            node, index = stack[-1]
-            successors = graph.edges.get(node, [])
-            if index < len(successors):
-                stack[-1] = (node, index + 1)
-                __, child = successors[index]
-                child_color = color.get(child, WHITE)
-                if child_color == GRAY:
-                    return True
-                if child_color == WHITE and child in graph.edges:
-                    color[child] = GRAY
-                    stack.append((child, 0))
-            else:
-                color[node] = BLACK
-                stack.pop()
-    return False
-
-
-def _collect_observable_streams(
-    processor: RuleProcessor, graph: ExecutionGraph, max_paths: int
+def _walk_paths(
+    graph: ExecutionGraph,
+    emitted: dict[tuple, list[tuple[tuple, tuple[ObservableAction, ...]]]],
+    prior: tuple[ObservableAction, ...],
+    max_paths: int,
 ) -> None:
-    """Enumerate all complete paths, recording their observable streams.
+    """Fill in the path count and observable streams of the complete,
+    acyclic graph. No rule is considered again.
 
-    Uses depth-first traversal over live processor forks: observables
-    depend on the path taken, not just the state reached, so the state
-    graph alone is not enough.
+    Walks complete paths depth first from the initial state (the last
+    eligible rule is followed first), each stream being *prior* — the
+    actions the processor emitted before exploring — followed by what
+    every edge on the path emitted. The walk stops after *max_paths*
+    paths. Every partial path still on the stack then ends in at least
+    one more complete path (the graph is complete and acyclic), so the
+    cap cut the count iff the stack is non-empty.
     """
-    paths_done = 0
-    stack: list[RuleProcessor] = [processor.fork()]
-
+    streams: set[tuple[ObservableAction, ...]] = set()
+    paths = 0
+    stack: list[tuple[tuple, tuple]] = [(graph.initial, prior)]
     while stack:
-        current = stack.pop()
-        eligible = current.eligible_rules()
-        if not eligible:
-            graph.observable_streams.add(tuple(current.observables))
-            paths_done += 1
-            if paths_done >= max_paths:
-                # Only a genuine cut-off counts as truncation: when the
-                # budget lands exactly on the last path the enumeration
-                # is complete and the count exact.
-                graph.streams_truncated = bool(stack)
+        key, stream = stack.pop()
+        steps = emitted.get(key)
+        if steps is None:  # not expanded, so final: the graph is complete
+            streams.add(stream)
+            paths += 1
+            if paths >= max_paths:
                 break
             continue
-        for rule_name in eligible:
-            child = current.fork()
-            child.consider(rule_name, eligible=eligible)
-            stack.append(child)
-
-    graph._path_count = paths_done
+        stack.extend((child, stream + actions) for child, actions in steps)
+    graph._path_count = paths
+    graph.streams_truncated = bool(stack)
+    graph.observable_streams = streams
 
 
 def explore_ruleset(

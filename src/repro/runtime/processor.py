@@ -591,7 +591,10 @@ class RuleProcessor:
 
         Canonical fragments are memoized: per-table database canonicals
         carry across copy-on-write forks until the table is written, and
-        per-rule pending canonicals until the rule's fold advances.
+        per-rule pending canonicals until the rule's fold advances. Each
+        fragment also keeps its hash
+        (:class:`~repro.engine.values.CanonicalFragment`), so hashing the
+        key is O(tables + rules), not O(rows).
         """
         pending = tuple(
             (rule.name, self._pending_canonical(rule.name))

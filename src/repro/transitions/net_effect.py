@@ -69,22 +69,29 @@ class TableNetEffect:
 
         Tids are surrogate identifiers; two transitions that insert,
         delete and update the same bags of values are the same
-        transition for state-identity purposes.
+        transition for state-identity purposes. Like the table
+        canonical, the result is a hash-once
+        :class:`~repro.engine.values.CanonicalFragment`.
         """
         if self._canonical is None:
-            self._canonical = (
-                self.table,
-                tuple(sorted(self.inserted.values(), key=_row_key)),
-                tuple(sorted(self.deleted.values(), key=_row_key)),
-                tuple(
-                    sorted(
-                        self.updated.values(),
-                        key=lambda pair: (
-                            _row_key(pair[0]),
-                            _row_key(pair[1]),
-                        ),
-                    )
-                ),
+            # Imported here: the engine package imports this module.
+            from repro.engine.values import CanonicalFragment, row_sort_key
+
+            self._canonical = CanonicalFragment(
+                (
+                    self.table,
+                    tuple(sorted(self.inserted.values(), key=row_sort_key)),
+                    tuple(sorted(self.deleted.values(), key=row_sort_key)),
+                    tuple(
+                        sorted(
+                            self.updated.values(),
+                            key=lambda pair: (
+                                row_sort_key(pair[0]),
+                                row_sort_key(pair[1]),
+                            ),
+                        )
+                    ),
+                )
             )
         return self._canonical
 
@@ -114,12 +121,6 @@ class TableNetEffect:
             f"inserted={self.inserted!r}, deleted={self.deleted!r}, "
             f"updated={self.updated!r})"
         )
-
-
-def _row_key(values: tuple) -> tuple:
-    from repro.engine.values import row_sort_key
-
-    return row_sort_key(values)
 
 
 class NetEffect:

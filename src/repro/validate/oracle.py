@@ -14,8 +14,10 @@ from repro.rules.ruleset import RuleSet
 class OracleVerdict:
     """Observed behavior of one concrete instance.
 
-    ``terminates=None`` means exploration was truncated — the instance
-    is too large to decide, and soundness checks skip it (conservative
+    Each verdict is None when the explored graph cannot decide it
+    (:meth:`ExecutionGraph.verdicts`). ``terminates=None`` means
+    exploration was truncated before it found a cycle — the instance is
+    too large to decide, and soundness checks skip it (conservative
     analyses are allowed to be unverifiable, never wrong).
     """
 
@@ -51,27 +53,11 @@ def oracle_verdict(
         max_paths=max_paths,
     )
 
-    if graph.truncated:
-        return OracleVerdict(
-            terminates=None,
-            confluent=None,
-            observably_deterministic=None,
-            graph=graph,
-        )
-    if graph.has_cycle:
-        return OracleVerdict(
-            terminates=False,
-            confluent=None,  # nonterminating: confluence undefined
-            observably_deterministic=None,
-            graph=graph,
-        )
-    streams_known = not graph.streams_truncated
+    terminates, confluent, deterministic = graph.verdicts()
     return OracleVerdict(
-        terminates=True,
-        confluent=graph.is_confluent,
-        observably_deterministic=(
-            graph.is_observably_deterministic if streams_known else None
-        ),
+        terminates=terminates,
+        confluent=confluent,
+        observably_deterministic=deterministic,
         graph=graph,
     )
 

@@ -31,12 +31,12 @@ CONFIG = GeneratorConfig(
 )
 
 
-def build_instance(seed: int):
+def build_instance(seed: int, config: GeneratorConfig = CONFIG):
     # Hypothesis draws *seed*; mixing in the suite base seed means a
     # different --base-seed explores genuinely different workloads.
     seed = derive_seed("runtime-properties", seed)
-    ruleset = LayeredRuleSetGenerator(CONFIG, seed=seed).generate()
-    generator = RandomInstanceGenerator(CONFIG)
+    ruleset = LayeredRuleSetGenerator(config, seed=seed).generate()
+    generator = RandomInstanceGenerator(config)
     database = generator.generate_database(ruleset.schema, seed=seed)
     statements = generator.generate_transition(ruleset.schema, seed=seed)
     return ruleset, database, statements

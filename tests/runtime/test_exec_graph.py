@@ -177,3 +177,75 @@ class TestGraphShape:
             NONCOMMUTING, schema, ["insert into t values (1, 5)"]
         )
         assert graph.paths_to_final() == 2
+
+
+class TestUndecidedVerdicts:
+    """stats() reports a verdict the graph cannot decide as None, by
+    the same rule as oracle_verdict."""
+
+    STORM = "create rule storm on t when inserted then insert into t values (1, 1)"
+    FLIP = (
+        "create rule flip on t when updated(v), inserted "
+        "then update t set v = 1 - v"
+    )
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [(STORM, (None, None, None)), (FLIP, (False, None, None))],
+        ids=["truncated", "cyclic"],
+    )
+    def test_stats_and_oracle_share_the_rule(self, schema, source, expected):
+        from repro.validate.oracle import oracle_verdict
+
+        verdict = oracle_verdict(
+            RuleSet.parse(source, schema),
+            Database(schema),
+            ["insert into t values (0, 0)"],
+            max_states=50,
+            max_depth=20,
+        )
+        assert not verdict.graph.final_states
+        stats = verdict.graph.stats()
+        assert (
+            stats["terminates"],
+            stats["confluent"],
+            stats["observably_deterministic"],
+        ) == expected
+        assert (
+            verdict.terminates,
+            verdict.confluent,
+            verdict.observably_deterministic,
+        ) == expected
+
+    def test_cycle_decides_termination_in_a_truncated_graph(self, schema):
+        # storm grows u forever, so exploration truncates; flip's loop
+        # among the explored states is still a real infinite execution.
+        graph = graph_for(
+            self.FLIP + "\n"
+            "create rule storm on u when inserted then insert into u values (1, 1)",
+            schema,
+            ["insert into t values (0, 0)", "insert into u values (0, 0)"],
+            max_states=50,
+            max_depth=20,
+        )
+        assert graph.truncated and graph.has_cycle
+        assert graph.verdicts() == (False, None, None)
+
+    @pytest.mark.parametrize(
+        "max_paths, deterministic", [(1, None), (2, False), (6, False)]
+    )
+    def test_truncated_streams_decide_only_a_refutation(
+        self, schema, max_paths, deterministic
+    ):
+        # Three unordered selects: six orders, six distinct streams. A
+        # cut-off that kept two of them already refutes determinism.
+        graph = graph_for(
+            "create rule wa on t when inserted then select id from t\n"
+            "create rule wb on t when inserted then select v from t\n"
+            "create rule wc on t when inserted then select id + v from t",
+            schema,
+            ["insert into t values (1, 2)"],
+            max_paths=max_paths,
+        )
+        assert graph.streams_truncated == (max_paths < 6)
+        assert graph.verdicts() == (True, True, deterministic)

@@ -274,7 +274,34 @@ class TestRunMode:
         out = capsys.readouterr().out
         assert "execution-graph exploration" in out
         assert "terminates:          True" in out
+        assert "obs. deterministic:  True" in out
         assert "observable streams:  1" in out
+
+    def test_explore_text_says_undecided(self, capsys):
+        # --run stops at its step limit on a looping program before
+        # --explore runs, so render a cyclic graph's stats directly.
+        from repro.cli import _print_run
+        from repro.engine.database import Database
+        from repro.rules.ruleset import RuleSet
+        from repro.runtime.exec_graph import explore_ruleset
+        from repro.schema.catalog import schema_from_spec
+
+        schema = schema_from_spec({"t": ["id", "v"]})
+        graph = explore_ruleset(
+            RuleSet.parse(
+                "create rule flip on t when updated(v), inserted "
+                "then update t set v = 1 - v",
+                schema,
+            ),
+            Database(schema),
+            ["insert into t values (0, 0)"],
+        )
+        execution = {"outcome": "quiescent", "steps": 0, "final_tables": {}}
+        _print_run({"execution": execution, "exploration": graph.stats()}, [])
+        out = capsys.readouterr().out
+        assert "terminates:          False" in out
+        assert "confluent:           undecided" in out
+        assert "obs. deterministic:  undecided" in out
 
     def test_bad_run_statement_exits_two(self, files, capsys):
         code = main(
