@@ -81,6 +81,15 @@ class Evaluator:
     options arrive as an :class:`~repro.config.ExecutionConfig` (the
     ``config.planner`` field selects the execution path for subqueries,
     so a naive-path query stays naive all the way down).
+
+    One evaluator serves one statement or one condition over a fixed
+    state: nothing writes to the tables behind ``provider`` while it is
+    in use (DML collects every target tid and every new value before
+    its first write). The planned path relies on that contract to run
+    each *closed* subquery once: it keeps the rows of every subquery
+    node it runs, and when the same node runs again it decides whether
+    the node is closed (:func:`repro.engine.plan.is_closed_subquery`)
+    and, if so, returns the kept rows instead of running it per row.
     """
 
     def __init__(
@@ -92,6 +101,10 @@ class Evaluator:
         self._provider = provider
         self._config = config if config is not None else DEFAULT_CONFIG
         self._planner = self._config.planner
+        #: id(subquery node) -> (node, rows of its first run or None
+        #: once found open, whether closedness has been decided); the
+        #: node is held so its id cannot be reused while the memo lives
+        self._subqueries: dict[int, tuple] = {}
 
     def evaluate(self, expr: ast.Expression, context: RowContext):
         if isinstance(expr, ast.Literal):
@@ -237,9 +250,25 @@ class Evaluator:
 
     def _run_subquery(
         self, select: ast.Select, context: RowContext
-    ) -> list[tuple]:
+    ) -> tuple[tuple, ...]:
         from repro.engine.query import execute_select
 
-        return execute_select(
+        key = id(select)
+        entry = self._subqueries.get(key) if self._planner else None
+        if entry is not None:
+            __, rows, decided = entry
+            if not decided:
+                # A repeat run: decide closedness once for this node.
+                from repro.engine.plan import is_closed_subquery
+
+                if not is_closed_subquery(select, self._provider):
+                    rows = None
+                self._subqueries[key] = (select, rows, True)
+            if rows is not None:
+                return rows
+        rows = execute_select(
             self._provider, select, outer_context=context, config=self._config
         ).rows
+        if self._planner and entry is None:
+            self._subqueries[key] = (select, rows, False)
+        return rows

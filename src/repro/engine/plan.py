@@ -54,6 +54,7 @@ from dataclasses import dataclass
 from repro.engine import partition as PART
 from repro.engine import values as V
 from repro.engine.expressions import Evaluator, RowContext
+from repro.errors import ReproError
 from repro.lang import ast
 from repro.stats import StatsBase
 
@@ -239,8 +240,9 @@ def _compile(expr: ast.Expression):
             name, [arg(context, evaluator) for arg in args]
         )
 
-    # Subqueries (and any future node type) fall back to the tree-walking
-    # evaluator; the subquery's SELECT is planned when it executes.
+    # Subqueries (and any future node type) go back to the evaluator,
+    # which plans the subquery's SELECT when it runs and keeps the rows
+    # of a closed one for the rest of the statement.
     return lambda context, evaluator: evaluator.evaluate(expr, context)
 
 
@@ -498,6 +500,62 @@ def _ref_binding(
     if len(owners) == 1:
         return owners[0]
     return None
+
+
+def is_closed_subquery(select: ast.Select, provider) -> bool:
+    """Whether no column reference in *select* can resolve to an outer row.
+
+    Follows :class:`RowContext` lookup over the subquery's own scope
+    chain, nested subqueries included: a qualified ``t.c`` is local when
+    ``t`` is a FROM binding of *select* or of a nested subquery that
+    encloses the reference; a bare ``c`` is local when a binding in that
+    chain has a column ``c``. Columns come from ``provider.resolve``, so
+    transition-table overlays count. A closed subquery returns the same
+    rows for every outer row, so an
+    :class:`~repro.engine.expressions.Evaluator` runs it once.
+    """
+    return _closed_in(select, provider, ())
+
+
+def _closed_in(
+    select: ast.Select,
+    provider,
+    scopes: tuple[dict[str, tuple[str, ...]], ...],
+) -> bool:
+    try:
+        bindings = {
+            ref.binding_name.lower(): provider.resolve(ref.name)[0]
+            for ref in select.tables
+        }
+    except ReproError:
+        # A table the provider cannot resolve leaves the subquery open:
+        # it then runs per row and raises exactly as it always did.
+        return False
+    scopes = (*scopes, bindings)
+    for expr in _iter_select_expressions(select):
+        for node in ast.walk_expression(expr):
+            if isinstance(node, ast.ColumnRef):
+                if not _resolves_within(node, scopes):
+                    return False
+            elif isinstance(node, _SUBQUERY_NODES):
+                if not _closed_in(node.subquery, provider, scopes):
+                    return False
+    return True
+
+
+def _resolves_within(
+    ref: ast.ColumnRef, scopes: tuple[dict[str, tuple[str, ...]], ...]
+) -> bool:
+    """Whether *ref* binds (or fails to bind) inside *scopes*."""
+    if ref.table:
+        table = ref.table.lower()
+        return any(table in bindings for bindings in scopes)
+    column = ref.column.lower()
+    return any(
+        column in columns
+        for bindings in scopes
+        for columns in bindings.values()
+    )
 
 
 _PLAN_CACHE: dict = {}

@@ -116,7 +116,12 @@ def _count_fallback(reason: str) -> None:
     STATS.fallback_reasons[reason] = STATS.fallback_reasons.get(reason, 0) + 1
 
 #: shared provider-less evaluator for compiled conjuncts — network
-#: predicates never contain subqueries, so no provider is ever consulted
+#: predicates never contain subqueries, so no provider is ever consulted.
+#: Sharing one evaluator across statements and threads departs from the
+#: one-statement evaluator lifetime, and is safe only because without a
+#: provider it can never run a subquery, so its subquery memo stays
+#: empty (the provider-less evaluators of ``lint.folding`` and
+#: ``analysis.commutativity`` rest on the same fact)
 _EVALUATOR = Evaluator(None)
 
 

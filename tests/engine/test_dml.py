@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.engine.database import Database
 from repro.engine.dml import execute_statement, execute_script
 from repro.engine.query import DatabaseProvider, OverlayProvider
@@ -23,6 +24,21 @@ def run(database, source, log=None, provider=None):
     return execute_statement(
         database, parse_statement(source), provider=provider, log=log
     )
+
+
+def run_matching_reference(database, source):
+    """Run *source*, and on a copy through the per-row reference path
+    (``planner=False``); both must end in the same state. The planned
+    path runs a closed subquery once per statement, not once per row."""
+    reference = database.copy()
+    expected = execute_statement(
+        reference,
+        parse_statement(source),
+        config=ExecutionConfig(planner=False),
+    )
+    result = run(database, source)
+    assert result.affected == expected.affected
+    assert database.canonical() == reference.canonical()
 
 
 class TestInsert:
@@ -55,6 +71,14 @@ class TestInsert:
         run(database, "insert into t values (2 + 2, 5 * 8)")
         assert (4, 40) in database.table("t").value_tuples()
 
+    def test_insert_values_with_subquery_in_each_row(self, database):
+        run_matching_reference(
+            database,
+            "insert into t values (4, (select max(v) from t)), "
+            "(5, (select max(v) from t))",
+        )
+        assert database.table("t").value_tuples()[-2:] == [(4, 30), (5, 30)]
+
 
 class TestDelete:
     def test_delete_with_predicate(self, database):
@@ -85,6 +109,12 @@ class TestDelete:
         result = run(database, "delete from t where id in (select x from u)")
         assert result.affected == 1
 
+    def test_delete_in_subquery_over_the_target(self, database):
+        run_matching_reference(
+            database, "delete from t where v in (select v from t where id > 1)"
+        )
+        assert database.table("t").value_tuples() == [(1, 10)]
+
 
 class TestUpdate:
     def test_update_with_predicate(self, database):
@@ -95,7 +125,9 @@ class TestUpdate:
     def test_update_reads_pre_statement_state(self, database):
         # Set everything to the current maximum: the max must be computed
         # once, not re-evaluated as rows change.
-        run(database, "update t set v = (select max(v) from t)")
+        run_matching_reference(
+            database, "update t set v = (select max(v) from t)"
+        )
         assert all(v == 30 for __, v in database.table("t").value_tuples())
 
     def test_update_multiple_columns(self, database):

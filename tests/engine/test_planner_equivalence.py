@@ -178,8 +178,40 @@ class TestRandomizedEquivalence:
             "select r.a, (select count(*) from s where s.c = r.b) from r",
             "select r.a from r where not exists "
             "(select * from s where s.c = r.a and s.d > 2)",
+            # Closedness edge cases: the planned path runs a closed
+            # subquery once per statement, the reference once per row.
+            # An unqualified outer reference:
+            "select a from r where b in (select d from s where c = a)",
+            # an inner column shadowing an outer one (the local wins):
+            "select a from r where b in (select b from r x where a > 2)",
+            "select r.a from r where exists (select * from r where r.a > 4)",
+            # correlation through an alias only:
+            "select x.a from r x where exists "
+            "(select * from s where s.c = x.b)",
+            # a closed middle whose nested subquery references the middle:
+            "select r.a from r where r.b in (select s.d from s where "
+            "exists (select * from r y where y.a = s.c))",
+            # a middle left open by a nested reference to the outermost:
+            "select r.a from r where r.b in (select s.d from s where "
+            "exists (select * from s t where t.c = r.a))",
+            # a closed scalar subquery in the SELECT list:
+            "select r.a, (select max(s.d) from s) from r",
+            # NOT IN over a closed subquery that may yield NULLs:
+            "select r.a from r where r.b not in "
+            "(select s.d from s where s.d is null or s.d > 2)",
         ):
             _assert_equivalent(provider, text)
+        # An overlay served through OverlayProvider: its columns count
+        # toward closedness, and its NULL id exercises NOT IN's
+        # three-valued result whatever the random instance holds.
+        overlay = OverlayProvider(
+            provider, {"inserted": (("id", "v"), [(1, 2), (None, 3), (4, 0)])}
+        )
+        for text in (
+            "select r.a from r where r.a in (select id from inserted)",
+            "select r.a from r where r.a not in (select id from inserted)",
+        ):
+            _assert_equivalent(overlay, text)
 
     def test_null_three_valued_logic_corner_cases(self):
         schema = schema_from_spec({"t": ["a", "b"]})
