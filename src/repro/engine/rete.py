@@ -499,6 +499,12 @@ class ReteInstance:
         clone._poisoned = self._poisoned
         return clone
 
+    def consumed(self, position: int) -> bool:
+        """True when the network will read no log primitive before
+        *position*: its cursor is there, or it is unbuilt (a build reads
+        the database and starts at the log's end) or poisoned."""
+        return self._poisoned or not self._built or self._position >= position
+
     def invalidate(self) -> None:
         """Drop all memories (rollback restored the database under us);
         the next verdict rebuilds from the restored state."""

@@ -46,7 +46,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 
 from repro.engine.partition import stable_shard
-from repro.engine.values import CanonicalFragment, row_sort_key, sort_key
+from repro.engine.values import CanonicalFragment, sort_key, sorted_rows
 from repro.errors import ExecutionError
 
 _PLAN_STATS = None
@@ -494,9 +494,7 @@ class TableData:
         its hash along, so keying a state re-hashes no rows.
         """
         if self._canonical is None:
-            self._canonical = CanonicalFragment(
-                sorted(self._rows.values(), key=row_sort_key)
-            )
+            self._canonical = CanonicalFragment(sorted_rows(self._rows.values()))
         return self._canonical
 
     def copy(self, cow: bool = True) -> "TableData":

@@ -8,6 +8,8 @@ predicate is ``True``.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from repro.errors import EvaluationError
 
 SqlValue = object  # int | float | str | bool | None
@@ -35,8 +37,68 @@ def sort_key(value: SqlValue) -> tuple:
 
 
 def row_sort_key(values: tuple) -> tuple:
-    """Sort key for a whole row of values."""
+    """Sort key for a whole row of values.
+
+    This is the reference definition of canonical row order:
+    :func:`sorted_rows` returns exactly ``sorted(rows, key=row_sort_key)``
+    and falls back to this key whenever native tuple order could differ.
+    """
     return tuple(sort_key(value) for value in values)
+
+
+def pair_sort_key(pair: tuple) -> tuple:
+    """Sort key for an update's ``(old, new)`` pair of rows (the reference
+    for :func:`sorted_rows` with ``pairs=True``)."""
+    return (row_sort_key(pair[0]), row_sort_key(pair[1]))
+
+
+def _one_rank_per_column(rows) -> bool:
+    """True when *rows* share one width and each column's values all
+    belong to a single ``_TYPE_RANK`` class."""
+    widths = set(map(len, rows))
+    if len(widths) > 1:
+        return False
+    for index in range(widths.pop() if widths else 0):
+        kinds = set(map(type, map(itemgetter(index), rows)))
+        ranks = {_TYPE_RANK.get(kind) for kind in kinds}
+        if len(ranks) != 1 or None in ranks:
+            return False
+    return True
+
+
+def sorted_rows(rows, *, pairs: bool = False) -> list:
+    """``sorted(rows, key=row_sort_key)``, without a key call when possible.
+
+    :func:`row_sort_key` stays the reference: the result is the same
+    list, element for element, as the keyed sort. With ``pairs`` the
+    items are updates' ``(old, new)`` row pairs and the reference is
+    ``sorted(rows, key=pair_sort_key)``.
+
+    When every column holds values of a single ``_TYPE_RANK`` class
+    (decided from the values present, not from a schema), comparing two
+    keys ``(rank, a)`` and ``(rank, b)`` runs exactly the ``==`` and
+    ``<`` of ``a`` and ``b`` that comparing the rows natively runs. Both
+    sorts are stable and see the same outcome for every comparison, so
+    they produce the same permutation, ties (``1``/``1.0``, ``0``/``-0.0``)
+    and NaNs included. Any other input (a NULL beside values, a bool
+    beside numbers, mixed widths, an unsupported type) takes the keyed
+    sort, which raises the usual :class:`EvaluationError` for an
+    unsupported type.
+    """
+    rows = list(rows)
+    if pairs:
+        olds = [old for old, __ in rows]
+        news = [new for __, new in rows]
+        native = _one_rank_per_column(olds) and _one_rank_per_column(news)
+        key = pair_sort_key
+    else:
+        native = _one_rank_per_column(rows)
+        key = row_sort_key
+    if native:
+        rows.sort()
+    else:
+        rows.sort(key=key)
+    return rows
 
 
 class CanonicalFragment(tuple):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.values import row_sort_key
+from repro.engine.values import sorted_rows
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class ObservableAction:
 
     @classmethod
     def select(cls, rule: str, rows: list[tuple]) -> "ObservableAction":
-        canonical = tuple(sorted(rows, key=row_sort_key))
+        canonical = tuple(sorted_rows(rows))
         return cls(rule=rule, kind="select", payload=canonical)
 
     @classmethod

@@ -257,6 +257,12 @@ class RuleProcessor:
 
         Returns the WAL frame count as of the commit marker (None when
         not durable) — the crash-simulation harness keys on it.
+
+        The delta log drops its stored primitives here when no reader
+        needs them any more: every rule marker and the rete cursor sit
+        at the log's end (as after a quiescent :meth:`run`). Positions
+        and the touch index survive, so nothing a later step reads
+        changes; a commit with a rule still pending keeps the log.
         """
         if self._rolled_back:
             raise RuleProcessingError("transaction was rolled back")
@@ -267,6 +273,11 @@ class RuleProcessor:
         if self.wal is not None:
             self._txn_id += 1
             self.wal.begin(self._txn_id)
+        position = self.log.position
+        if all(marker == position for marker in self.markers.values()) and (
+            self._rete is None or self._rete.consumed(position)
+        ):
+            self.log.compact()
         return frames
 
     def close(self) -> None:

@@ -106,12 +106,14 @@ class DeltaLog:
     parent indexes the same primitives on every fork.
     """
 
-    __slots__ = ("_chunks", "_base", "_tail", "_last_write", "_sink")
+    __slots__ = ("_chunks", "_floor", "_base", "_tail", "_last_write", "_sink")
 
     def __init__(self) -> None:
         #: sealed, immutable chunks — structurally shared between forks
         self._chunks: list[tuple[Primitive, ...]] = []
-        #: total number of primitives across sealed chunks
+        #: position of the first stored primitive (raised by compact())
+        self._floor = 0
+        #: position just past the last sealed chunk
         self._base = 0
         #: private mutable tail (never shared)
         self._tail: list[Primitive] = []
@@ -187,6 +189,7 @@ class DeltaLog:
         else:
             clone._chunks = [tuple(self._iter_all())] if self.position else []
             clone._base = self.position
+        clone._floor = self._floor
         clone._last_write = dict(self._last_write)
         return clone
 
@@ -200,12 +203,14 @@ class DeltaLog:
         yield from self._tail
 
     def iter_range(self, start: int, stop: int):
-        """Iterate primitives with ``start <= position < stop``."""
+        """Iterate the stored primitives with ``start <= position < stop``
+        (none below the compaction floor)."""
         if start < 0:
             raise ValueError("marker must be non-negative")
+        start = max(start, self._floor)
         if start >= stop:
             return
-        offset = 0
+        offset = self._floor
         for chunk in self._chunks:
             end = offset + len(chunk)
             if end > start:
@@ -246,14 +251,26 @@ class DeltaLog:
         return self._last_write.get(table, 0) > position
 
     def truncate(self, position: int) -> None:
-        """Discard primitives past *position* (used by rollback restore)."""
+        """Discard primitives past *position*.
+
+        *position* may not lie below the compaction floor. A table written
+        past *position* takes its touch epoch from the kept primitives;
+        when its remaining writes all lie below the floor, the floor
+        stands in as an upper bound, so ``written_since`` never misses a
+        write.
+        """
         if position >= self.position:
             return
-        kept = list(self.iter_range(0, position))
+        if position < self._floor:
+            raise ValueError("cannot truncate below the compaction floor")
+        kept = list(self.iter_range(self._floor, position))
         self._chunks = []
-        self._base = 0
+        self._base = self._floor
         self._tail = kept
-        self._last_write = {}
+        self._last_write = {
+            table: epoch if epoch <= position else self._floor
+            for table, epoch in self._last_write.items()
+        }
         for primitive in kept:
             self._last_write[primitive.table] = primitive.seq + 1
 
@@ -264,16 +281,20 @@ class DeltaLog:
         The concurrent server uses a :class:`DeltaLog` purely as a
         monotone *epoch source* and touch index over published commits:
         it never reads primitives back (the WAL holds the durable copy),
-        so retaining them would grow memory without bound. Compaction
-        seals the tail and discards the chunk contents; ``position``,
+        so retaining them would grow memory without bound. The rule
+        processor compacts at a commit once every reader (rule markers,
+        the rete cursor) has consumed the whole log. Compaction seals
+        the tail and discards the chunk contents; ``position``,
         ``last_write`` and ``written_since`` are unaffected, while
         :meth:`iter_range`/:meth:`since` over the dropped prefix return
         nothing (the compaction point is the new readable floor).
-        Returns the number of primitives dropped.
+        Forks taken earlier keep their own references to the dropped
+        chunks. Returns the number of primitives dropped.
         """
         self.seal()
         dropped = sum(len(chunk) for chunk in self._chunks)
         self._chunks = []
+        self._floor = self._base
         return dropped
 
     def __len__(self) -> int:

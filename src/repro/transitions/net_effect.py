@@ -75,22 +75,14 @@ class TableNetEffect:
         """
         if self._canonical is None:
             # Imported here: the engine package imports this module.
-            from repro.engine.values import CanonicalFragment, row_sort_key
+            from repro.engine.values import CanonicalFragment, sorted_rows
 
             self._canonical = CanonicalFragment(
                 (
                     self.table,
-                    tuple(sorted(self.inserted.values(), key=row_sort_key)),
-                    tuple(sorted(self.deleted.values(), key=row_sort_key)),
-                    tuple(
-                        sorted(
-                            self.updated.values(),
-                            key=lambda pair: (
-                                row_sort_key(pair[0]),
-                                row_sort_key(pair[1]),
-                            ),
-                        )
-                    ),
+                    tuple(sorted_rows(self.inserted.values())),
+                    tuple(sorted_rows(self.deleted.values())),
+                    tuple(sorted_rows(self.updated.values(), pairs=True)),
                 )
             )
         return self._canonical

@@ -277,3 +277,58 @@ class TestCompaction:
         log.record_insert("t", 1, (1,))
         log.compact()
         assert log.compact() == 0
+
+    def test_reads_after_compaction_start_at_the_floor(self):
+        log = DeltaLog()
+        log.record_insert("t", 1, (1,))
+        log.record_insert("t", 2, (2,))
+        log.compact()
+        log.record_insert("t", 3, (3,))
+        log.seal()  # a chunk past the floor
+        log.record_insert("t", 4, (4,))
+        assert [p.tid for p in log.iter_range(2, 4)] == [3, 4]
+        assert [p.tid for p in log.iter_range(3, 4)] == [4]
+        assert [p.tid for p in log.iter_range(0, 3)] == [3]
+        assert list(log.iter_range(0, 2)) == []
+        assert [p.tid for p in log.since(1)] == [3, 4]
+
+    @pytest.mark.parametrize("share", [True, False])
+    def test_fork_after_compaction_keeps_positions(self, share):
+        log = DeltaLog()
+        log.record_insert("t", 1, (1,))
+        log.compact()
+        log.record_insert("t", 2, (2,))
+        clone = log.fork(share=share)
+        clone.record_insert("t", 3, (3,))
+        assert [p.tid for p in clone.since(1)] == [2, 3]
+        assert [p.seq for p in clone.all()] == [1, 2]
+        assert [p.tid for p in log.since(0)] == [2]
+
+    def test_compaction_leaves_earlier_forks_intact(self):
+        log = DeltaLog()
+        log.record_insert("t", 1, (1,))
+        clone = log.fork()
+        log.compact()
+        assert [p.tid for p in clone.since(0)] == [1]
+
+    def test_truncate_above_the_floor(self):
+        log = DeltaLog()
+        log.record_insert("u", 1, (1,))
+        log.compact()
+        log.record_insert("t", 2, (2,))
+        log.record_insert("u", 3, (3,))
+        log.truncate(2)
+        assert log.position == 2
+        assert [p.tid for p in log.all()] == [2]
+        assert log.last_write("t") == 2
+        # u's last kept write was compacted away: the floor bounds it
+        assert log.written_since("u", 0) and not log.written_since("u", 1)
+        assert log.record_insert("t", 4, (4,)).seq == 2
+
+    def test_truncate_below_the_floor_is_refused(self):
+        log = DeltaLog()
+        log.record_insert("t", 1, (1,))
+        log.record_insert("t", 2, (2,))
+        log.compact()
+        with pytest.raises(ValueError, match="compaction floor"):
+            log.truncate(1)
