@@ -97,6 +97,8 @@ class CommutativityAnalyzer:
         column_dataflow: bool = False,
         cache: dict[frozenset[str], tuple[NoncommutativityReason, ...]]
         | None = None,
+        base_cache: dict[frozenset[str], tuple[NoncommutativityReason, ...]]
+        | None = None,
         stats=None,
         on_certification=None,
     ) -> None:
@@ -115,6 +117,12 @@ class CommutativityAnalyzer:
         #: raw Lemma 6.1 verdict memo; injectable so an engine (and its
         #: restricted sub-engines) can share one content-addressed store
         self._cache = cache if cache is not None else {}
+        #: the base view's memo, when *definitions* extend the base ones
+        #: (Section 8's Obs view): a pair with no member in
+        #: ``definitions.extended_rules`` is judged exactly as over the
+        #: base definitions, so its reasons are read from and stored
+        #: there, and ``cache`` holds only the pairs that differ
+        self._base_cache = base_cache
         #: optional EngineStats-like object with ``lemma_judgments`` /
         #: ``lemma_memo_hits`` counters
         self._stats = stats
@@ -180,10 +188,11 @@ class CommutativityAnalyzer:
         if first == second:
             return ()
         key = frozenset({first, second})
-        cached = self._cache.get(key)
+        store = self._store(key)
+        cached = store.get(key)
         if cached is None:
             cached = self.compute_reasons(*sorted((first, second)))
-            self._cache[key] = cached
+            store[key] = cached
             if self._stats is not None:
                 self._stats.lemma_judgments += 1
         elif self._stats is not None:
@@ -203,8 +212,18 @@ class CommutativityAnalyzer:
             + list(self._directed_reasons(second, first))
         )
 
+    def _store(self, key: frozenset[str]) -> dict:
+        """The memo that holds *key*'s reasons: the base view's for a
+        pair these definitions judge exactly as the base ones do."""
+        if self._base_cache is not None and key.isdisjoint(
+            self.definitions.extended_rules
+        ):
+            return self._base_cache
+        return self._cache
+
     def is_cached(self, first: str, second: str) -> bool:
-        return frozenset({first.lower(), second.lower()}) in self._cache
+        key = frozenset({first.lower(), second.lower()})
+        return key in self._store(key)
 
     def store_reasons(
         self,
@@ -214,18 +233,30 @@ class CommutativityAnalyzer:
     ) -> None:
         """Install a judgment computed out-of-band (e.g. by a parallel
         worker) into the memo, counting it as one judgment."""
-        self._cache[frozenset({first.lower(), second.lower()})] = reasons
+        key = frozenset({first.lower(), second.lower()})
+        self._store(key)[key] = reasons
         if self._stats is not None:
             self._stats.lemma_judgments += 1
 
     def invalidate_rules(self, names) -> int:
-        """Drop every memoized judgment touching *names* (rule edits);
-        returns the number of entries dropped."""
+        """Drop every memoized judgment touching *names* (rule edits)
+        from the memo each pair is routed to; returns the number of
+        entries dropped."""
         wanted = {name.lower() for name in names}
-        stale = [pair for pair in self._cache if pair & wanted]
-        for pair in stale:
-            del self._cache[pair]
-        return len(stale)
+        stores = [self._cache]
+        if self._base_cache is not None:
+            stores.append(self._base_cache)
+        dropped = 0
+        for store in stores:
+            stale = [
+                pair
+                for pair in store
+                if pair & wanted and self._store(pair) is store
+            ]
+            for pair in stale:
+                del store[pair]
+            dropped += len(stale)
+        return dropped
 
     def _directed_reasons(self, ri: str, rj: str):
         defs = self.definitions

@@ -9,7 +9,8 @@ operation set ``O``, this module computes:
 * ``Triggers(r)``    — ``{r' ∈ R | Performs(r) ∩ Triggered-By(r') ≠ ∅}``;
 * ``Reads(r)``       — columns ``r`` may read in its condition or action,
   with every transition-table reference contributing the corresponding
-  column of the rule's own table;
+  column of the rule's own table, and every FROM table a select names no
+  column of contributing all its columns;
 * ``Can-Untrigger(O')`` — rules whose triggering can be undone by the
   deletions in ``O'``;
 * ``Observable(r)``  — whether ``r``'s action may be observable.
@@ -49,8 +50,17 @@ class DerivedDefinitions:
 
     All methods take and return lower-cased rule names; reads are
     ``(table, column)`` pairs and operations are
-    :class:`~repro.rules.events.TriggerEvent` values.
+    :class:`~repro.rules.events.TriggerEvent` values. ``Reads`` also
+    covers every FROM table a select names no column of (all its
+    columns), so each table whose rows a rule's selects depend on
+    appears in it.
     """
+
+    #: Rules whose ``Reads``/``Performs`` differ from the base
+    #: definitions' (none here; the observable rules in the Obs view).
+    #: Every other rule pair is judged exactly as over the base
+    #: definitions, so an engine shares those judgments between views.
+    extended_rules: frozenset[str] = frozenset()
 
     def __init__(self, ruleset: RuleSet) -> None:
         self.ruleset = ruleset
@@ -71,6 +81,16 @@ class DerivedDefinitions:
                 if self._performs[name] & self._triggered_by[other]
             )
             for name in self._triggered_by
+        }
+        # Can-Untrigger index: table -> the rules an insert into or an
+        # update of it triggers, i.e. the rules a delete from it untriggers
+        untriggered: dict[str, set[str]] = {}
+        for name, events in self._triggered_by.items():
+            for event in events:
+                if event.kind in ("I", "U"):
+                    untriggered.setdefault(event.table, set()).add(name)
+        self._untriggered_by_delete: dict[str, frozenset[str]] = {
+            table: frozenset(names) for table, names in untriggered.items()
         }
 
     # ------------------------------------------------------------------
@@ -126,19 +146,13 @@ class DerivedDefinitions:
     ) -> frozenset[str]:
         """``Can-Untrigger(O')`` — rules that deletions in *operations*
         can untrigger: rules triggered by insertions into, or updates of,
-        a table that *operations* deletes from."""
-        deleted_tables = {
-            event.table for event in operations if event.kind == "D"
-        }
-        if not deleted_tables:
-            return frozenset()
-        untriggerable = set()
-        for name, events in self._triggered_by.items():
-            for event in events:
-                if event.kind in ("I", "U") and event.table in deleted_tables:
-                    untriggerable.add(name)
-                    break
-        return frozenset(untriggerable)
+        a table that *operations* deletes from. One index lookup per
+        delete in *operations*."""
+        index = self._untriggered_by_delete
+        return frozenset().union(
+            *(index.get(event.table, ()) for event in operations
+              if event.kind == "D")
+        )
 
 
 class ObsExtendedDefinitions(DerivedDefinitions):
@@ -156,10 +170,14 @@ class ObsExtendedDefinitions(DerivedDefinitions):
         super().__init__(ruleset)
         obs_insert = TriggerEvent.insert(OBS_TABLE)
         obs_read = (OBS_TABLE, OBS_COLUMN)
-        for name, is_observable in self._observable.items():
-            if is_observable:
-                self._performs[name] = self._performs[name] | {obs_insert}
-                self._reads[name] = self._reads[name] | {obs_read}
+        self.extended_rules = frozenset(
+            name
+            for name, is_observable in self._observable.items()
+            if is_observable
+        )
+        for name in self.extended_rules:
+            self._performs[name] = self._performs[name] | {obs_insert}
+            self._reads[name] = self._reads[name] | {obs_read}
 
     def _extend_dataflow(self, name: str, footprint):
         """Mirror the Reads/Performs extension at the attribute level:
@@ -253,7 +271,14 @@ class _Scope:
 
 def _compute_reads(rule: Rule) -> frozenset[tuple[str, str]]:
     """``Reads(r)``: every ``t.c`` referenced in a select or where clause
-    of ``r``'s condition or action (conservatively resolved)."""
+    of ``r``'s condition or action (conservatively resolved).
+
+    A select's result also depends on the rows of each FROM table, even
+    one it names no column of (``exists (select 1 from t)``, the unnamed
+    factor of ``select u.w from t, u``). Each select charges such a table
+    with all its columns, as ``select *`` and ``count(*)`` are charged;
+    otherwise inserts into and deletes from ``t`` would miss Lemma 6.1
+    condition 3."""
     reads: set[tuple[str, str]] = set()
     root = _Scope()
 
@@ -314,29 +339,44 @@ def _reads_of_select(
         )
         from_tables.append(actual)
 
+    own: set[tuple[str, str]] = set()
     if select.is_star:
         for table in from_tables:
-            if rule.schema.has_table(table):
-                for column in rule.schema.table(table).column_names:
-                    reads.add((table, column))
+            _read_every_column(table, rule, own)
     else:
         for item in select.items:
             _reads_of_expression(
-                item.expr, scope, rule, reads, star_tables=from_tables
+                item.expr, scope, rule, own, star_tables=from_tables
             )
 
     if select.where is not None:
         _reads_of_expression(
-            select.where, scope, rule, reads, star_tables=from_tables
+            select.where, scope, rule, own, star_tables=from_tables
         )
     for key in select.group_by:
         _reads_of_expression(
-            key, scope, rule, reads, star_tables=from_tables
+            key, scope, rule, own, star_tables=from_tables
         )
     if select.having is not None:
         _reads_of_expression(
-            select.having, scope, rule, reads, star_tables=from_tables
+            select.having, scope, rule, own, star_tables=from_tables
         )
+
+    # A FROM table the select names no column of still decides its
+    # result through its rows (see _compute_reads).
+    named = {table for table, __ in own}
+    for table in from_tables:
+        if table not in named:
+            _read_every_column(table, rule, own)
+    reads |= own
+
+
+def _read_every_column(
+    table: str, rule: Rule, reads: set[tuple[str, str]]
+) -> None:
+    if rule.schema.has_table(table):
+        for column in rule.schema.table(table).column_names:
+            reads.add((table, column))
 
 
 def _reads_of_expression(
@@ -354,9 +394,7 @@ def _reads_of_expression(
             # level pass in dataflow.py tracks this more precisely as a
             # row-membership read).
             for table in star_tables or []:
-                if rule.schema.has_table(table):
-                    for column in rule.schema.table(table).column_names:
-                        reads.add((table, column))
+                _read_every_column(table, rule, reads)
         elif isinstance(node, ast.ColumnRef):
             if node.table:
                 actual = scope.resolve_qualified(node.table)

@@ -15,8 +15,18 @@ pairs from scratch on every round is the dominant cost.
   verdicts depend only on the two rules' definitions (``Triggers`` /
   ``Can-Untrigger`` edges are membership tests on rule-local event
   sets), so they survive certifications, priority edits, and universe
-  restrictions, and are shared between the base and ``Obs``-extended
-  views and with restricted sub-engines.
+  restrictions, and are shared with restricted sub-engines.
+* **One judgment per pair across views.** The ``Obs``-extended
+  definitions widen ``Reads``/``Performs`` of the observable rules only;
+  ``Triggered-By``, ``Triggers`` and ``Can-Untrigger`` are the base
+  ones. So a pair with no observable member gets the same Lemma 6.1
+  reasons in both views: its raw judgment lives in the base store, and
+  the Obs store holds only pairs with an observable member. Likewise an
+  Obs pair verdict whose ``R1 ∪ R2`` holds no observable rule equals the
+  base verdict for the same (pair, universe) key — the fixpoint reads
+  only ``Triggers`` and ``P``, and every cross-member check is then a
+  pair judged alike under the same certifications — so it is read from
+  and stored in the base pair memo.
 * **Pair-verdict memo** — per (unordered pair, universe), the full
   :class:`~repro.analysis.confluence.PairJudgment` with its dependency
   footprint. Invalidated *precisely*:
@@ -76,6 +86,14 @@ from repro.rules.ruleset import RuleSet
 #: (Section 8).
 BASE_VIEW = "base"
 OBS_VIEW = "obs"
+
+#: The precision tiers of :meth:`AnalysisEngine.pair_pruning_counts`,
+#: coarse to fine: (label, granularity, column_dataflow).
+PRECISION_TIERS = (
+    ("table", "table", False),
+    ("column", "column", False),
+    ("dataflow", "column", True),
+)
 
 
 @dataclass
@@ -160,7 +178,9 @@ class AnalysisEngine:
     One engine instance backs all of a session's analyses — full
     confluence, partial confluence, observable determinism, the repair
     loop, and restricted sub-analyses (via :meth:`restrict`, which
-    shares the raw Lemma 6.1 memo and stats).
+    shares the raw Lemma 6.1 memo and stats). A raw judgment or pair
+    verdict computed for one view is served to the other view wherever
+    the two provably agree (see the module docstring).
     """
 
     def __init__(
@@ -186,7 +206,8 @@ class AnalysisEngine:
         self.max_workers = max_workers or min(8, (os.cpu_count() or 2))
         self.memoize = memoize
         self.stats = stats if stats is not None else EngineStats()
-        #: raw Lemma 6.1 memo dicts per view; shared with restricted
+        #: raw Lemma 6.1 memo dicts per view (the Obs one holds only
+        #: pairs with an observable member); shared with restricted
         #: sub-engines (judgments are universe-independent)
         self._reason_stores: dict[str, dict] = (
             reason_stores
@@ -219,6 +240,9 @@ class AnalysisEngine:
             refine=self.refine,
             column_dataflow=self.column_dataflow,
             cache=self._reason_stores[key],
+            base_cache=(
+                None if key == BASE_VIEW else self._reason_stores[BASE_VIEW]
+            ),
             stats=self.stats,
             on_certification=lambda pair, added, _key=key: (
                 self._certification_changed(_key, pair, added)
@@ -519,6 +543,8 @@ class AnalysisEngine:
         names = sorted(universe)
         universe = frozenset(names)  # one shared object: its hash caches
         priorities = self.ruleset.priorities
+        shared = self._shared_pair_memo(v)
+        extended = v.definitions.extended_rules
 
         if self._should_parallelize(len(names)):
             self._warm_reasons_parallel(v, names)
@@ -532,6 +558,10 @@ class AnalysisEngine:
                 pairs_examined += 1
                 key = (frozenset((first, second)), universe)
                 judgment = v.pair_memo.get(key) if self.memoize else None
+                if judgment is None and shared is not None:
+                    base = shared.get(key)
+                    if base is not None and base.members.isdisjoint(extended):
+                        judgment = base
                 if judgment is None:
                     judgment = judge_unordered_pair(
                         v.definitions,
@@ -543,7 +573,11 @@ class AnalysisEngine:
                     )
                     self.stats.pairs_judged += 1
                     self.stats.fixpoint_iterations += judgment.iterations
-                    if self.memoize:
+                    if shared is not None and judgment.members.isdisjoint(
+                        extended
+                    ):
+                        shared[key] = judgment
+                    elif self.memoize:
                         v.pair_memo[key] = judgment
                 else:
                     self.stats.pair_memo_hits += 1
@@ -559,6 +593,28 @@ class AnalysisEngine:
             pairs_examined=pairs_examined,
             universe=universe,
         )
+
+    def _shared_pair_memo(self, view: _View) -> dict | None:
+        """The base pair memo, when *view* is the Obs view and may share
+        it (see the module docstring); None otherwise.
+
+        Sharing needs both views to hold the same certifications off the
+        Obs-pinned pairs. The engine mirrors every certification, but one
+        made on the Obs view's analyzer directly is not mirrored back, so
+        that case turns sharing off."""
+        if view.key == BASE_VIEW or not self.memoize:
+            return None
+
+        def unpinned(pairs):
+            return {
+                pair for pair in pairs if self._applies_to_view(view, pair)
+            }
+
+        if unpinned(view.commutativity.certified_pairs) != unpinned(
+            self._certified_commutes
+        ):
+            return None
+        return self._view(BASE_VIEW).pair_memo
 
     def analyze_partial_confluence(self, tables: Iterable[str]):
         from repro.analysis.partial_confluence import PartialConfluenceAnalyzer
@@ -599,12 +655,21 @@ class AnalysisEngine:
         events, and the attribute-level dataflow refinement — plus the
         total pair count.
 
-        Quantifies how much each tier prunes: every tier is sound, so
-        ``dataflow <= column <= table`` always holds (the tiers only
-        remove noncommutativity reasons, never add them). Certifications
-        and priorities are deliberately ignored: this counts what the
-        *syntactic* analysis proves. Memoized per rule-set content (the
-        counts cannot change under certify/priority edits).
+        Quantifies how much each tier prunes. Every tier is sound and
+        each only removes reasons the coarser one has, so per pair
+        dataflow-noncommutative ⇒ column-noncommutative ⇒
+        table-noncommutative. The tier whose settings equal the
+        engine's (``column`` by default, ``dataflow`` under
+        ``column_dataflow``, ``table`` under ``granularity="table"``) is
+        read from the base view's raw memo. Walking outward from it, a
+        coarser tier is judged only on the pairs the next finer tier
+        calls commutative, and a finer tier only on the pairs the next
+        coarser tier calls noncommutative: ``total_pairs`` raw
+        judgments beyond the memo at the default settings.
+        Certifications and priorities are deliberately ignored: this
+        counts what the *syntactic* analysis proves. Memoized per
+        rule-set content (the counts cannot change under
+        certify/priority edits).
         """
         if self._pruning_counts is not None:
             return dict(self._pruning_counts)
@@ -616,21 +681,37 @@ class AnalysisEngine:
             for i, first in enumerate(names)
             for second in names[i + 1 :]
         ]
-        counts: dict[str, int] = {"total_pairs": len(pairs)}
-        tiers = (
-            ("table", {"granularity": "table"}),
-            ("column", {"granularity": "column"}),
-            ("dataflow", {"granularity": "column", "column_dataflow": True}),
-        )
-        for label, kwargs in tiers:
+        own = [
+            (granularity, column_dataflow)
+            for __, granularity, column_dataflow in PRECISION_TIERS
+        ].index((self.granularity, self.column_dataflow))
+        # per tier, per pair: noncommutative?
+        verdicts: list[list[bool]] = [[] for __ in PRECISION_TIERS]
+        verdicts[own] = [
+            bool(self.commutativity.noncommutativity_reasons(*pair))
+            for pair in pairs
+        ]
+        for tier in [*range(own - 1, -1, -1), *range(own + 1, len(verdicts))]:
+            __, granularity, column_dataflow = PRECISION_TIERS[tier]
             judge = CommutativityAnalyzer(
-                definitions, refine=self.refine, **kwargs
+                definitions,
+                granularity=granularity,
+                refine=self.refine,
+                column_dataflow=column_dataflow,
             )
-            counts[f"noncommutative_{label}"] = sum(
-                1
-                for first, second in pairs
-                if judge.compute_reasons(first, second)
-            )
+            if tier < own:  # finer-noncommutative settles it here
+                verdicts[tier] = [
+                    settled or bool(judge.compute_reasons(*pair))
+                    for pair, settled in zip(pairs, verdicts[tier + 1])
+                ]
+            else:  # coarser-commutative settles it here
+                verdicts[tier] = [
+                    unsettled and bool(judge.compute_reasons(*pair))
+                    for pair, unsettled in zip(pairs, verdicts[tier - 1])
+                ]
+        counts: dict[str, int] = {"total_pairs": len(pairs)}
+        for (label, __, __), tier_verdicts in zip(PRECISION_TIERS, verdicts):
+            counts[f"noncommutative_{label}"] = sum(tier_verdicts)
         self._pruning_counts = counts
         self.stats.add_time("pair_pruning", time.perf_counter() - start)
         return dict(counts)
@@ -649,6 +730,9 @@ class AnalysisEngine:
     def _warm_reasons_parallel(self, view: _View, names: list[str]) -> None:
         """Pre-judge every raw Lemma 6.1 pair over *names* in chunked
         batches on a thread pool, then install results deterministically.
+        Pairs already in the memo they route to are skipped: after a
+        base pass, the Obs view judges only pairs with an observable
+        member.
 
         Workers only call the pure ``compute_reasons`` (no shared-state
         writes); the coordinating thread stores results in sorted pair

@@ -282,3 +282,47 @@ class TestDiamondProperty:
         assert not analyzer.commute("a", "b")
         first, second = self.run_both_orders(source, schema)
         assert first != second
+
+
+class TestColumnFreeSelect:
+    """A condition that names no column of the table it selects from
+    still depends on that table's rows. Before ``Reads`` charged such a
+    table, this pair was judged commutative and the program confluent,
+    yet its execution graph has two final databases."""
+
+    SOURCE = """
+    create rule a on src when inserted
+    if exists (select 1 from t) then update u set w = 1
+
+    create rule b on src when inserted then insert into t values (1, 2)
+    """
+
+    @pytest.fixture
+    def src_schema(self):
+        return schema_from_spec(
+            {"src": ["id"], "t": ["id", "v"], "u": ["id", "w"]}
+        )
+
+    def test_insert_meets_the_existence_read(self, src_schema):
+        analyzer = analyzer_for(self.SOURCE, src_schema)
+        fired = {
+            (reason.condition, reason.first, reason.second)
+            for reason in analyzer.noncommutativity_reasons("a", "b")
+        }
+        assert (3, "b", "a") in fired
+
+    def test_analyzer_and_execution_graph_agree(self, src_schema):
+        from repro.analysis.analyzer import RuleAnalyzer
+        from repro.runtime.exec_graph import explore_ruleset
+
+        ruleset = RuleSet.parse(self.SOURCE, src_schema)
+        report = RuleAnalyzer(ruleset).analyze()
+        assert report.terminates
+        assert not report.confluent
+
+        database = Database(src_schema)
+        database.load("u", [(1, 0)])
+        graph = explore_ruleset(
+            ruleset, database, ["insert into src values (1)"]
+        )
+        assert len(set(graph.final_databases.values())) == 2

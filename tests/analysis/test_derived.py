@@ -278,6 +278,58 @@ class TestReadsEdgeCases:
         assert ("dept", "budget") in reads
 
 
+class TestColumnFreeSelects:
+    """A select still reads the rows of a FROM table it names no column
+    of, so the table is charged with all its columns (as ``select *``
+    is); otherwise Lemma 6.1 condition 3 misses inserts and deletes."""
+
+    @pytest.mark.parametrize(
+        "condition",
+        [
+            "exists (select 1 from dept)",
+            "(select count(1) from dept) > 0",
+            "exists (select e.id from emp e, dept)",
+        ],
+    )
+    def test_unnamed_from_table_reads_every_column(self, schema, condition):
+        defs = defs_for(
+            f"create rule r on emp when inserted if {condition} "
+            "then delete from audit",
+            schema,
+        )
+        assert {("dept", "id"), ("dept", "budget")} <= defs.reads("r")
+
+    def test_unnamed_transition_table_charges_the_rule_table(self, schema):
+        defs = defs_for(
+            "create rule r on emp when inserted "
+            "if exists (select 1 from inserted) then delete from audit",
+            schema,
+        )
+        assert defs.reads("r") == frozenset(
+            {("emp", "id"), ("emp", "dept"), ("emp", "salary")}
+        )
+
+    def test_named_columns_are_not_widened(self, schema):
+        defs = defs_for(
+            "create rule r on emp when inserted "
+            "if exists (select 1 from dept where budget > 0) "
+            "then delete from audit",
+            schema,
+        )
+        assert defs.reads("r") == frozenset({("dept", "budget")})
+
+    def test_each_select_is_charged_on_its_own(self, schema):
+        # The action select names dept.budget only; the condition's
+        # select names no dept column, so it still charges all of them.
+        defs = defs_for(
+            "create rule r on emp when inserted "
+            "if exists (select 1 from dept) "
+            "then insert into audit (select budget, budget from dept)",
+            schema,
+        )
+        assert {("dept", "id"), ("dept", "budget")} <= defs.reads("r")
+
+
 class TestCanUntrigger:
     def test_deletion_untriggers_insert_triggered_rules(self, schema):
         defs = defs_for(

@@ -29,6 +29,13 @@ create rule x on t when inserted then update z set q = 0
 create rule y on t when inserted then update z set q = 1
 """
 
+# CLUSTERED plus one observable rule that fails to commute with all of
+# them, so Sig(Obs) is the whole rule set: the Obs pass asks about the
+# same (pair, universe) keys as the base pass.
+OBSERVED = CLUSTERED + """
+create rule o on t when inserted then select * from u; select * from z
+"""
+
 # A triggering chain (for rule-edit adjacency invalidation tests).
 CHAINED = """
 create rule feed on t when inserted then insert into u values (1, 1)
@@ -82,10 +89,63 @@ class TestMemoization:
         engine = AnalysisEngine(RuleSet.parse(CLUSTERED, schema))
         engine.analyze_confluence()
         lemma_before = engine.stats.lemma_judgments
-        # No rule is observable, so the Obs view adds nothing: the raw
-        # judgments reused here come from the shared per-view stores.
+        # No rule is observable, so the Obs view adds nothing: every
+        # pair it asks about is served from the base store.
         engine.analyze_observable_determinism()
-        assert engine.stats.lemma_judgments >= lemma_before
+        assert engine.stats.lemma_judgments == lemma_before
+
+    def test_obs_view_judges_only_pairs_with_an_observable_member(
+        self, schema
+    ):
+        source = CLUSTERED + (
+            "\ncreate rule o on t when inserted then select * from u\n"
+        )
+        engine = AnalysisEngine(RuleSet.parse(source, schema))
+        engine.analyze_confluence()
+        lemma_before = engine.stats.lemma_judgments
+        assert lemma_before == 15  # C(6, 2): every pair is unordered
+        engine.analyze_observable_determinism()
+        # Exactly the n - 1 = 5 pairs containing o differ between views.
+        assert engine.stats.lemma_judgments == lemma_before + 5
+
+    def test_obs_pass_reuses_base_pair_verdicts(self, schema):
+        engine = AnalysisEngine(RuleSet.parse(OBSERVED, schema))
+        engine.analyze_confluence()
+        judged = engine.stats.pairs_judged
+        analysis = engine.analyze_observable_determinism()
+        # The ten pairs without o keep their base verdicts; only the
+        # five pairs with o are judged again.
+        assert analysis.significant == frozenset(engine.ruleset.names)
+        assert engine.stats.pairs_judged == judged + 5
+        assert engine.stats.pair_memo_hits == 10
+
+    def test_memoize_false_shares_no_pair_verdicts(self, schema):
+        engine = AnalysisEngine(
+            RuleSet.parse(OBSERVED, schema), memoize=False
+        )
+        engine.analyze_confluence()
+        engine.analyze_observable_determinism()
+        assert engine.stats.pairs_judged == 15 + 15
+        assert engine.stats.pair_memo_hits == 0
+
+    def test_obs_only_certification_stops_verdict_sharing(self, schema):
+        # A certification made on the Obs view's analyzer alone is not
+        # mirrored into the base view, so the views no longer agree on
+        # (a, b) and the Obs view must judge it itself.
+        engine = AnalysisEngine(RuleSet.parse(OBSERVED, schema))
+        engine.analyze_confluence()
+        engine.obs_commutativity.certify_commutes("a", "b")
+        analysis = engine.analyze_observable_determinism()
+        assert not analysis.observably_deterministic
+        assert all(
+            {violation.r1_member, violation.r2_member} != {"a", "b"}
+            for violation in analysis.confluence.violations
+        )
+        base = engine.analyze_confluence()
+        assert any(
+            {violation.r1_member, violation.r2_member} == {"a", "b"}
+            for violation in base.violations
+        )
 
 
 class TestCertificationInvalidation:
@@ -290,6 +350,51 @@ class TestParallelDeterminism:
                 RuleSet.parse(source, ruleset.schema), parallel=True
             ).analyze()
             assert self._comparable(serial) == self._comparable(parallel)
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_one_raw_judgment_per_pair_and_tier(self, parallel):
+        # One analyze() of a 40-rule program judges each pair once for
+        # the base view and the engine's pruning tier, once more for the
+        # other two tiers together, and once more in the Obs view only
+        # if it has an observable member.
+        from repro.analysis.commutativity import CommutativityAnalyzer
+        from repro.workloads.generator import (
+            GeneratorConfig,
+            RandomRuleSetGenerator,
+        )
+
+        config = GeneratorConfig(
+            n_tables=8, n_rules=40, p_observable=0.1, p_priority=0.02
+        )
+        ruleset = RandomRuleSetGenerator(config).generate(seed=0)
+        names = sorted(ruleset.names)
+        observable = {rule.name for rule in ruleset if rule.is_observable}
+        assert observable
+        total = len(names) * (len(names) - 1) // 2
+        with_observable = sum(
+            1
+            for i, first in enumerate(names)
+            for second in names[i + 1 :]
+            if {first, second} & observable
+        )
+
+        calls = []
+        original = CommutativityAnalyzer.compute_reasons
+
+        def counting(self, first, second):
+            calls.append((first, second))
+            return original(self, first, second)
+
+        analyzer = RuleAnalyzer(
+            RuleSet.parse(ruleset.source(), ruleset.schema), parallel=parallel
+        )
+        CommutativityAnalyzer.compute_reasons = counting
+        try:
+            report = analyzer.analyze(termination_mode="stratified")
+        finally:
+            CommutativityAnalyzer.compute_reasons = original
+        assert report.stats["pair_pruning"]["total_pairs"] == total
+        assert len(calls) <= 2 * total + with_observable
 
     def test_parallel_warm_runs_above_threshold(self, schema):
         engine = AnalysisEngine(
