@@ -239,8 +239,9 @@ def run_triggering_gate(n_rules: int = 50, n_ops: int = 1000) -> dict:
         "primitives_rescanned_cold": scanned,
         "primitives_folded_incremental": folded,
         "triggering_work_ratio": round(ratio, 2),
+        "trigger_checks_cold": scratch["stats"].trigger_checks,
+        "trigger_checks_incremental": incremental["stats"].trigger_checks,
         "touch_skips": incremental["stats"].touch_skips,
-        "verdict_hits": incremental["stats"].verdict_hits,
         "cold_seconds": round(scratch["seconds"], 4),
         "incremental_seconds": round(incremental["seconds"], 4),
         "processor_steps_per_second": round(

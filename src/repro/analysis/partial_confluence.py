@@ -35,10 +35,15 @@ def significant_rules(
     commutativity: CommutativityAnalyzer,
     tables: Iterable[str],
 ) -> frozenset[str]:
-    """``Sig(T')`` per Definition 7.1."""
+    """``Sig(T')`` per Definition 7.1.
+
+    Sig grows in definition order (an insertion-ordered dict, not a
+    set), so the sequence of ``commute`` questions, and with it the
+    engine's memo counters, does not depend on string hashing.
+    """
     wanted = {table.lower() for table in tables}
-    significant: set[str] = {
-        name
+    significant: dict[str, None] = {
+        name: None
         for name in definitions.rule_names
         if any(event.table in wanted for event in definitions.performs(name))
     }
@@ -52,7 +57,7 @@ def significant_rules(
                 not commutativity.commute(name, member)
                 for member in significant
             ):
-                significant.add(name)
+                significant[name] = None
                 changed = True
     return frozenset(significant)
 

@@ -8,6 +8,9 @@ relation must be a strict partial order; cycles are rejected.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+from typing import Mapping
+
 from repro.errors import PriorityCycleError, RuleError
 
 
@@ -167,6 +170,14 @@ class PriorityRelation:
     def lower_than(self, name: str) -> frozenset[str]:
         """All rules that *name* has precedence over."""
         return frozenset(self._closure.get(name.lower(), ()))
+
+    @property
+    def above(self) -> Mapping[str, set[str]]:
+        """Read-only view of the inverse closure: each rule name maps to
+        every rule with precedence over it. ``remove_ordering`` replaces
+        the underlying mapping, so read this afresh instead of keeping
+        it."""
+        return MappingProxyType(self._above)
 
     def pairs(self) -> frozenset[tuple[str, str]]:
         """``P`` as a set of (higher, lower) pairs, closed transitively."""

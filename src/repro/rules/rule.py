@@ -34,6 +34,21 @@ class Rule:
         self.table = definition.table.lower()
         self._validate()
         self.triggered_by = self._compute_triggered_by()
+        #: ``triggered_by`` as the processor's triggering check reads
+        #: it: does an insert, does a delete, and the update of which
+        #: column positions of the rule's table trigger the rule
+        columns = schema.table(self.table).column_names
+        self.triggered_by_insert = (
+            TriggerEvent.insert(self.table) in self.triggered_by
+        )
+        self.triggered_by_delete = (
+            TriggerEvent.delete(self.table) in self.triggered_by
+        )
+        self.triggered_by_positions = tuple(
+            index
+            for index, column in enumerate(columns)
+            if TriggerEvent.update(self.table, column) in self.triggered_by
+        )
 
     @classmethod
     def parse(cls, source: str, schema: Schema) -> "Rule":

@@ -9,6 +9,7 @@ the interactive analyzer).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from repro.errors import RuleError
@@ -135,22 +136,29 @@ class RuleSet:
         """``Choose(R')``: the triggered rules eligible for consideration.
 
         A triggered rule is eligible iff no *other triggered* rule has
-        precedence over it. Result is in rule-definition order.
+        precedence over it: ``{r ∈ R' : above(r) ∩ R' = ∅}``, one set
+        test per triggered rule against the inverse closure of ``P``
+        (``P`` is strict, so ``above(r)`` never holds ``r``). Result is
+        in rule-definition order.
         """
         triggered_set = {name.lower() for name in triggered}
-        for name in triggered_set:
-            self.rule(name)
-        eligible = tuple(
+        for name in triggered_set - self._rules.keys():
+            self.rule(name)  # raises: unknown rule
+        above = self.priorities.above
+        return tuple(
             name
             for name in self._rules
-            if name in triggered_set
-            and not any(
-                self.priorities.has_precedence(other, name)
-                for other in triggered_set
-                if other != name
-            )
+            if name in triggered_set and above[name].isdisjoint(triggered_set)
         )
-        return eligible
+
+    @cached_property
+    def rules_by_table(self) -> dict[str, tuple[Rule, ...]]:
+        """Each table some rule is defined on, mapped to those rules in
+        definition order (the rules a write to the table can trigger)."""
+        index: dict[str, list[Rule]] = {}
+        for rule in self._rules.values():
+            index.setdefault(rule.table, []).append(rule)
+        return {table: tuple(rules) for table, rules in index.items()}
 
     # ------------------------------------------------------------------
 

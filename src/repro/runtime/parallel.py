@@ -52,11 +52,7 @@ from repro.analysis.derived import DerivedDefinitions
 from repro.analysis.partitioning import partition_rules
 from repro.engine import partition as PART
 from repro.errors import RuleProcessingLimitExceeded
-from repro.runtime.processor import (
-    ConsiderationOutcome,
-    ProcessingResult,
-    _RuleTransition,
-)
+from repro.runtime.processor import ConsiderationOutcome, ProcessingResult
 from repro.stats import StatsBase
 from repro.transitions.net_effect import NetEffect
 
@@ -214,8 +210,7 @@ class ParallelScheduler:
             # The serial discipline, per member: marker first, then the
             # member's own operations — the rule sees them as a fresh
             # transition; earlier-merged members see them as pending.
-            proc.markers[rule] = before
-            proc._transitions[rule] = _RuleTransition(before)
+            proc.mark_considered(rule, before)
             if outcome.operations_performed:
                 self._replay(
                     fork,
@@ -253,10 +248,7 @@ class ParallelScheduler:
         while True:
             eligible = proc.eligible_rules()
             if not eligible:
-                position = proc.log.position
-                for name in proc.markers:
-                    proc.markers[name] = position
-                proc._transitions.clear()
+                proc.mark_assertion_point()
                 outcome = "rolled_back" if proc._rolled_back else "quiescent"
                 return ProcessingResult(
                     outcome=outcome,

@@ -20,16 +20,21 @@ respect to the (composite) transition since the last time it was
 considered."
 
 Incremental substrate. With ``incremental=True`` (the default) the
-processor maintains one cached :class:`~repro.transitions.net_effect.NetEffect`
-per rule, advanced by :meth:`NetEffect.fold` over only the primitives
-appended since the rule's transition was last examined — each primitive
-is folded at most once per rule, instead of the whole suffix being
-refolded on every triggering check. A per-table touch index over the
-log skips rules whose table was not written since their marker without
-touching their net effect at all, and the triggering verdict itself is
-cached until the rule's table is written again. ``incremental=False``
-recomputes everything from scratch (the seed behavior); the substrate
-benchmark gate asserts both modes produce byte-identical results.
+processor keeps the paper's state ``S = (D, TR)`` across steps instead
+of recomputing TR: the triggered set is held as of a log position, and
+Lemma 4.1 bounds what a step can change — a rule enters or leaves TR
+only through operations on its own table, or leaves it by being
+considered. So bringing TR up to date rechecks only the rules on
+tables the log's per-table touch index shows were written since, and
+:meth:`mark_considered` / :meth:`mark_assertion_point`, the only
+writers of ``markers``, keep TR in step with them. A recheck stops at
+the first pending operation in ``Triggered-By``. Each rule's pending
+transition is one cached :class:`~repro.transitions.net_effect.NetEffect`,
+advanced by :meth:`NetEffect.fold` over only the primitives appended
+since it was last examined — each primitive is folded at most once per
+rule. ``incremental=False`` checks every rule at every step from
+scratch (the seed behavior); the equivalence harness and the substrate
+benchmark gate assert both modes produce identical results.
 """
 
 from __future__ import annotations
@@ -91,17 +96,18 @@ class ProcessorStats(StatsBase):
     ``primitives_scanned`` counts from-scratch suffix refolds (the
     non-incremental path). The substrate gate's triggering-work ratio
     is ``scanned(incremental=False) / folded(incremental=True)`` over
-    the same workload. ``touch_skips`` counts triggering checks
-    answered by the per-table touch index alone; ``verdict_hits``
-    counts checks answered by the cached verdict (no refold);
-    ``trigger_seconds`` is wall time spent in triggered_rules() scans
-    (the --profile surface).
+    the same workload. ``trigger_checks`` counts triggering checks: on
+    the incremental path only the rechecks of rules on tables written
+    since TR was last brought up to date, on the from-scratch path
+    every active rule at every step. ``touch_skips`` counts rechecks
+    answered by the per-table touch index alone (the rule's table was
+    not written since its marker); ``trigger_seconds`` is wall time
+    spent in triggered_rules() (the --profile surface).
     """
 
     FIELDS = (
         "trigger_checks",
         "touch_skips",
-        "verdict_hits",
         "primitives_folded",
         "primitives_scanned",
         "forks",
@@ -115,40 +121,25 @@ class _RuleTransition:
     """A rule's cached pending transition: the net effect of the log
     suffix past its marker, advanced incrementally.
 
-    ``marker`` is the marker value the fold started from (stale folds —
-    the marker moved without :meth:`RuleProcessor.consider`, e.g. by the
-    tracer — are detected and rebuilt); ``position`` is the log position
-    folded up to. ``triggered``/``checked_at`` cache the triggering
-    verdict; the verdict stays valid until the rule's table is written
-    past ``checked_at``. ``canonical_at`` keys the memoized canonical
-    form used by ``state_key``.
+    ``position`` is the log position folded up to; ``canonical_at``
+    keys the memoized canonical form used by ``state_key``. A marker
+    moves only through :meth:`RuleProcessor.mark_considered` and
+    :meth:`RuleProcessor.mark_assertion_point`, which replace or drop
+    the transition, so a cached transition always starts at its rule's
+    marker.
     """
 
-    __slots__ = (
-        "marker",
-        "position",
-        "net",
-        "triggered",
-        "checked_at",
-        "canonical",
-        "canonical_at",
-    )
+    __slots__ = ("position", "net", "canonical", "canonical_at")
 
     def __init__(self, marker: int) -> None:
-        self.marker = marker
         self.position = marker
         self.net = NetEffect()
-        self.triggered: bool | None = None
-        self.checked_at = -1
         self.canonical: tuple | None = None
         self.canonical_at = -1
 
     def fork(self) -> "_RuleTransition":
-        clone = _RuleTransition(self.marker)
-        clone.position = self.position
+        clone = _RuleTransition(self.position)
         clone.net = self.net.share()
-        clone.triggered = self.triggered
-        clone.checked_at = self.checked_at
         clone.canonical = self.canonical
         clone.canonical_at = self.canonical_at
         return clone
@@ -190,6 +181,11 @@ class RuleProcessor:
             table.name: table.column_names for table in ruleset.schema
         }
         self._transitions: dict[str, _RuleTransition] = {}
+        #: the paper's TR as of log position ``_triggered_at``: the rules
+        #: whose pending transition holds a Triggered-By event, before
+        #: the activation filter (incremental path only)
+        self._triggered: set[str] = set()
+        self._triggered_at = 0
 
         #: hash-partition declared tables before the first snapshot so
         #: every fork and restore carries the shard layout
@@ -311,13 +307,11 @@ class RuleProcessor:
         """The rule's cached transition, advanced to the current log end.
 
         Each primitive is folded into a given rule's net effect at most
-        once (amortized); markers moved behind our back (the tracer
-        pokes ``markers`` directly) invalidate the fold wholesale.
+        once (amortized).
         """
-        marker = self.markers[rule_name]
         transition = self._transitions.get(rule_name)
-        if transition is None or transition.marker != marker:
-            transition = _RuleTransition(marker)
+        if transition is None:
+            transition = _RuleTransition(self.markers[rule_name])
             self._transitions[rule_name] = transition
         position = self.log.position
         if transition.position < position:
@@ -326,7 +320,6 @@ class RuleProcessor:
                 self.log.iter_range(transition.position, position)
             )
             transition.position = position
-            transition.triggered = None
         return transition
 
     def pending_net_effect(self, rule_name: str) -> NetEffect:
@@ -342,51 +335,76 @@ class RuleProcessor:
         return self._transition_for(rule_name).net.share()
 
     def _is_triggered(self, rule) -> bool:
-        """One rule's triggering check against its pending transition."""
+        """The from-scratch triggering check: the operation set of the
+        refolded pending transition meets ``Triggered-By``."""
         self.stats.trigger_checks += 1
-        if not self.incremental:
-            net = self.pending_net_effect(rule.name)
-            if net.is_empty():
-                return False
-            return bool(net.operations(self._column_names) & rule.triggered_by)
+        net = self.pending_net_effect(rule.name)
+        if net.is_empty():
+            return False
+        return bool(net.operations(self._column_names) & rule.triggered_by)
 
-        marker = self.markers[rule.name]
-        if not self.log.written_since(rule.table, marker):
+    def _recheck(self, rule) -> bool:
+        """The incremental triggering check of one rule: does its pending
+        transition hold a Triggered-By event? Stops at the first pending
+        insert, delete or subscribed-column update that does."""
+        self.stats.trigger_checks += 1
+        if not self.log.written_since(rule.table, self.markers[rule.name]):
             # Touch index: the rule's table was not written since its
-            # marker, so its triggering transition contains no operation
-            # on that table — nothing in Triggered-By can hold. The
-            # cached net effect is not even consulted (or advanced).
+            # marker, so its pending transition holds no operation on
+            # that table and nothing needs folding.
             self.stats.touch_skips += 1
             return False
-        transition = self._transitions.get(rule.name)
-        if (
-            transition is not None
-            and transition.marker == marker
-            and transition.triggered is not None
-            and not self.log.written_since(rule.table, transition.checked_at)
-        ):
-            # Cached verdict: no primitive on the rule's table appeared
-            # since it was computed, so the verdict is unchanged.
-            self.stats.verdict_hits += 1
-            return transition.triggered
-        transition = self._transition_for(rule.name)
-        operations = transition.net.operations_for(
-            rule.table, self._column_names[rule.table]
+        effect = self._transition_for(rule.name).net.table(rule.table)
+        return (
+            (rule.triggered_by_insert and bool(effect.inserted))
+            or (rule.triggered_by_delete and bool(effect.deleted))
+            or effect.updates_any(rule.triggered_by_positions)
         )
-        transition.triggered = bool(operations & rule.triggered_by)
-        transition.checked_at = transition.position
-        return transition.triggered
+
+    def _refresh_triggered(self) -> None:
+        """Bring TR up to the log end.
+
+        Lemma 4.1: a rule enters TR only through operations on its own
+        table, and leaves it only by consideration (which
+        :meth:`mark_considered` records) or by Can-Untrigger, again
+        through operations on its table. A rule's pending transition on
+        its table depends only on its marker and the primitives on that
+        table, so only the rules on tables written since the last
+        refresh can have changed membership; each is rechecked.
+        """
+        since = self._triggered_at
+        position = self.log.position
+        if since == position:
+            return
+        triggered = self._triggered
+        for table, rules in self.ruleset.rules_by_table.items():
+            if self.log.written_since(table, since):
+                for rule in rules:
+                    if self._recheck(rule):
+                        triggered.add(rule.name)
+                    else:
+                        triggered.discard(rule.name)
+        self._triggered_at = position
 
     def triggered_rules(self) -> tuple[str, ...]:
-        """All currently triggered rules, in definition order."""
+        """All currently triggered active rules, in definition order."""
         if self._rolled_back:
             return ()
         started = time.perf_counter()
-        triggered = tuple(
-            rule.name
-            for rule in self.ruleset
-            if self.ruleset.is_active(rule.name) and self._is_triggered(rule)
-        )
+        if self.incremental:
+            self._refresh_triggered()
+            triggered = tuple(
+                name
+                for name in self.ruleset.active_names
+                if name in self._triggered
+            )
+        else:
+            triggered = tuple(
+                rule.name
+                for rule in self.ruleset
+                if self.ruleset.is_active(rule.name)
+                and self._is_triggered(rule)
+            )
         self.stats.trigger_seconds += time.perf_counter() - started
         return triggered
 
@@ -427,8 +445,7 @@ class RuleProcessor:
         # Mark the rule considered *before* running its action: the rule
         # sees its own action's operations as a fresh transition (and may
         # re-trigger itself), per Section 2.
-        self.markers[rule_name] = self.log.position
-        self._transitions[rule_name] = _RuleTransition(self.log.position)
+        self.mark_considered(rule_name, self.log.position)
 
         condition_true = True
         if rule.condition is not None:
@@ -494,17 +511,14 @@ class RuleProcessor:
         self._rolled_back = True
         if self.wal is not None:
             self.wal.abort(self._txn_id)
-        # Advance every marker past the aborted suffix and drop cached
-        # transitions: the undone primitives must not compose into any
-        # rule's next transition. run() used to do this at quiescence,
-        # which left step-by-step callers (the explorer, tests driving
-        # consider() directly) seeing phantom pending transitions after
-        # a rollback — and a begin_transaction() after such a rollback
-        # would re-trigger rules from operations that never happened.
-        position = self.log.position
-        for name in self.markers:
-            self.markers[name] = position
-        self._transitions.clear()
+        # Advance every marker past the aborted suffix: the undone
+        # primitives must not compose into any rule's next transition.
+        # run() used to do this at quiescence, which left step-by-step
+        # callers (the explorer, tests driving consider() directly)
+        # seeing phantom pending transitions after a rollback — and a
+        # begin_transaction() after such a rollback would re-trigger
+        # rules from operations that never happened.
+        self.mark_assertion_point()
         if self._rete is not None:
             # The restore rewrote the database underneath the network's
             # memories (the log is not truncated); rebuild lazily from
@@ -514,6 +528,32 @@ class RuleProcessor:
     @property
     def rolled_back(self) -> bool:
         return self._rolled_back
+
+    # ------------------------------------------------------------------
+    # Marker movement (the only writers of ``markers``)
+    # ------------------------------------------------------------------
+
+    def mark_considered(self, rule_name: str, position: int) -> None:
+        """Record that *rule_name* was considered at log *position*.
+
+        Its marker moves there, its pending transition restarts empty,
+        and it leaves TR. Operations logged past *position* on its table
+        are rechecked at the next refresh like any other write.
+        """
+        self.markers[rule_name] = position
+        self._transitions[rule_name] = _RuleTransition(position)
+        self._triggered.discard(rule_name)
+
+    def mark_assertion_point(self) -> None:
+        """Record that an assertion point was reached (quiescence or a
+        rollback): every marker moves to the log end, so every pending
+        transition and TR are empty."""
+        position = self.log.position
+        for name in self.markers:
+            self.markers[name] = position
+        self._transitions.clear()
+        self._triggered.clear()
+        self._triggered_at = position
 
     # ------------------------------------------------------------------
     # The rule-processing loop (an assertion point)
@@ -551,10 +591,7 @@ class RuleProcessor:
         while True:
             eligible = self.eligible_rules()
             if not eligible:
-                position = self.log.position
-                for name in self.markers:
-                    self.markers[name] = position
-                self._transitions.clear()
+                self.mark_assertion_point()
                 outcome = "rolled_back" if self._rolled_back else "quiescent"
                 return ProcessingResult(
                     outcome=outcome,
@@ -651,6 +688,8 @@ class RuleProcessor:
         clone.incremental = self.incremental
         clone.planner = self.planner
         clone.markers = dict(self.markers)
+        clone._triggered = set(self._triggered)
+        clone._triggered_at = self._triggered_at
         clone.observables = list(self.observables)
         clone.stats = self.stats
         clone._column_names = self._column_names

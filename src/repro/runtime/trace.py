@@ -74,8 +74,7 @@ def trace_run(
             events.append(
                 TraceEvent(kind=outcome, step=step, triggered=triggered)
             )
-            for name in processor.markers:
-                processor.markers[name] = processor.log.position
+            processor.mark_assertion_point()
             return (
                 ProcessingResult(
                     outcome=outcome,

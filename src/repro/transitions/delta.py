@@ -17,8 +17,9 @@ explorer forks at every branch, and used to pay O(log) per fork.
 
 The log also maintains a per-table *touch index* (:meth:`last_write`):
 the position just past the most recent primitive on each table. The
-rule processor uses it to skip triggering checks for rules whose table
-was not written since their marker, without folding anything.
+rule processor uses it to recheck only the rules on tables written
+since its triggered set was last brought up to date, without folding
+anything for the others.
 """
 
 from __future__ import annotations
@@ -242,11 +243,11 @@ class DeltaLog:
         """True iff *table* has a primitive at or past *position*.
 
         The one touch-index consultation both consumers share: the rule
-        processor's two-level triggering short-circuit (a rule whose
-        table was not written since its marker cannot be triggered, and
-        a cached verdict stays valid until the table is written past the
-        check point) and the rete network's advance short-circuit (a
-        network none of whose tables were written needs no folding).
+        processor's triggered-set refresh (only rules on tables written
+        since the last refresh are rechecked, and a rule whose table was
+        not written since its marker cannot be triggered) and the rete
+        network's advance short-circuit (a network none of whose tables
+        were written needs no folding).
         """
         return self._last_write.get(table, 0) > position
 

@@ -64,6 +64,20 @@ class TableNetEffect:
                     changed.add(name)
         return frozenset(changed)
 
+    def updates_any(self, positions: tuple[int, ...]) -> bool:
+        """True iff some composite update changes a column at one of
+        *positions*: the test of :meth:`updated_columns`, stopping at
+        the first changed column instead of naming them all."""
+        if positions:
+            for old, new in self.updated.values():
+                for index in positions:
+                    old_value, new_value = old[index], new[index]
+                    if old_value != new_value or type(old_value) is not type(
+                        new_value
+                    ):
+                        return True
+        return False
+
     def canonical(self) -> tuple:
         """A hashable, tid-free canonical form (for execution-graph states).
 

@@ -1,6 +1,14 @@
 """Partial confluence tests — Definition 7.1 and Theorem 7.2."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.analysis.commutativity import CommutativityAnalyzer
 from repro.analysis.derived import DerivedDefinitions
@@ -10,6 +18,7 @@ from repro.analysis.partial_confluence import (
 )
 from repro.rules.ruleset import RuleSet
 from repro.schema.catalog import schema_from_spec
+from tests.seeding import derive_seed
 
 
 @pytest.fixture
@@ -167,3 +176,45 @@ class TestTheorem72:
         assert "confluent with respect to" in good
         bad = analyzer.analyze(["scratch"]).describe()
         assert "may not" in bad
+
+
+#: Analyzes one generated 40-rule program (the benchmark's analyze_rules
+#: shape) and prints the report's stats without wall-clock timings.
+ANALYZE_ONE_PROGRAM = """
+import json, sys
+from repro.analysis.analyzer import RuleAnalyzer
+from repro.workloads.generator import GeneratorConfig, RandomRuleSetGenerator
+
+config = GeneratorConfig(
+    n_tables=8, n_rules=40, p_observable=0.1, p_priority=0.02
+)
+ruleset = RandomRuleSetGenerator(config).generate(seed=int(sys.argv[1]))
+stats = RuleAnalyzer(ruleset).analyze().stats
+del stats["timings"]
+print(json.dumps(stats, sort_keys=True))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_analysis_counters_repeat_under_two_hash_seeds(self):
+        """Sig grows in definition order, so the order of the engine's
+        commute questions, and with it every judgment counter, is the
+        same in every process whatever PYTHONHASHSEED salts."""
+        seed = derive_seed("sig-hash-seed-independence")
+        source_root = Path(repro.__file__).resolve().parent.parent
+        results = []
+        for hash_seed in ("0", "1"):
+            completed = subprocess.run(
+                [sys.executable, "-c", ANALYZE_ONE_PROGRAM, str(seed)],
+                env=dict(
+                    os.environ,
+                    PYTHONHASHSEED=hash_seed,
+                    PYTHONPATH=str(source_root),
+                ),
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            results.append(json.loads(completed.stdout))
+        assert results[0]["lemma_judgments"] > 0
+        assert results[0] == results[1]
