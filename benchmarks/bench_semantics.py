@@ -10,7 +10,9 @@ every execution mode to it. This gate pins three properties:
   :mod:`repro.workloads.fraud`), the declarative outcome equals the
   planned executor's final byte for byte, and computing it costs at
   most ``--max-ratio`` (default 5) times the planned session — the
-  baseline must stay cheap enough to run routinely as an oracle;
+  baseline must stay cheap enough to run routinely as an oracle.
+  ``build_seconds`` (generating and loading the workload) is reported
+  beside the two timings for information; no floor reads it;
 * **mode sweep** — the differential contract holds with zero
   divergences across the execution-mode cross product on the
   registered small/medium workloads (powernet, the termination zoo,
@@ -98,7 +100,9 @@ def run_domain_gate(
     """Declarative vs planned on the stratified domain workloads."""
     results = {}
     for name, build in (("iot", iot_workload), ("fraud", fraud_workload)):
+        started = time.perf_counter()
         workload = build(rows=rows)
+        build_seconds = time.perf_counter() - started
         classification = classify_program(
             workload.ruleset,
             certified_confluent=workload.certified_confluent,
@@ -124,6 +128,7 @@ def run_domain_gate(
             "rows": rows,
             "classification": classification.label,
             "firings": firings,
+            "build_seconds": round(build_seconds, 4),
             "planned_seconds": round(planned_seconds, 4),
             "declarative_seconds": round(declarative_seconds, 4),
             "ratio": round(ratio, 2),

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import itemgetter
+
 from repro.engine.storage import Row, TableData
 from repro.errors import SchemaError
 from repro.schema.catalog import Schema
@@ -65,17 +68,17 @@ class Database:
 
     def _check_types(self, table: str, values: tuple) -> None:
         definition = self.schema.table(table)
-        names = definition.column_names
-        if len(values) != len(names):
+        types = definition.column_types
+        if len(values) != len(types):
             raise SchemaError(
-                f"table {table!r} expects {len(names)} values, got {len(values)}"
+                f"table {table!r} expects {len(types)} values, got {len(values)}"
             )
-        for name, value in zip(names, values):
-            column = definition.column(name)
-            if not column.type.accepts(value):
+        for index, (kind, value) in enumerate(zip(types, values)):
+            if not kind.accepts(value):
                 raise SchemaError(
                     f"value {value!r} does not fit column "
-                    f"{table}.{name} of type {column.type.value}"
+                    f"{table}.{definition.column_names[index]} "
+                    f"of type {kind.value}"
                 )
 
     # ------------------------------------------------------------------
@@ -133,8 +136,52 @@ class Database:
     # ------------------------------------------------------------------
 
     def load(self, table: str, rows: list[tuple]) -> list[int]:
-        """Insert many rows; returns the allocated tids."""
-        return [self.insert_row(table, tuple(row)) for row in rows]
+        """Insert many rows; returns the allocated tids.
+
+        The same tids, checks and errors as one :meth:`insert_row` per
+        row, at a fraction of the cost: each row's arity is checked, but
+        ``ColumnType.accepts`` runs once per (column, Python class)
+        present — exact, because ``accepts`` looks only at the value's
+        class — and one :meth:`TableData.insert_many` stores the rows. A
+        rejected row raises the :class:`SchemaError` :meth:`insert_row`
+        would, after the rows before it are stored. An empty *rows*
+        returns ``[]`` and copies nothing.
+        """
+        rows = list(map(tuple, rows))
+        if not rows:
+            return []
+        stop = self._first_bad_row(table, rows)
+        tids = list(range(self._next_tid, self._next_tid + stop))
+        self._next_tid += stop
+        self.table(table).insert_many(zip(tids, rows))
+        if stop < len(rows):
+            # Raises insert_row's SchemaError for the first bad row.
+            self._check_types(table, rows[stop])
+        return tids
+
+    def _first_bad_row(self, table: str, rows: list[tuple]) -> int:
+        """The index of the first row :meth:`_check_types` rejects, or
+        ``len(rows)`` when it accepts every row."""
+        types = self.schema.table(table).column_types
+        arity = len(types)
+        stop = len(rows)
+        if set(map(len, rows)) != {arity}:
+            stop = next(i for i, row in enumerate(rows) if len(row) != arity)
+        for column, kind in enumerate(types):
+            value_at = itemgetter(column)
+            # accepts() reads only the class: one value decides its class.
+            rejected = {
+                cls
+                for cls in set(map(type, map(value_at, islice(rows, stop))))
+                if not kind.accepts(
+                    next(v for v in map(value_at, rows) if type(v) is cls)
+                )
+            }
+            if rejected:
+                stop = next(
+                    i for i, row in enumerate(rows) if type(row[column]) in rejected
+                )
+        return stop
 
     # ------------------------------------------------------------------
     # Durability (write-ahead log replay; see repro.engine.wal)

@@ -344,24 +344,52 @@ class TableData:
     # ------------------------------------------------------------------
 
     def insert(self, tid: int, values: tuple) -> None:
-        if len(values) != self.arity:
-            raise ExecutionError(
-                f"table {self.name!r} expects {self.arity} values, "
-                f"got {len(values)}"
-            )
-        if tid in self._rows:
-            raise ExecutionError(f"duplicate tid {tid} in table {self.name!r}")
-        self._own()
-        self._rows[tid] = values
-        self._canonical = None
-        self._row_list = None
-        self._values_list = None
-        self._indexes.insert(tid, values)
-        if self._shards is not None:
-            shard = stable_shard(values[self._partition[0]], self._partition[1])
-            self._shards[shard][tid] = values
-            self._shard_rows[shard] = None
-            self._shard_indexes[shard].insert(tid, values)
+        """Store *values* at *tid* (the one-pair case of :meth:`insert_many`)."""
+        self.insert_many(((tid, values),))
+
+    def insert_many(self, pairs) -> None:
+        """Store every ``(tid, values)`` pair of the iterable *pairs*, in order.
+
+        The one insert routine. Each pair gets the per-row checks — the
+        arity, then a duplicate tid (already stored, or earlier in
+        *pairs*) — and both raise :class:`ExecutionError` with the pairs
+        before it stored, exactly as a loop of single inserts would
+        leave the table. Equality indexes and shards advance per pair as
+        well (``index_maintains`` counts the same); what a batch pays
+        once is the copy-on-write :meth:`_own` and the memo resets. An
+        empty *pairs* copies and resets nothing.
+        """
+        arity = self.arity
+        rows = None
+        for tid, values in pairs:
+            if len(values) != arity:
+                raise ExecutionError(
+                    f"table {self.name!r} expects {arity} values, "
+                    f"got {len(values)}"
+                )
+            if tid in self._rows:
+                raise ExecutionError(
+                    f"duplicate tid {tid} in table {self.name!r}"
+                )
+            if rows is None:
+                # The first pair: own the map and reset the memos once.
+                self._own()
+                self._canonical = None
+                self._row_list = None
+                self._values_list = None
+                rows = self._rows
+                indexes = self._indexes if self._indexes.buckets else None
+                shards = self._shards
+                if shards is not None:
+                    column, count = self._partition
+            rows[tid] = values
+            if indexes is not None:
+                indexes.insert(tid, values)
+            if shards is not None:
+                shard = stable_shard(values[column], count)
+                shards[shard][tid] = values
+                self._shard_rows[shard] = None
+                self._shard_indexes[shard].insert(tid, values)
 
     def delete(self, tid: int) -> tuple:
         if tid not in self._rows:
@@ -458,10 +486,12 @@ class TableData:
 
         The WAL checkpoint frame serializes exactly this — tids
         included, so a recovered table is identical at tuple-identity
-        granularity, not just canonically. Reuses the :meth:`rows`
-        memo rather than re-sorting the tid map.
+        granularity, not just canonically. The pairs come straight from
+        the tid map (tids are unique, so the sort never compares
+        values): no :class:`Row` objects, and the :meth:`rows` memo is
+        neither read nor built.
         """
-        return [(row.tid, row.values) for row in self.rows()]
+        return sorted(self._rows.items())
 
     def apply_effect(self, effect) -> None:
         """Apply a :class:`~repro.transitions.net_effect.TableNetEffect`.
@@ -479,8 +509,7 @@ class TableData:
             self.delete(tid)
         for tid, (__, new) in effect.updated.items():
             self.update(tid, new)
-        for tid, values in effect.inserted.items():
-            self.insert(tid, values)
+        self.insert_many(effect.inserted.items())
 
     def canonical(self) -> tuple:
         """The table's contents as a sorted bag of value tuples.

@@ -314,16 +314,19 @@ class WalWriter:
                 self._sync()
 
     def checkpoint(self, database: Database) -> None:
-        """Write a full-state checkpoint frame (open-time base state)."""
+        """Write a full-state checkpoint frame (open-time base state).
+
+        Each table serializes as its :meth:`TableData.items` pairs,
+        handed to ``json`` as they are: a tuple encodes as an array, so
+        the frame holds ``[[tid, [values...]], ...]`` per table (the
+        bytes ``tests/engine/test_wal.py`` pins) with no per-row list.
+        """
         self._emit(
             {
                 "t": "K",
                 "next_tid": database._next_tid,
                 "tables": {
-                    table.name: [
-                        [tid, list(values)]
-                        for tid, values in database.table(table.name).items()
-                    ]
+                    table.name: database.table(table.name).items()
                     for table in database.schema
                 },
             }
@@ -708,11 +711,14 @@ class RecoveryResult:
 def _apply_checkpoint(
     database: Database, payload: dict, report: RecoveryReport
 ) -> None:
+    """Load a ``K`` frame: each table's ``[tid, values]`` pairs go to
+    one :meth:`TableData.insert_many`, which keeps the per-row arity
+    and duplicate-tid checks (:class:`ExecutionError`)."""
     for name, rows in payload["tables"].items():
-        table = database.table(name)
-        for tid, values in rows:
-            table.insert(tid, tuple(values))
-            report.checkpoint_rows += 1
+        database.table(name).insert_many(
+            (tid, tuple(values)) for tid, values in rows
+        )
+        report.checkpoint_rows += len(rows)
     database._next_tid = payload["next_tid"]
 
 

@@ -51,6 +51,9 @@ class TableDef:
         self.name = name.lower()
         self._columns: dict[str, ColumnDef] = {}
         self._order: list[str] = []
+        #: the column types in column order, so a type check needs no
+        #: lookup by column name
+        self.column_types: tuple[ColumnType, ...] = ()
         for column in columns or []:
             self.add_column(column)
 
@@ -66,6 +69,7 @@ class TableDef:
         column = ColumnDef(name, column.type)
         self._columns[name] = column
         self._order.append(name)
+        self.column_types += (column.type,)
         return column
 
     @property

@@ -448,3 +448,79 @@ class TestRecovery:
         recovered = recover_database(path).database
         database.table("m").insert(3, (3, "c", None, True))
         assert recovered.canonical() == database.canonical()
+
+
+class TestCheckpointBytes:
+    """The ``K`` frame is pinned to the bytes of the per-row encoding it
+    replaced: ``[[tid, list(values)], ...]`` in tid order per table."""
+
+    def _database(self):
+        typed = schema_from_spec(
+            {
+                "m": ["id", "name:string", "score:float", "flag:bool"],
+                "t": ["id", "v"],
+            }
+        )
+        database = Database(typed)
+        database.load(
+            "m",
+            [
+                (1, "a", 1.5, True),
+                (2, "é \"quoted\"", -0.25, False),
+                (3, None, 2, None),
+                (None, "", 1e-300, True),
+                (-7, "x", float(10**20), False),
+            ],
+        )
+        # Tid gaps from deletes.
+        database.delete_row("m", 2)
+        database.delete_row("m", 4)
+        # Descending explicit tids, as server publication and parallel
+        # merges can store them: dict order is not tid order.
+        table = database.table("t")
+        for tid in (40, 31, 27, 12):
+            table.insert(tid, (tid, tid * 2))
+        database._next_tid = 41
+        return database
+
+    def test_k_frame_equals_the_per_row_encoding(self, tmp_path):
+        database = self._database()
+        assert list(database.table("t")._rows) != sorted(
+            database.table("t")._rows
+        )
+        path = wal_path(tmp_path)
+        writer = WalWriter(path, schema=database.schema)
+        writer.checkpoint(database)
+        writer.close()
+        old_payload = {
+            "t": "K",
+            "next_tid": database._next_tid,
+            "tables": {
+                table.name: [
+                    [row.tid, list(row.values)]
+                    for row in database.table(table.name).rows()
+                ]
+                for table in database.schema
+            },
+        }
+        scan = scan_frames(path)
+        frame = scan.frames[1]
+        assert frame.kind == "K"
+        with open(path, "rb") as handle:
+            handle.seek(frame.offset)
+            written = handle.read(frame.end - frame.offset)
+        assert written == encode_frame(old_payload)
+
+    def test_checkpoint_roundtrips_tids_and_counter(self, tmp_path):
+        database = self._database()
+        path = wal_path(tmp_path)
+        writer = WalWriter(path, schema=database.schema)
+        writer.checkpoint(database)
+        writer.close()
+        result = recover_database(path)
+        recovered = result.database
+        assert result.report.checkpoint_rows == 7
+        assert recovered.canonical() == database.canonical()
+        assert recovered._next_tid == database._next_tid
+        for name in ("m", "t"):
+            assert recovered.table(name).items() == database.table(name).items()
