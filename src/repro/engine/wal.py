@@ -67,6 +67,8 @@ would.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import os
 import queue
@@ -174,13 +176,33 @@ class WalScan:
         return [frame.end for frame in self.frames]
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, then restore its previous state.
+
+    Decoding a log builds a list per checkpointed row and a dict per
+    frame, none of them in a cycle. With the collector on, those
+    allocations trigger repeated collections that traverse them all:
+    on a 2·10⁵-row log they cost about half of the recovery.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
+@_collector_paused()
 def scan_frames(path: str) -> WalScan:
     """Read the valid frame prefix of the WAL at *path*.
 
     A missing or wrong magic is a :class:`WalError` (the file is not a
     WAL at all); anything wrong *after* the magic — torn header, short
     payload, CRC mismatch, undecodable record — ends the scan at the
-    last whole frame, which is the crash-recovery contract.
+    last whole frame, which is the crash-recovery contract. The cyclic
+    garbage collector is paused for the scan.
     """
     scan = WalScan()
     with open(path, "rb") as handle:
@@ -738,6 +760,7 @@ def _replay_transaction(
         database._next_tid = highest + 1
 
 
+@_collector_paused()
 def recover_database(path: str, schema: Schema | None = None) -> RecoveryResult:
     """Replay the committed prefix of the WAL at *path*.
 
@@ -751,6 +774,10 @@ def recover_database(path: str, schema: Schema | None = None) -> RecoveryResult:
     whose rule set holds the same object); the header's schema spec
     must match it. Without it the log is self-describing and the schema
     is rebuilt from the header.
+
+    The cyclic garbage collector stays paused through the replay as
+    well as the scan: the decoded frames live until the replay ends,
+    and a collection in between would traverse every one of them.
     """
     started = time.perf_counter()
     scan = scan_frames(path)

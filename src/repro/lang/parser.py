@@ -35,6 +35,22 @@ from repro.lang.tokens import Token, TokenKind, tokenize
 
 _COMPARISON_OPERATORS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
 
+#: The keywords that denote literal values.
+_KEYWORD_LITERALS = {"null": None, "true": True, "false": False}
+
+
+def _literal(token: Token) -> ast.Literal | None:
+    """The literal *token* denotes, or None if it denotes none."""
+    kind = token.kind
+    if kind is TokenKind.NUMBER:
+        text = token.text
+        return ast.Literal(float(text) if "." in text else int(text))
+    if kind is TokenKind.STRING:
+        return ast.Literal(token.text)
+    if kind is TokenKind.KEYWORD and token.text in _KEYWORD_LITERALS:
+        return ast.Literal(_KEYWORD_LITERALS[token.text])
+    return None
+
 
 class Parser:
     """A single-use parser over a token list."""
@@ -56,27 +72,31 @@ class Parser:
         return self._tokens[index]
 
     def _advance(self) -> Token:
-        token = self._current
+        token = self._tokens[self._position]
         if token.kind is not TokenKind.EOF:
             self._position += 1
         return token
 
     def _check(self, kind: TokenKind, text: str | None = None) -> bool:
-        return self._current.matches(kind, text)
+        token = self._tokens[self._position]
+        return token.kind is kind and (text is None or token.text == text)
 
     def _accept(self, kind: TokenKind, text: str | None = None) -> Token | None:
-        if self._check(kind, text):
-            return self._advance()
-        return None
+        token = self._tokens[self._position]
+        if token.kind is not kind or (text is not None and token.text != text):
+            return None
+        if kind is not TokenKind.EOF:
+            self._position += 1
+        return token
 
     def _expect(self, kind: TokenKind, text: str | None = None) -> Token:
-        if self._check(kind, text):
-            return self._advance()
+        token = self._accept(kind, text)
+        if token is not None:
+            return token
+        token = self._tokens[self._position]
         wanted = text if text is not None else kind.value
         raise ParseError(
-            f"expected {wanted!r}, found {self._current}",
-            self._current.line,
-            self._current.column,
+            f"expected {wanted!r}, found {token}", token.line, token.column
         )
 
     def _expect_name(self) -> str:
@@ -353,6 +373,24 @@ class Parser:
     # ------------------------------------------------------------------
 
     def parse_expression(self) -> ast.Expression:
+        """Parse one expression starting at the current token.
+
+        A literal followed by ``,`` or ``)`` (a VALUES item, an IN-list
+        item, a call argument) becomes its :class:`ast.Literal` without
+        the precedence descent. The descent returns exactly that node
+        there, one token on: each of its levels continues only at an
+        operator or a keyword (``or``, ``and``, a comparison, ``is``,
+        ``not``, ``in``, ``between``, ``like``, ``+``, ``*``, ...), and
+        ``,`` or ``)`` is neither.
+        """
+        position = self._position
+        literal = _literal(self._tokens[position])
+        if literal is not None:
+            # A literal is never the EOF token, so a follower exists.
+            follower = self._tokens[position + 1]
+            if follower.kind is TokenKind.PUNCT and follower.text in (",", ")"):
+                self._position = position + 1
+                return literal
         return self._parse_or()
 
     def _parse_or(self) -> ast.Expression:
@@ -378,9 +416,13 @@ class Parser:
         return self._parse_comparison()
 
     def _parse_comparison(self) -> ast.Expression:
-        if self._check(TokenKind.KEYWORD, "exists") or (
-            self._check(TokenKind.KEYWORD, "not")
-            and self._peek().matches(TokenKind.KEYWORD, "exists")
+        token = self._tokens[self._position]
+        if token.kind is TokenKind.KEYWORD and (
+            token.text == "exists"
+            or (
+                token.text == "not"
+                and self._peek().matches(TokenKind.KEYWORD, "exists")
+            )
         ):
             negated = self._accept(TokenKind.KEYWORD, "not") is not None
             self._expect(TokenKind.KEYWORD, "exists")
@@ -391,14 +433,14 @@ class Parser:
 
         left = self._parse_additive()
 
-        if self._current.kind is TokenKind.OPERATOR and (
-            self._current.text in _COMPARISON_OPERATORS
-        ):
-            op = self._advance().text
-            if op == "!=":
-                op = "<>"
+        token = self._tokens[self._position]
+        if token.kind is TokenKind.OPERATOR and token.text in _COMPARISON_OPERATORS:
+            self._position += 1
+            op = "<>" if token.text == "!=" else token.text
             right = self._parse_additive()
             return ast.BinaryOp(op, left, right)
+        if token.kind is not TokenKind.KEYWORD:
+            return left  # everything below continues at a keyword
 
         if self._check(TokenKind.KEYWORD, "is"):
             self._advance()
@@ -448,57 +490,39 @@ class Parser:
 
     def _parse_additive(self) -> ast.Expression:
         left = self._parse_multiplicative()
-        while self._current.kind is TokenKind.OPERATOR and self._current.text in (
-            "+",
-            "-",
-            "||",
-        ):
-            op = self._advance().text
+        token = self._tokens[self._position]
+        while token.kind is TokenKind.OPERATOR and token.text in ("+", "-", "||"):
+            self._position += 1
             right = self._parse_multiplicative()
-            left = ast.BinaryOp(op, left, right)
+            left = ast.BinaryOp(token.text, left, right)
+            token = self._tokens[self._position]
         return left
 
     def _parse_multiplicative(self) -> ast.Expression:
         left = self._parse_unary()
-        while self._current.kind is TokenKind.OPERATOR and self._current.text in (
-            "*",
-            "/",
-            "%",
-        ):
-            op = self._advance().text
+        token = self._tokens[self._position]
+        while token.kind is TokenKind.OPERATOR and token.text in ("*", "/", "%"):
+            self._position += 1
             right = self._parse_unary()
-            left = ast.BinaryOp(op, left, right)
+            left = ast.BinaryOp(token.text, left, right)
+            token = self._tokens[self._position]
         return left
 
     def _parse_unary(self) -> ast.Expression:
-        if self._accept(TokenKind.OPERATOR, "-"):
-            return ast.UnaryOp("-", self._parse_unary())
-        if self._accept(TokenKind.OPERATOR, "+"):
-            return self._parse_unary()
+        token = self._tokens[self._position]
+        if token.kind is TokenKind.OPERATOR and token.text in ("-", "+"):
+            self._position += 1
+            operand = self._parse_unary()
+            return ast.UnaryOp("-", operand) if token.text == "-" else operand
         return self._parse_primary()
 
     def _parse_primary(self) -> ast.Expression:
-        token = self._current
+        token = self._tokens[self._position]
 
-        if token.kind is TokenKind.NUMBER:
-            self._advance()
-            if "." in token.text:
-                return ast.Literal(float(token.text))
-            return ast.Literal(int(token.text))
-
-        if token.kind is TokenKind.STRING:
-            self._advance()
-            return ast.Literal(token.text)
-
-        if token.matches(TokenKind.KEYWORD, "null"):
-            self._advance()
-            return ast.Literal(None)
-        if token.matches(TokenKind.KEYWORD, "true"):
-            self._advance()
-            return ast.Literal(True)
-        if token.matches(TokenKind.KEYWORD, "false"):
-            self._advance()
-            return ast.Literal(False)
+        literal = _literal(token)
+        if literal is not None:
+            self._position += 1
+            return literal
 
         if token.kind is TokenKind.PUNCT and token.text == "(":
             self._advance()

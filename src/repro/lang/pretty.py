@@ -6,6 +6,9 @@ by the parser; the property-based tests in ``tests/lang`` rely on this.
 
 from __future__ import annotations
 
+import decimal
+import math
+
 from repro.lang import ast
 
 _PRECEDENCE = {
@@ -38,6 +41,12 @@ def _format_literal(value: object) -> str:
     if isinstance(value, str):
         escaped = value.replace("'", "''")
         return f"'{escaped}'"
+    if isinstance(value, float) and math.isfinite(value):
+        # The grammar has no exponent, so write repr's shortest
+        # round-trip digits positionally (1e-05 -> 0.00001) and keep a
+        # dot so the text reads back as a float.
+        text = format(decimal.Decimal(repr(value)), "f")
+        return text if "." in text else f"{text}.0"
     return str(value)
 
 

@@ -1,16 +1,18 @@
 """Tokenizer for the rule definition language and its SQL subset.
 
-The tokenizer is a small hand-rolled scanner producing a flat token list.
-It is case-insensitive for keywords (normalized to lower case) and
-case-preserving for identifiers, which are nevertheless compared
-case-insensitively by the parser (identifiers are normalized to lower
-case as well, matching the usual SQL convention).
+The scanner is one compiled regular expression, applied line by line in
+a single pass (:func:`tokenize`). It is case-insensitive for keywords
+(normalized to lower case) and case-preserving for identifiers, which
+are nevertheless compared case-insensitively by the parser (identifiers
+are normalized to lower case as well, matching the usual SQL
+convention).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import TokenizeError
 
@@ -59,11 +61,6 @@ KEYWORDS = frozenset(
     }
 )
 
-#: Multi-character operators, longest first so that the scanner is greedy.
-_MULTI_CHAR_OPERATORS = ("<>", "<=", ">=", "!=", "||")
-_SINGLE_CHAR_OPERATORS = "=<>+-*/%"
-_PUNCTUATION = "(),;."
-
 
 class TokenKind(enum.Enum):
     """Lexical category of a token."""
@@ -77,9 +74,12 @@ class TokenKind(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token with its source position (1-based)."""
+class Token(NamedTuple):
+    """A single lexical token with its source position (1-based).
+
+    A tuple ``(kind, text, line, column)``: the scanner builds one per
+    token, and a tuple is the cheapest immutable record to build.
+    """
 
     kind: TokenKind
     text: str
@@ -98,141 +98,83 @@ class Token:
         return repr(self.text)
 
 
-def _is_ident_start(char: str) -> bool:
-    return char.isalpha() or char == "_"
-
-
-def _is_ident_part(char: str) -> bool:
-    return char.isalnum() or char == "_"
+#: The whole lexical grammar. :func:`tokenize` applies it to one line at
+#: a time, so a match never spans a newline; at each position the first
+#: alternative that matches wins. ``\s`` is ``str.isspace``, ``\w`` is
+#: ``str.isalnum`` or ``_``, and ``\d`` is ``str.isdecimal``.
+_TOKEN_PATTERN = re.compile(
+    r"""
+      (?P<space>\s+|--.*)                    # blanks; a comment runs to end of line
+    | (?P<updated>(?:[nN][eE][wW]|[oO][lL][dD])-updated)
+    | (?P<word>[A-Za-z_]\w*)
+    | (?P<number>\d+(?:\.\d+)?|\.\d+)          # a trailing dot is punctuation
+    | (?P<string>'[^']*(?:''[^']*)*'(?!'))    # '' escapes a quote
+    | (?P<operator><>|<=|>=|!=|\|\||[-=<>+*/%])
+    | (?P<punct>[(),;.])
+    | (?P<other_word>\w+)                     # starts with a non-ASCII character
+    | (?P<open_string>')                      # no closing quote on this line
+    | (?P<other>.)
+    """,
+    re.VERBOSE,
+)
 
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize *source*, returning a token list terminated by an EOF token.
 
+    One pass of a compiled pattern over each line. Words are keywords
+    when they lower-case into :data:`KEYWORDS` and identifiers
+    otherwise; an identifier starts with a letter or ``_``. The paper's
+    hyphenated transition tables ``new-updated``/``old-updated`` fold
+    into the identifiers ``new_updated``/``old_updated``. A NUMBER is
+    decimal digits (``str.isdecimal``, what ``int()`` and ``float()``
+    read) with at most one dot, which a digit must follow; so ``٣``
+    reads as 3, while ``²`` is an unexpected character (``x²`` is an
+    identifier). A string doubles a quote to escape it and may not span
+    lines.
+
     Raises :class:`~repro.errors.TokenizeError` on invalid input such as
-    an unterminated string literal or a stray character.
+    an unterminated string literal or a stray character, at the
+    position of the string's opening quote or of the character.
     """
     tokens: list[Token] = []
-    position = 0
-    line = 1
-    line_start = 0
-    length = len(source)
-
-    def column() -> int:
-        return position - line_start + 1
-
-    while position < length:
-        char = source[position]
-
-        if char == "\n":
-            position += 1
-            line += 1
-            line_start = position
-            continue
-        if char.isspace():
-            position += 1
-            continue
-
-        # SQL-style comments: '--' to end of line.
-        if source.startswith("--", position):
-            newline = source.find("\n", position)
-            position = length if newline < 0 else newline
-            continue
-
-        start_line, start_column = line, column()
-
-        if _is_ident_start(char):
-            start = position
-            position += 1
-            while position < length and _is_ident_part(source[position]):
-                position += 1
-            word = source[start:position].lower()
-            # The paper spells two transition tables with a hyphen
-            # ("new-updated" / "old-updated"); fold that spelling into a
-            # single identifier token.
-            if word in ("new", "old") and source.startswith(
-                "-updated", position
+    new_token = tuple.__new__  # Token(...) without its Python-level __new__
+    lines = source.split("\n")
+    for line, text in enumerate(lines, 1):
+        for match in _TOKEN_PATTERN.finditer(text):
+            group = match.lastgroup
+            if group == "space":
+                continue
+            value = match.group()
+            column = match.start() + 1
+            if group == "number":
+                kind = TokenKind.NUMBER
+            elif group == "punct":
+                kind = TokenKind.PUNCT
+            elif group == "word" or (
+                group == "other_word" and value[0].isalpha()
             ):
-                position += len("-updated")
-                word = f"{word}_updated"
-            kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, word, start_line, start_column))
-            continue
-
-        if char.isdigit() or (
-            char == "." and position + 1 < length and source[position + 1].isdigit()
-        ):
-            start = position
-            seen_dot = False
-            while position < length:
-                current = source[position]
-                if current.isdigit():
-                    position += 1
-                elif current == "." and not seen_dot:
-                    seen_dot = True
-                    position += 1
-                else:
-                    break
-            text = source[start:position]
-            if text.endswith("."):
-                # Trailing dot belongs to punctuation (e.g. "1." is invalid
-                # here; treat "t.c" style access via IDENT '.' IDENT only).
-                position -= 1
-                text = text[:-1]
-            tokens.append(Token(TokenKind.NUMBER, text, start_line, start_column))
-            continue
-
-        if char == "'":
-            position += 1
-            pieces: list[str] = []
-            while True:
-                if position >= length:
-                    raise TokenizeError(
-                        "unterminated string literal", start_line, start_column
-                    )
-                current = source[position]
-                if current == "'":
-                    # SQL escapes a quote by doubling it.
-                    if position + 1 < length and source[position + 1] == "'":
-                        pieces.append("'")
-                        position += 2
-                        continue
-                    position += 1
-                    break
-                if current == "\n":
-                    raise TokenizeError(
-                        "newline in string literal", start_line, start_column
-                    )
-                pieces.append(current)
-                position += 1
-            tokens.append(
-                Token(TokenKind.STRING, "".join(pieces), start_line, start_column)
-            )
-            continue
-
-        matched_operator = None
-        for operator in _MULTI_CHAR_OPERATORS:
-            if source.startswith(operator, position):
-                matched_operator = operator
-                break
-        if matched_operator is not None:
-            position += len(matched_operator)
-            tokens.append(
-                Token(TokenKind.OPERATOR, matched_operator, start_line, start_column)
-            )
-            continue
-
-        if char in _SINGLE_CHAR_OPERATORS:
-            position += 1
-            tokens.append(Token(TokenKind.OPERATOR, char, start_line, start_column))
-            continue
-
-        if char in _PUNCTUATION:
-            position += 1
-            tokens.append(Token(TokenKind.PUNCT, char, start_line, start_column))
-            continue
-
-        raise TokenizeError(f"unexpected character {char!r}", line, column())
-
-    tokens.append(Token(TokenKind.EOF, "", line, column()))
+                value = value.lower()
+                kind = TokenKind.KEYWORD if value in KEYWORDS else TokenKind.IDENT
+            elif group == "operator":
+                kind = TokenKind.OPERATOR
+            elif group == "string":
+                kind = TokenKind.STRING
+                value = value[1:-1].replace("''", "'")
+            elif group == "updated":
+                kind = TokenKind.IDENT
+                value = value[:3].lower() + "_updated"
+            elif group == "open_string":
+                message = (
+                    "unterminated string literal"
+                    if line == len(lines)
+                    else "newline in string literal"
+                )
+                raise TokenizeError(message, line, column)
+            else:
+                raise TokenizeError(
+                    f"unexpected character {value[0]!r}", line, column
+                )
+            tokens.append(new_token(Token, (kind, value, line, column)))
+    tokens.append(Token(TokenKind.EOF, "", len(lines), len(lines[-1]) + 1))
     return tokens

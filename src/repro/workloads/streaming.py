@@ -86,10 +86,12 @@ then update {stream}_state set alerts = alerts - 5,
 class StreamingBatch:
     """One ingestion transaction: statements for one server session.
 
-    Statements are pre-parsed ASTs — a 100-row ``INSERT`` costs more to
-    parse than to execute, and the driver measures ingestion, not
-    parsing (a real stream consumer would bind batches into a prepared
-    statement once, not re-parse per batch)."""
+    Statements are pre-parsed ASTs — a 100-row ``INSERT`` still costs
+    about four times as much to parse as to execute (≈3 ms against
+    ≈0.7 ms on 2 vCPUs, Python 3.11; the whole in-memory transaction,
+    rules and commit included, is ≈5 ms), and :func:`drive_streaming`
+    measures ingestion, not parsing (a real stream consumer would bind
+    batches into a prepared statement once, not re-parse per batch)."""
 
     index: int
     stream: str

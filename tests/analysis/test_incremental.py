@@ -49,6 +49,17 @@ class TestEditing:
             )
         assert "bad" not in analyzer.rule_names
 
+    def test_float_constant_survives_the_stored_source(self, schema):
+        # analyze() re-parses the format_rule text define_rule stored,
+        # which once rendered 0.00001 as the unreadable 1e-05.
+        incremental = IncrementalAnalyzer(schema)
+        incremental.define_rule(
+            "create rule f on t when inserted "
+            "if exists (select * from inserted where id > 0.00001) "
+            "then update u set id = 0"
+        )
+        assert incremental.analyze().terminates
+
     def test_remove_rule(self, analyzer):
         analyzer.remove_rule("c")
         assert set(analyzer.rule_names) == {"a", "b"}

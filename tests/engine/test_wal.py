@@ -6,12 +6,14 @@ blocks — frame encoding, torn-tail scanning, fsync batching, the
 retry/backoff path — with hand-built inputs.
 """
 
+import gc
 import os
 import struct
 import zlib
 
 import pytest
 
+from repro.engine import wal
 from repro.engine.database import Database
 from repro.engine.wal import (
     MAGIC,
@@ -165,6 +167,64 @@ class TestScanTails:
         write_raw(path, MAGIC, good, bytes(corrupt), encode_frame({"t": "C", "x": 1}))
         scan = scan_frames(path)
         assert len(scan.frames) == 1
+
+
+class TestCollectorPause:
+    """Scan and replay run with the cyclic collector off, and every exit
+    (whole log, torn tail, bad magic) leaves it as it found it."""
+
+    @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+    def collecting(self, request):
+        before = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if before else gc.disable)()
+
+    def test_scan_restores_collector_state(self, tmp_path, collecting):
+        frame = encode_frame({"t": "B", "x": 1})
+        clean, torn, bad = (str(tmp_path / name) for name in ("c", "t", "b"))
+        write_raw(clean, MAGIC, frame)
+        write_raw(torn, MAGIC, frame, b"\x05\x00")
+        write_raw(bad, b"NOTAWAL!", frame)
+        assert not scan_frames(clean).torn_tail
+        assert gc.isenabled() is collecting
+        assert scan_frames(torn).torn_tail
+        assert gc.isenabled() is collecting
+        with pytest.raises(WalError):
+            scan_frames(bad)
+        assert gc.isenabled() is collecting
+
+    def test_recovery_decodes_and_replays_with_collector_off(
+        self, schema, tmp_path, collecting, monkeypatch
+    ):
+        states = []
+
+        def recording(function):
+            def wrapper(*args):
+                states.append(gc.isenabled())
+                return function(*args)
+
+            return wrapper
+
+        for name in ("_decode_payload", "_apply_checkpoint", "_replay_transaction"):
+            monkeypatch.setattr(wal, name, recording(getattr(wal, name)))
+        database = Database(schema)
+        database.load("t", [(1, 10)])
+        path = wal_path(tmp_path)
+        writer = WalWriter(path, schema=schema)
+        writer.checkpoint(database)
+        writer.begin(1)
+        writer.primitive(1, Primitive(0, "I", "t", 2, None, (2, 20)))
+        writer.commit(1)
+        writer.close()
+        recovered = recover_database(path).database
+        assert sorted(recovered.table("t").items()) == [(1, (1, 10)), (2, (2, 20))]
+        assert states and not any(states)
+        assert gc.isenabled() is collecting
+        write_raw(path, b"NOTAWAL!")
+        with pytest.raises(WalError):
+            recover_database(path)
+        assert gc.isenabled() is collecting
 
 
 # ----------------------------------------------------------------------

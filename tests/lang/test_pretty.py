@@ -60,6 +60,11 @@ class TestExpressionFormatting:
         expr = parse_expression("not a = 1")
         assert parse_expression(format_expression(expr)) == expr
 
+    def test_float_renders_without_exponent(self):
+        for value, text in ((0.00001, "0.00001"), (1e22, "10000000000000000000000.0")):
+            assert format_expression(ast.Literal(value)) == text
+            assert parse_expression(text) == ast.Literal(value)
+
     def test_null_true_false(self):
         for source in ("null", "true", "false"):
             assert format_expression(parse_expression(source)) == source
@@ -96,6 +101,10 @@ _names = st.sampled_from(["a", "b", "c", "t", "v", "x1", "col"])
 
 _literals = st.one_of(
     st.integers(min_value=0, max_value=10_000).map(ast.Literal),
+    # tiny, huge and integral floats too: the grammar has no exponent
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(
+        ast.Literal
+    ),
     st.just(ast.Literal(None)),
     st.just(ast.Literal(True)),
     st.just(ast.Literal(False)),

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import TokenizeError
+from repro.lang import ast
+from repro.lang.parser import parse_expression, parse_statement
 from repro.lang.tokens import Token, TokenKind, tokenize
 
 
@@ -126,6 +128,34 @@ class TestErrors:
         assert excinfo.value.column == 3
 
 
+class TestDecimalDigits:
+    """A NUMBER is decimal digits: what ``int()`` and ``float()`` read."""
+
+    def test_non_ascii_decimal_digit_is_a_number(self):
+        tokens = tokenize("٣")
+        assert (tokens[0].kind, tokens[0].text) == (TokenKind.NUMBER, "٣")
+        assert parse_expression("٣") == ast.Literal(3)
+
+    @pytest.mark.parametrize(
+        "source, column",
+        [("²", 1), ("¹", 1), ("1²", 2), ("1.²", 3), (".²", 2), ("٣²", 2)],
+    )
+    def test_other_digit_is_an_unexpected_character(self, source, column):
+        with pytest.raises(TokenizeError, match="unexpected character") as excinfo:
+            tokenize(source)
+        assert (excinfo.value.line, excinfo.value.column) == (1, column)
+
+    def test_superscript_inside_identifier_stays_identifier(self):
+        tokens = tokenize("x²")
+        assert (tokens[0].kind, tokens[0].text) == (TokenKind.IDENT, "x²")
+
+    def test_superscript_operand_is_a_tokenize_error_not_value_error(self):
+        with pytest.raises(TokenizeError, match="'²'"):
+            parse_expression("x + ²")
+        with pytest.raises(TokenizeError, match="'¹'"):
+            parse_statement("insert into t values (¹, 2)")
+
+
 class TestTokenHelpers:
     def test_matches_kind_and_text(self):
         token = Token(TokenKind.KEYWORD, "select", 1, 1)
@@ -136,3 +166,10 @@ class TestTokenHelpers:
 
     def test_str_of_eof(self):
         assert str(Token(TokenKind.EOF, "", 1, 1)) == "<end of input>"
+
+    def test_token_is_an_immutable_tuple(self):
+        token = Token(TokenKind.NUMBER, "7", 2, 5)
+        assert token == (TokenKind.NUMBER, "7", 2, 5)
+        assert (token.kind, token.text, token.line, token.column) == tuple(token)
+        with pytest.raises(AttributeError):
+            token.text = "8"

@@ -69,6 +69,18 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_superscript_digit_exits_two_without_traceback(self, files, capsys):
+        rules = (
+            "create rule a on t when inserted\n"
+            "if exists (select * from inserted where v > ²)\n"
+            "then update u set w = 0\n"
+        )
+        code = main([files("r.txt", rules), "--schema", files("s.txt", SCHEMA)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unexpected character '²' (line 2, column 45)" in err
+        assert "Traceback" not in err
+
 
 class TestOptions:
     def test_verbose_shows_violations_and_suggestions(self, files, capsys):
