@@ -1,21 +1,23 @@
-"""Partition-parallel execution gate.
+"""Partitioned execution gate.
 
-``ExecutionConfig(scheduler="parallel", partitions=P)`` exists to make
-rule processing scale with shards instead of tables: target scans
-carrying a partition-key conjunct prune to one shard, and eligible
-rules from different static partitions run concurrently on
-copy-on-write forks whose net effects merge back in canonical order.
-This gate pins both properties:
+``ExecutionConfig(partitions=P)`` exists to make rule processing scale
+with shards instead of tables: a scan carrying an equality conjunct on
+a table's declared partition key prunes to one shard, and large scans
+fan out per shard on the worker pool. Rules are considered one at a
+time either way. This gate pins both properties:
 
 * **speedup** — on the 10⁵-row multi-domain drain workload
-  (:mod:`repro.workloads.partitioned`), the parallel configuration at
+  (:mod:`repro.workloads.partitioned`), the sharded configuration at
   4 partitions finishes at least ``--min-speedup`` (default 2) times
-  faster than the default serial configuration, measured wall-clock
+  faster than the default flat configuration, measured wall-clock
   best-of-``repeats``;
-* **equivalence** — byte-identical outcomes, final canonical databases
-  and observable streams between the two configurations on the drain
-  workload itself, the power-network case study, seeded instances of
-  the drain workload, and seeded random generated rule sets.
+* **equivalence** — identical outcomes, rules considered, final
+  canonical databases and observable streams between the two
+  configurations on the drain workload itself, the power-network case
+  study, seeded instances of the drain workload, and seeded random
+  generated rule sets. The power network and the generated sets
+  declare no keys, so the gate keys every table on its first column
+  to make their sharded side really shard.
 
 Metrics land in ``BENCH_partition.json`` (``--out``) for CI artifact
 upload.
@@ -28,7 +30,6 @@ import time
 
 from repro.config import ExecutionConfig
 from repro.errors import RuleProcessingLimitExceeded
-from repro.runtime import parallel
 from repro.runtime.processor import RuleProcessor
 from repro.workloads.generator import (
     GeneratorConfig,
@@ -38,24 +39,30 @@ from repro.workloads.generator import (
 from repro.workloads.partitioned import partitioned_workload
 from repro.workloads.powernet import power_network_workload
 
-GATE_SCHEMA_VERSION = 1
+GATE_SCHEMA_VERSION = 2
 
 GATE_PARTITIONS = 4
 
-SERIAL = ExecutionConfig()
-PARALLEL = ExecutionConfig(scheduler="parallel", partitions=GATE_PARTITIONS)
+FLAT = ExecutionConfig()
+SHARDED = ExecutionConfig(partitions=GATE_PARTITIONS)
 
-MODES = {"serial": SERIAL, "parallel": PARALLEL}
+MODES = {"flat": FLAT, "sharded": SHARDED}
+
+
+def _keyed(database):
+    """*database* with every table's first column declared its
+    partition key (the flat configuration ignores the hints)."""
+    for table in database.schema:
+        database.declare_partition_key(table.name, table.column_names[0])
+    return database
 
 
 def _run_measured(ruleset, database, statements, config, **kwargs):
     """Run one session; return (comparable record, wall-clock seconds).
 
-    The record holds everything two serializations of the same behavior
-    must agree on byte for byte: outcome, step count, observable
-    stream, and the final canonical database. Step *order* is not
-    compared — a batch round is a different (provably equivalent)
-    serialization than the serial round sequence.
+    The record holds everything the two configurations must agree on:
+    outcome, the rules considered in order, observable stream, and the
+    final canonical database.
     """
     processor = RuleProcessor(
         ruleset, database.copy(), config=config, **kwargs
@@ -67,7 +74,7 @@ def _run_measured(ruleset, database, statements, config, **kwargs):
     elapsed = time.perf_counter() - started
     record = {
         "outcome": result.outcome,
-        "steps": len(result.steps),
+        "rules_considered": result.rules_considered,
         "observables": tuple(str(action) for action in result.observables),
         "final_database": processor.database.canonical(),
     }
@@ -75,26 +82,21 @@ def _run_measured(ruleset, database, statements, config, **kwargs):
 
 
 def _compare(records: dict, label: str) -> None:
-    serial, batched = records["serial"], records["parallel"]
-    assert serial["outcome"] == batched["outcome"], (
-        f"{label}: outcomes diverge between schedulers"
-    )
-    assert serial["final_database"] == batched["final_database"], (
-        f"{label}: final databases diverge between schedulers"
-    )
-    assert serial["observables"] == batched["observables"], (
-        f"{label}: observable streams diverge between schedulers"
-    )
+    flat, sharded = records["flat"], records["sharded"]
+    for key in ("outcome", "rules_considered", "final_database", "observables"):
+        assert flat[key] == sharded[key], (
+            f"{label}: {key} diverges between flat and sharded tables"
+        )
 
 
 def run_speedup_gate(
     min_speedup: float = 2.0, rows: int = 100_000, repeats: int = 2
 ) -> dict:
-    """Wall-clock serial vs. parallel on the 10⁵-row drain workload.
+    """Wall-clock flat vs. sharded on the 10⁵-row drain workload.
 
-    Best-of-*repeats* per mode damps scheduler-noise outliers; the two
-    final states must also be byte-identical, so the speedup is never
-    bought with a semantic shortcut.
+    Best-of-*repeats* per mode damps timing outliers; the two runs must
+    also agree exactly, so the speedup is never bought with a semantic
+    shortcut.
     """
     seconds = {name: [] for name in MODES}
     records = {}
@@ -113,30 +115,26 @@ def run_speedup_gate(
     _compare(records, "drain")
 
     best = {name: min(times) for name, times in seconds.items()}
-    speedup = best["serial"] / best["parallel"]
+    speedup = best["flat"] / best["sharded"]
     return {
         "rows": rows,
         "partitions": GATE_PARTITIONS,
-        "steps": records["serial"]["steps"],
-        "serial_seconds": round(best["serial"], 4),
-        "parallel_seconds": round(best["parallel"], 4),
+        "steps": len(records["flat"]["rules_considered"]),
+        "flat_seconds": round(best["flat"], 4),
+        "sharded_seconds": round(best["sharded"], 4),
         "speedup": round(speedup, 2),
         "equivalent": True,
     }
 
 
 def run_powernet_equivalence_gate() -> dict:
-    """The power-network case study agrees scheduler-for-scheduler.
-
-    Its rules share tables and so form one static partition: the
-    parallel scheduler must degenerate to the serial loop here.
-    """
+    """The power-network case study agrees flat and sharded."""
     records = {}
     for name, config in MODES.items():
         workload = power_network_workload()
         records[name], __ = _run_measured(
             workload.ruleset,
-            workload.database,
+            _keyed(workload.database),
             workload.overload_transition(),
             config,
             max_steps=500,
@@ -146,7 +144,7 @@ def run_powernet_equivalence_gate() -> dict:
 
 
 def run_seeded_drain_equivalence_gate(runs: int = 8) -> dict:
-    """Seeded drain-workload instances agree scheduler-for-scheduler."""
+    """Seeded drain-workload instances agree flat and sharded."""
     checked = 0
     for seed in range(runs):
         records = {}
@@ -167,13 +165,7 @@ def run_seeded_drain_equivalence_gate(runs: int = 8) -> dict:
 
 
 def run_generated_equivalence_gate(runs: int = 8) -> dict:
-    """Seeded random rule sets agree scheduler-for-scheduler.
-
-    Random sets exercise the conservative side of admission: most
-    rules share a table, hence a partition, with another rule, so
-    parallel rounds degenerate to the serial loop except between the
-    partitions that do separate.
-    """
+    """Seeded random rule sets agree flat and sharded."""
     generator_config = GeneratorConfig(
         n_tables=4,
         n_rules=8,
@@ -188,7 +180,9 @@ def run_generated_equivalence_gate(runs: int = 8) -> dict:
             generator_config, seed=1000 + seed
         ).generate()
         instances = RandomInstanceGenerator(generator_config)
-        database = instances.generate_database(ruleset.schema, seed=seed)
+        database = _keyed(
+            instances.generate_database(ruleset.schema, seed=seed)
+        )
         statements = instances.generate_transition(ruleset.schema, seed=seed)
         records = {}
         for name, config in MODES.items():
@@ -197,17 +191,12 @@ def run_generated_equivalence_gate(runs: int = 8) -> dict:
                     ruleset, database, statements, config, max_steps=60
                 )
             except RuleProcessingLimitExceeded:
-                records[name] = {
-                    "outcome": "exhausted",
-                    "steps": 60,
-                    "observables": (),
-                    "final_database": None,
-                }
-        if records["serial"]["outcome"] != "exhausted":
+                records[name] = {"outcome": "exhausted"}
+        if records["flat"]["outcome"] != "exhausted":
             _compare(records, f"generated seed {seed}")
         else:
-            assert records["parallel"]["outcome"] == "exhausted", (
-                f"generated seed {seed}: only one scheduler exhausted"
+            assert records["sharded"]["outcome"] == "exhausted", (
+                f"generated seed {seed}: only one configuration exhausted"
             )
         checked += 1
     return {"runs": checked, "equivalent": True}
@@ -217,7 +206,6 @@ def run_gate(
     min_speedup: float = 2.0, out_path: str | None = None
 ) -> dict:
     """The full partition gate; raises AssertionError on any regression."""
-    parallel.STATS.reset()
     speedup = run_speedup_gate(min_speedup=min_speedup)
     powernet = run_powernet_equivalence_gate()
     seeded = run_seeded_drain_equivalence_gate()
@@ -230,7 +218,6 @@ def run_gate(
         "powernet": powernet,
         "seeded_drain": seeded,
         "generated": generated,
-        "scheduler": parallel.STATS.to_dict(),
     }
     if out_path:
         with open(out_path, "w") as handle:
@@ -238,11 +225,8 @@ def run_gate(
             handle.write("\n")
 
     assert speedup["speedup"] >= min_speedup, (
-        f"parallel speedup {speedup['speedup']} below gate minimum "
+        f"sharded speedup {speedup['speedup']} below gate minimum "
         f"{min_speedup}"
-    )
-    assert parallel.STATS.rollback_fallbacks == 0, (
-        "the gate workloads should never hit the rollback fallback"
     )
     return payload
 
@@ -268,9 +252,7 @@ def test_gate_generated_equivalence():
 def main(argv=None) -> int:
     import argparse
 
-    parser = argparse.ArgumentParser(
-        description="Partition-parallel execution gate"
-    )
+    parser = argparse.ArgumentParser(description="Partitioned execution gate")
     parser.add_argument("--gate", action="store_true", help="run the gate")
     parser.add_argument(
         "--out",

@@ -62,12 +62,27 @@ def load_schema(path: str) -> Schema:
     return schema_from_spec(spec)
 
 
+def _strip_comment(line: str) -> str:
+    """*line* up to its first ``#`` outside a ``'...'`` literal.
+
+    Each quote toggles the literal, so a doubled ``''`` (an escaped
+    quote) leaves it open.
+    """
+    quoted = False
+    for index, char in enumerate(line):
+        if char == "'":
+            quoted = not quoted
+        elif char == "#" and not quoted:
+            return line[:index]
+    return line
+
+
 def load_data(path: str, schema: Schema) -> Database:
     """Load ``table: (v, ...), (v, ...)`` lines into a fresh database."""
     database = Database(schema)
     with open(path) as handle:
         for raw_line in handle:
-            line = raw_line.split("#", 1)[0].strip()
+            line = _strip_comment(raw_line).strip()
             if not line:
                 continue
             table, __, rows_text = line.partition(":")
@@ -214,15 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --run: log the transaction to a write-ahead log at "
         "FILE.wal and commit at quiescence; `repro recover FILE.wal` "
         "replays it after a crash",
-    )
-    parser.add_argument(
-        "--scheduler",
-        choices=("serial", "parallel"),
-        default="serial",
-        help="with --run: rule scheduling — 'serial' (one rule per "
-        "round, the default) or 'parallel' (rules from different "
-        "static partitions run concurrently on copy-on-write forks; "
-        "rules sharing a partition serialize)",
     )
     parser.add_argument(
         "--partitions",
@@ -402,7 +408,6 @@ def _execution_config(args) -> ExecutionConfig:
         matching=matching,
         planner=matching != "naive",
         wal=getattr(args, "durable", None),
-        scheduler=getattr(args, "scheduler", "serial"),
         partitions=getattr(args, "partitions", 1),
     )
 
@@ -415,9 +420,8 @@ def _execute_run(
     Returns the report sections and the per-step trace. ``execution``
     holds the outcome, steps, final tables, substrate counters and the
     WAL summary of a ``--durable`` run; with ``--explore``,
-    ``exploration`` holds ``ExecutionGraph.stats()``. With *trace*, a
-    serial run records the trace; a parallel batch round has no single
-    choice sequence, so its trace is None.
+    ``exploration`` holds ``ExecutionGraph.stats()``. With *trace*, the
+    run records the per-step trace; otherwise the trace is None.
     """
     database = (
         load_data(args.data, schema) if args.data else Database(schema)
@@ -427,7 +431,7 @@ def _execute_run(
     started = time.perf_counter()
     for statement in args.run:
         processor.execute_user(statement)
-    if trace and config.scheduler == "serial":
+    if trace:
         result, events = trace_run(processor)
     else:
         result, events = processor.run(), None
@@ -448,10 +452,6 @@ def _execute_run(
         "planner_stats": plan.STATS.to_dict(),
         "rete_stats": rete.STATS.to_dict(),
     }
-    if config.scheduler == "parallel":
-        from repro.runtime import parallel
-
-        execution["scheduler_stats"] = parallel.STATS.to_dict()
     if wal is not None:
         execution["wal"] = wal
     sections: dict = {"execution": execution}
@@ -493,13 +493,10 @@ def _finish_durable(processor: RuleProcessor) -> dict | None:
     }
 
 
-def _print_run(sections: dict, events: list | None) -> None:
+def _print_run(sections: dict, events: list) -> None:
     """Render :func:`_execute_run`'s sections as text."""
     print("\n== rule processing trace ==")
-    if events is None:
-        print("(per-step trace unavailable under --scheduler parallel)")
-    else:
-        print(render_trace(events))
+    print(render_trace(events))
     execution = sections["execution"]
     print(f"outcome: {execution['outcome']} after {execution['steps']} steps")
     print("final state:")
@@ -552,10 +549,6 @@ def _print_stats(stats) -> None:
     }
     if rete.STATS.networks_compiled:
         sections["incremental match"] = rete.STATS.to_dict()
-    from repro.runtime import parallel
-
-    if parallel.STATS.rounds:
-        sections["parallel scheduler"] = parallel.STATS.to_dict()
     print(render_stats(sections))
 
 
@@ -566,10 +559,6 @@ def _profile_section(profile: dict) -> dict:
     section["plan"] = round(plan.STATS.plan_seconds, 6)
     if rete.STATS.networks_compiled:
         section["rete_advance"] = round(rete.STATS.advance_seconds, 6)
-    from repro.runtime import parallel
-
-    if parallel.STATS.rounds:
-        section["parallel_merge"] = round(parallel.STATS.merge_seconds, 6)
     return section
 
 
@@ -899,8 +888,8 @@ def build_repro_parser() -> argparse.ArgumentParser:
             "Compute a workload's declarative outcome (per-stratum "
             "fixpoints, Flesca/Greco style) and run its transition "
             "through the execution-mode cross product — condition "
-            "matching (naive/planned/rete) x scheduling "
-            "(serial/parallel) x persistence (memory/durable/server). "
+            "matching (naive/planned/rete) x persistence "
+            "(memory/durable/server). "
             "Certified-confluent workloads must match the declarative "
             "final exactly in every mode; others must contain it in "
             "the explore()-reachable set. Exits 1 on any divergence "
@@ -931,8 +920,8 @@ def build_repro_parser() -> argparse.ArgumentParser:
         "--modes",
         default="all",
         metavar="SPEC",
-        help="'all' (18 modes), 'quick' (one per axis), or a comma "
-        "list like planned-serial-memory,rete-parallel-durable",
+        help="'all' (9 modes), 'quick' (one per axis), or a comma "
+        "list like planned-memory,rete-durable",
     )
     crosscheck.add_argument(
         "--no-minimize",
@@ -1188,6 +1177,13 @@ def _run_serve(args) -> int:
             raise ReproError(
                 "serving a rules file requires at least one --transaction"
             )
+        options = ServerOptions(
+            isolation=args.isolation,
+            granularity=args.granularity,
+            group_commit=not args.no_group_commit,
+            max_delay=args.max_delay,
+            max_batch=args.max_batch,
+        )
         started = time.perf_counter()
         if args.rules:
             schema = load_schema(args.schema)
@@ -1206,13 +1202,6 @@ def _run_serve(args) -> int:
             schema, ruleset = workload.schema, workload.ruleset
         profile["parse"] = time.perf_counter() - started
 
-        options = ServerOptions(
-            isolation=args.isolation,
-            granularity=args.granularity,
-            group_commit=not args.no_group_commit,
-            max_delay=args.max_delay,
-            max_batch=args.max_batch,
-        )
         config = ExecutionConfig(wal=args.durable)
         database = (
             workload.database if workload is not None else build_database()

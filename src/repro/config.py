@@ -24,26 +24,24 @@ Fields:
   (cached net effects, touch index, COW snapshots);
 * ``wal`` — write-ahead logging: a path string or an open
   ``WalWriter``; ``None`` (the default) runs in memory only;
-* ``scheduler`` — the rule-consideration loop: ``"serial"`` (one
-  eligible rule per round, the default) or ``"parallel"`` (the batch
-  scheduler of :mod:`repro.runtime.parallel`, which runs eligible rules
-  from different static partitions concurrently on copy-on-write forks
-  and merges their net effects in a canonical order);
 * ``partitions`` — hash-partition declared tables into this many
   shards (:meth:`repro.engine.storage.TableData.shard`), enabling
   partition pruning and per-shard fan-out of condition/action scans;
-  ``1`` (the default) keeps the flat layout.
+  ``1`` (the default) keeps the flat layout. Rules are still considered
+  one at a time, in the same order either way.
+
+Out-of-range values raise :class:`~repro.errors.ConfigError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.errors import ConfigError
+
 #: the condition-matching modes `ExecutionConfig.matching` accepts
 MATCHING_MODES = ("rete", "planned", "naive")
 
-#: the rule-scheduling modes `ExecutionConfig.scheduler` accepts
-SCHEDULER_MODES = ("serial", "parallel")
 
 @dataclass(frozen=True)
 class ExecutionConfig:
@@ -54,22 +52,16 @@ class ExecutionConfig:
     incremental: bool = True
     #: WAL path (str) or an open WalWriter; None runs in memory only
     wal: object = None
-    scheduler: str = "serial"
     partitions: int = 1
 
     def __post_init__(self) -> None:
         if self.matching not in MATCHING_MODES:
-            raise ValueError(
+            raise ConfigError(
                 f"matching must be one of {', '.join(MATCHING_MODES)}; "
                 f"got {self.matching!r}"
             )
-        if self.scheduler not in SCHEDULER_MODES:
-            raise ValueError(
-                f"scheduler must be one of {', '.join(SCHEDULER_MODES)}; "
-                f"got {self.scheduler!r}"
-            )
         if not isinstance(self.partitions, int) or self.partitions < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"partitions must be a positive int; got {self.partitions!r}"
             )
 
@@ -100,7 +92,7 @@ class ServerOptions:
 
     Orthogonal to :class:`ExecutionConfig` (which still governs how each
     session's own rule cascade executes — matching mode, planner,
-    scheduler, durability of the *server's* log):
+    partitions, durability of the *server's* log):
 
     * ``isolation`` — what first-committer-wins validation checks:
       ``"serializable"`` (the default) validates the session's reads
@@ -132,25 +124,25 @@ class ServerOptions:
 
     def __post_init__(self) -> None:
         if self.isolation not in ISOLATION_MODES:
-            raise ValueError(
+            raise ConfigError(
                 f"isolation must be one of {', '.join(ISOLATION_MODES)}; "
                 f"got {self.isolation!r}"
             )
         if self.granularity not in GRANULARITY_MODES:
-            raise ValueError(
+            raise ConfigError(
                 f"granularity must be one of {', '.join(GRANULARITY_MODES)}; "
                 f"got {self.granularity!r}"
             )
         if not isinstance(self.max_batch, int) or self.max_batch < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"max_batch must be a positive int; got {self.max_batch!r}"
             )
         if self.max_delay < 0:
-            raise ValueError(
+            raise ConfigError(
                 f"max_delay must be >= 0; got {self.max_delay!r}"
             )
         if not isinstance(self.max_retries, int) or self.max_retries < 0:
-            raise ValueError(
+            raise ConfigError(
                 f"max_retries must be a non-negative int; "
                 f"got {self.max_retries!r}"
             )

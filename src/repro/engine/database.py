@@ -91,8 +91,9 @@ class Database:
         A declaration is a hint: it records which column a workload
         distributes on, and takes effect when a session configured with
         ``ExecutionConfig(partitions=P)`` calls
-        :meth:`apply_partitioning`. Serial sessions ignore hints
-        entirely, so declaring keys never changes behavior on its own.
+        :meth:`apply_partitioning`. Flat sessions (``partitions=1``)
+        ignore hints entirely, so declaring keys never changes behavior
+        on its own.
         """
         definition = self.schema.table(table)
         names = definition.column_names
@@ -108,17 +109,6 @@ class Database:
     def partition_hints(self) -> dict[str, int]:
         """Declared partition keys (table name -> column index)."""
         return dict(self._partition_hints)
-
-    def adopt_table(self, name: str, data: TableData) -> None:
-        """Replace *name*'s extension with *data* wholesale.
-
-        The parallel scheduler grafts a fork's copy-on-write table —
-        base state plus the fork's own writes — back into the base
-        database in O(1) instead of replaying row-by-row. Only sound
-        when *data* descends from this database's current extension of
-        *name* and no other live state still mutates it.
-        """
-        self._tables[name.lower()] = data
 
     def apply_partitioning(self, count: int) -> None:
         """Shard every table with a declared key into *count* shards.

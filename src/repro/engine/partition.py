@@ -15,12 +15,12 @@ declared partition column. Two properties matter:
 
 The worker pool is a process-wide ``ThreadPoolExecutor`` shared by the
 per-shard fan-out paths (:mod:`repro.engine.plan`,
-:mod:`repro.engine.dml`) and the inter-rule batch scheduler
-(:mod:`repro.runtime.parallel`). The compiled predicate closures those
-workers run are pure loops over tuples, so the pool degrades gracefully
-to interleaving on a single core while preserving the deterministic
-tid-order merges that keep fan-out results byte-identical to a serial
-scan.
+:mod:`repro.engine.dml`). Both fan out only predicates with no
+subquery, so a pool task never fans out again. The compiled predicate
+closures those workers run are pure loops over tuples, so the pool
+degrades gracefully to interleaving on a single core while preserving
+the deterministic tid-order merges that keep fan-out results
+byte-identical to a serial scan.
 """
 
 from __future__ import annotations
@@ -85,11 +85,6 @@ def map_shards(tasks):
     """
     tasks = list(tasks)
     if len(tasks) <= 1:
-        return [task() for task in tasks]
-    if threading.current_thread().name.startswith("repro-shard"):
-        # Already on a pool worker (a scheduler batch fanning out a
-        # shard scan): run inline rather than submitting nested work
-        # that could starve behind the very tasks waiting on it.
         return [task() for task in tasks]
     pool = worker_pool()
     return [future.result() for future in [pool.submit(task) for task in tasks]]

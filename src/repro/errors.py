@@ -85,6 +85,14 @@ class ConflictError(ReproError):
         self.items = items
 
 
+class ConfigError(ReproError, ValueError):
+    """Raised for an out-of-range execution or server option.
+
+    Also a :class:`ValueError`, the builtin callers already catch for a
+    bad argument value.
+    """
+
+
 class RuleError(ReproError):
     """Raised for invalid rule definitions or rule-set construction."""
 

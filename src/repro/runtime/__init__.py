@@ -16,7 +16,6 @@
 """
 
 from repro.runtime.observer import ObservableAction
-from repro.runtime.parallel import ParallelScheduler, SchedulerStats
 from repro.runtime.processor import ConsiderationOutcome, ProcessingResult, RuleProcessor
 from repro.runtime.server import (
     CommitReceipt,
@@ -35,8 +34,6 @@ from repro.runtime.exec_graph import ExecutionGraph, explore
 
 __all__ = [
     "ObservableAction",
-    "ParallelScheduler",
-    "SchedulerStats",
     "CommitReceipt",
     "RuleServer",
     "ServerStats",

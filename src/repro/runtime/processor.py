@@ -191,11 +191,6 @@ class RuleProcessor:
         #: every fork and restore carries the shard layout
         if self.config.partitions > 1:
             database.apply_partitioning(self.config.partitions)
-        #: the cached ParallelScheduler (scheduler="parallel" only);
-        #: built lazily on the first run() so its memoized pair
-        #: verdicts and static partition map persist across assertion
-        #: points
-        self._parallel = None
 
         self._transaction_snapshot = database.snapshot()
         self._rolled_back = False
@@ -572,20 +567,7 @@ class RuleProcessor:
         transaction. (During processing this advance is invisible — no
         rule is triggered at quiescence — but it changes what composes
         into the next assertion point's transitions.)
-
-        With ``config.scheduler == "parallel"`` the loop is delegated
-        to the partition-batching scheduler
-        (:class:`~repro.runtime.parallel.ParallelScheduler`), which is
-        required to reach a byte-identical final state.
         """
-        if self.config.scheduler == "parallel":
-            if self._parallel is None:
-                # Imported lazily: the scheduler imports the analysis
-                # stack, which imports this module.
-                from repro.runtime.parallel import ParallelScheduler
-
-                self._parallel = ParallelScheduler(self)
-            return self._parallel.run()
         steps: list[ConsiderationOutcome] = []
         observables_before = len(self.observables)
         while True:
@@ -696,12 +678,9 @@ class RuleProcessor:
         clone._transaction_snapshot = self._transaction_snapshot
         clone._rolled_back = self._rolled_back
         # Forks are exploratory: they never write to the durable log
-        # (DeltaLog.fork() likewise drops the WAL sink). They also run
-        # their considerations serially — batch scheduling happens only
-        # at the top-level processor.
+        # (DeltaLog.fork() likewise drops the WAL sink).
         clone.wal = None
         clone._txn_id = self._txn_id
-        clone._parallel = None
         if self.incremental:
             clone.database = self.database.copy()
             clone.log = self.log.fork()

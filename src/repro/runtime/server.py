@@ -13,7 +13,7 @@ The design composes three existing substrate pieces:
   an O(tables) copy-on-write fork; a session opens one under the server
   mutex and runs its statements plus its rule cascade to fixpoint on it
   with a completely ordinary :class:`~repro.runtime.processor.RuleProcessor`
-  (any :class:`~repro.config.ExecutionConfig` matching/scheduler mode);
+  (any :class:`~repro.config.ExecutionConfig` matching or partitions);
 * **epochs from the delta log** — the server appends every *published*
   primitive to one :class:`~repro.transitions.delta.DeltaLog`; a
   session's snapshot epoch is simply the log position at fork time, and
@@ -641,12 +641,12 @@ class RuleServer:
         """Apply the winner's net effect to the authoritative store.
 
         Insert tids are reallocated from the server counter (fork-side
-        tids may collide across sibling sessions — same move as
-        ``ParallelScheduler._replay``); updates merge only the columns
-        the session actually changed onto the *current* row, preserving
-        concurrent committed writes to disjoint columns. Every applied
-        primitive is appended to the server log (advancing the touch
-        epochs) and returned for the WAL. Called under the mutex.
+        tids may collide across sibling sessions); updates merge only
+        the columns the session actually changed onto the *current* row,
+        preserving concurrent committed writes to disjoint columns.
+        Every applied primitive is appended to the server log (advancing
+        the touch epochs) and returned for the WAL. Called under the
+        mutex.
         """
         database = self._database
         published: list[Primitive] = []

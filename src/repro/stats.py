@@ -56,7 +56,7 @@ class StatsBase:
     def snapshot(self) -> dict:
         """A point-in-time copy of the counters.
 
-        Module-level singletons (``rete.STATS``, ``parallel.STATS``)
+        Module-level singletons (``plan.STATS``, ``rete.STATS``)
         accumulate across every session in the process; a driver that
         runs several sessions back to back and reports the raw counters
         attributes all prior work to the last run — or, worse, resets

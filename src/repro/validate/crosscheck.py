@@ -6,9 +6,8 @@ operational machinery. This module checks that every way the repository
 can *run* the program lands where the meaning says it should:
 
 * **execution modes** — the cross product of condition matching
-  (``naive``/``planned``/``rete``), rule scheduling
-  (``serial``/``parallel``), and persistence (``memory``/``durable``/
-  ``server``), eighteen configurations in all;
+  (``naive``/``planned``/``rete``) and persistence (``memory``/
+  ``durable``/``server``), nine configurations in all;
 * **the differential contract** — when the program's unique-final
   guarantee is certified (statically, or by a workload that is
   confluent by construction), the declarative outcome must **equal**
@@ -17,9 +16,9 @@ can *run* the program lands where the meaning says it should:
   reachable execution order by construction), checked whenever
   exploration is feasible;
 * **mode agreement** — all operational modes implement one
-  deterministic semantics (same default strategy, partition-batched
-  parallel merge, match-mode equivalence), so their finals must agree
-  pairwise regardless of certification;
+  deterministic semantics (same default strategy, match-mode
+  equivalence), so their finals must agree pairwise regardless of
+  certification;
 * **durability** — the database recovered from a durable mode's WAL
   must equal that mode's live final.
 
@@ -27,13 +26,12 @@ On divergence the report carries a **minimized counterexample**: the
 user transition greedily shrunk (delta-debugging style) to the smallest
 statement subset that still diverges, plus both firing sequences.
 
-Every mode result also carries the per-run deltas of the global
-:data:`repro.engine.rete.STATS` and
-:data:`repro.runtime.parallel.STATS` singletons (via
+Every mode result also carries the per-run delta of the global
+:data:`repro.engine.rete.STATS` singleton (via
 :meth:`~repro.stats.StatsBase.delta_since`), so a driver sweeping many
 modes reports each mode's own counters instead of an accumulated blur —
-and a rete or parallel leg whose counters are all zero is detectable as
-a mis-wired config rather than a quiet success.
+and a rete leg whose counters are all zero is detectable as a
+mis-wired config rather than a quiet success.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ from repro.engine import rete as rete_module
 from repro.engine.database import Database
 from repro.errors import RuleProcessingLimitExceeded
 from repro.lang.parser import parse_statement
-from repro.runtime import parallel as parallel_module
 from repro.runtime.exec_graph import explore
 from repro.runtime.processor import RuleProcessor
 from repro.rules.ruleset import RuleSet
@@ -73,22 +70,20 @@ __all__ = [
     "parse_modes",
 ]
 
-#: every execution mode: matching × scheduler × persistence
-ALL_MODES: dict[str, tuple[str, str, str]] = {
-    f"{matching}-{scheduler}-{persistence}": (matching, scheduler, persistence)
+#: every execution mode: matching × persistence
+ALL_MODES: dict[str, tuple[str, str]] = {
+    f"{matching}-{persistence}": (matching, persistence)
     for matching in ("naive", "planned", "rete")
-    for scheduler in ("serial", "parallel")
     for persistence in ("memory", "durable", "server")
 }
 
 #: one representative per axis — the CI-smoke subset
 QUICK_MODES: tuple[str, ...] = (
-    "planned-serial-memory",
-    "naive-serial-memory",
-    "rete-serial-memory",
-    "planned-parallel-memory",
-    "planned-serial-durable",
-    "planned-serial-server",
+    "planned-memory",
+    "naive-memory",
+    "rete-memory",
+    "planned-durable",
+    "planned-server",
 )
 
 
@@ -122,7 +117,7 @@ class ModeResult:
     status: str  # "quiescent" | "rolled_back" | "exhausted"
     final: tuple | None
     seconds: float
-    #: per-run counter deltas: "processor"/"rete"/"scheduler" (+"server")
+    #: per-run counter deltas: "processor"/"rete" (+"server")
     stats: dict = field(default_factory=dict)
     #: durable modes: does Database.recover(wal) equal the live final?
     recovered_matches: bool | None = None
@@ -207,11 +202,10 @@ def _run_mode(
     case: CrosscheckCase, mode: str, wal_dir: str
 ) -> ModeResult:
     """Run one execution mode on a fresh copy of the case's database."""
-    matching, scheduler, persistence = ALL_MODES[mode]
+    matching, persistence = ALL_MODES[mode]
     database = case.database.copy()
-    config = ExecutionConfig(matching=matching, scheduler=scheduler)
+    config = ExecutionConfig(matching=matching)
     before_rete = rete_module.STATS.snapshot()
-    before_sched = parallel_module.STATS.snapshot()
     started = time.perf_counter()
 
     status = "quiescent"
@@ -257,7 +251,6 @@ def _run_mode(
 
     seconds = time.perf_counter() - started
     stats["rete"] = rete_module.STATS.delta_since(before_rete)
-    stats["scheduler"] = parallel_module.STATS.delta_since(before_sched)
     return ModeResult(
         mode=mode,
         status=status,
@@ -504,7 +497,7 @@ def _minimize(
     """
     mode = divergence.get("mode")
     if mode not in ALL_MODES:
-        mode = next(iter(modes), "planned-serial-memory")
+        mode = next(iter(modes), "planned-memory")
     statements = list(case.statements)
     if not _diverges(case, statements, mode):
         # Not reproducible through the equality check (e.g. an

@@ -12,8 +12,8 @@
 * :mod:`repro.workloads.queries` — seeded query workloads for the
   query-engine benchmark gate (join-heavy and selective-filter shapes);
 * :mod:`repro.workloads.partitioned` — the hash-partitionable
-  multi-domain drain workload feeding the partition-parallel gate and
-  the parallel-vs-serial equivalence harness;
+  multi-domain drain workload feeding the partition gate and the
+  flat-vs-sharded equivalence harness;
 * :mod:`repro.workloads.streaming` — the streaming-ingestion workload
   (many event streams, per-region alert rules, one shared hot counter)
   and the multi-threaded driver behind the concurrent-server gate;

@@ -21,14 +21,13 @@ One rule per (domain, region) pair::
 
 Every action's hot scan carries a ``region = {r}`` equality conjunct on
 the declared partition key, so a partition-aware executor prunes the
-10⁵-row scans to one shard; and the four domains share no tables and no
-priorities, so they fall into four static partitions the parallel
-scheduler batches across. Rules *within* a domain overlap on write
-tables and therefore serialize — the workload exercises both admission
-paths. Termination is by monotonic decrease of ``sum(pending)``; the
-drain depths and the hot-row population are seeded, so the workload is
-reproducible (the equivalence harness derives seeds via
-``tests/seeding.py``).
+10⁵-row scans to one shard. The four domains share no tables and no
+priorities, so they fall into four static partitions
+(:func:`~repro.analysis.partitioning.partition_rules`); rules *within*
+a domain overlap on write tables. Termination is by monotonic decrease
+of ``sum(pending)``; the drain depths and the hot-row population are
+seeded, so the workload is reproducible (the equivalence harness
+derives seeds via ``tests/seeding.py``).
 """
 
 from __future__ import annotations

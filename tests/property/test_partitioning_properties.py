@@ -5,9 +5,9 @@
 properties check it against an independently written reference
 (breadth-first search over an explicit adjacency built from the public
 ``DerivedDefinitions`` API), plus the structural invariants the
-analyses and the parallel scheduler rely on: the result is a disjoint
-cover, cross-partition rules share no tables and no ordering, and
-merging any two partitions would be unnecessary. The two extremes —
+incremental analyzer's per-partition cache relies on: the result is a
+disjoint cover, cross-partition rules share no tables and no ordering,
+and merging any two partitions would be unnecessary. The two extremes —
 all-disjoint rule sets splitting into singletons and a common-table
 rule set collapsing into one partition — are pinned directly.
 """

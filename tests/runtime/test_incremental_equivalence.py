@@ -11,7 +11,7 @@ TR and ``Choose(TR)`` at every step, the rules considered, the
 observable stream, the final canonical database, and the full
 ``state_key()`` sequence — including across rollback and
 ``begin_transaction`` boundaries, rule deactivation and priority edits
-in mid-session, ``trace_run`` and the parallel scheduler. This
+in mid-session, ``trace_run`` and sharded tables. This
 randomized harness drives seeded sessions both ways over generated
 workloads (the same generation the validation oracle's sampling uses)
 and asserts exact agreement.
@@ -22,10 +22,10 @@ from __future__ import annotations
 import pytest
 
 from repro.config import ExecutionConfig
+from repro.engine import plan
 from repro.engine.database import Database
 from repro.errors import RuleProcessingLimitExceeded
 from repro.runtime.exec_graph import explore
-from repro.runtime import parallel
 from repro.runtime.processor import RuleProcessor
 from repro.runtime.strategies import RandomStrategy
 from repro.runtime.trace import trace_run
@@ -457,19 +457,12 @@ class TestTraceRunEquivalence:
 
 
 class TestParallelSchedulerEquivalence:
-    @pytest.fixture(autouse=True)
-    def fresh_scheduler_stats(self):
-        parallel.STATS.reset()
-        yield
-        parallel.STATS.reset()
-
     @pytest.mark.parametrize("seed", range(4))
     def test_parallel_sessions_agree(self, seed):
-        """The parallel scheduler moves the markers of a whole batch
-        while it merges; both substrates must still consider the same
-        rules and reach the same state at every assertion point. The
-        drain workload's four domains batch across static
-        partitions."""
+        """On sharded tables the drain's scans prune to one shard; both
+        substrates must still consider the same rules and reach the
+        same state at every assertion point."""
+        before = plan.STATS.snapshot()
         site = derive_seed("incremental-parallel", seed)
         workload = partitioned_workload(
             rows=400, regions=3, seed=site, hot_rows_per_region=3
@@ -482,7 +475,7 @@ class TestParallelSchedulerEquivalence:
                 strategy=RandomStrategy(site),
                 max_steps=500,
                 config=ExecutionConfig(
-                    incremental=incremental, scheduler="parallel", partitions=2
+                    incremental=incremental, partitions=2
                 ),
             )
             record = []
@@ -503,4 +496,4 @@ class TestParallelSchedulerEquivalence:
             records.append(record)
         assert records[0] == records[1]
         assert records[0][0][0] == "quiescent"
-        assert parallel.STATS.batches > 0
+        assert plan.STATS.delta_since(before)["shard_probes"] > 0

@@ -81,6 +81,23 @@ class TestExitCodes:
         assert "unexpected character '²' (line 2, column 45)" in err
         assert "Traceback" not in err
 
+    def test_zero_partitions_exits_two_without_traceback(self, files, capsys):
+        code = main(
+            [
+                files("r.txt", CLEAN_RULES),
+                "--schema",
+                files("s.txt", SCHEMA),
+                "--run",
+                "insert into t values (1, 1)",
+                "--partitions",
+                "0",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: partitions must be a positive int; got 0" in err
+        assert "Traceback" not in err
+
 
 class TestOptions:
     def test_verbose_shows_violations_and_suggestions(self, files, capsys):
@@ -252,6 +269,17 @@ class TestRunMode:
         schema = load_schema(files("s.txt", SCHEMA))
         database = load_data(files("d.txt", DATA), schema)
         assert database.table("u").value_tuples() == [(1, 3), (2, 0)]
+
+    def test_load_data_keeps_a_hash_inside_quotes(self, files):
+        from repro.cli import load_data, load_schema
+
+        schema = load_schema(files("s.txt", "t: id, v:string\n"))
+        data = "t: (1, 'a#b')  # note\nt: (2, 'it''s #2')\n"
+        database = load_data(files("d.txt", data), schema)
+        assert database.table("t").value_tuples() == [
+            (1, "a#b"),
+            (2, "it's #2"),
+        ]
 
     def test_run_prints_trace_and_final_state(self, files, capsys):
         code = main(
@@ -710,3 +738,10 @@ class TestServeMode:
         )
         assert code == 2
         assert "--transaction" in capsys.readouterr().err
+
+    def test_zero_max_batch_exits_two_without_traceback(self, capsys):
+        code = repro_main(["serve", "--max-batch", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: max_batch must be a positive int; got 0" in err
+        assert "Traceback" not in err

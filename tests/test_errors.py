@@ -18,6 +18,10 @@ class TestHierarchy:
         assert issubclass(errors.TokenizeError, errors.LanguageError)
         assert issubclass(errors.ParseError, errors.LanguageError)
 
+    def test_config_error_is_a_value_error(self):
+        assert issubclass(errors.ConfigError, errors.ReproError)
+        assert issubclass(errors.ConfigError, ValueError)
+
     def test_type_check_error_is_schema_error(self):
         assert issubclass(errors.TypeCheckError, errors.SchemaError)
 

@@ -108,7 +108,6 @@ class TestConfigIsTheOnlySpelling:
             "planner",
             "incremental",
             "wal",
-            "scheduler",
             "partitions",
         ]
 
@@ -123,6 +122,7 @@ class TestConfigIsTheOnlySpelling:
             lambda: execute_select(provider, select, planner=False),
             lambda: execute_statement(database, select, planner=False),
             lambda: ExecutionConfig(durable=True),
+            lambda: ExecutionConfig(**{"scheduler": "parallel"}),
         ]
         for call in calls:
             with pytest.raises(TypeError):

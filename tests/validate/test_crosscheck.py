@@ -7,7 +7,6 @@ import pytest
 from repro.engine import rete as rete_module
 from repro.engine.database import Database
 from repro.rules.ruleset import RuleSet
-from repro.runtime import parallel as parallel_module
 from repro.schema.catalog import schema_from_spec
 from repro.stats import stats_delta
 from repro.validate.crosscheck import (
@@ -30,21 +29,19 @@ from tests.semantics.test_declarative import (
 
 class TestModeSpecs:
     def test_all_modes_is_the_full_product(self):
-        assert len(ALL_MODES) == 18
+        assert len(ALL_MODES) == 9
         assert parse_modes("all") == tuple(ALL_MODES)
         assert parse_modes(None) == tuple(ALL_MODES)
 
     def test_quick_modes_cover_every_axis(self):
         matchings = {ALL_MODES[m][0] for m in QUICK_MODES}
-        schedulers = {ALL_MODES[m][1] for m in QUICK_MODES}
-        persistences = {ALL_MODES[m][2] for m in QUICK_MODES}
+        persistences = {ALL_MODES[m][1] for m in QUICK_MODES}
         assert matchings == {"naive", "planned", "rete"}
-        assert schedulers == {"serial", "parallel"}
         assert persistences == {"memory", "durable", "server"}
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            parse_modes("planned-serial-floppy")
+            parse_modes("planned-floppy")
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValueError):
@@ -68,19 +65,19 @@ class TestContract:
 
     def test_durable_modes_verify_recovery(self):
         report = crosscheck_case(
-            build_case("powernet"), ("planned-serial-durable",)
+            build_case("powernet"), ("planned-durable",)
         )
         assert report.passed
         assert report.modes[0].recovered_matches is True
 
     def test_report_round_trips_to_dict(self):
         report = crosscheck_case(
-            build_case("powernet"), ("planned-serial-memory",)
+            build_case("powernet"), ("planned-memory",)
         )
         payload = report.to_dict()
         assert payload["passed"] is True
         assert payload["contract"] == "containment"
-        assert payload["modes"][0]["mode"] == "planned-serial-memory"
+        assert payload["modes"][0]["mode"] == "planned-memory"
 
     def test_adhoc_entry_point(self):
         case = build_case("powernet")
@@ -89,7 +86,7 @@ class TestContract:
             case.database,
             case.statements,
             name="adhoc-powernet",
-            modes=("planned-serial-memory",),
+            modes=("planned-memory",),
         )
         assert report.case == "adhoc-powernet"
         assert report.passed
@@ -109,7 +106,7 @@ class TestDivergenceAndMinimization:
             ORDER_SENSITIVE_STATEMENTS,
             name="order-sensitive",
             certified_confluent=True,
-            modes=("planned-serial-memory",),
+            modes=("planned-memory",),
         )
         assert not report.passed
         kinds = {d["kind"] for d in report.divergences}
@@ -131,7 +128,7 @@ class TestDivergenceAndMinimization:
             padded,
             name="order-sensitive-padded",
             certified_confluent=True,
-            modes=("planned-serial-memory",),
+            modes=("planned-memory",),
         )
         assert not report.passed
         assert report.counterexample["minimized"] is True
@@ -147,7 +144,7 @@ class TestDivergenceAndMinimization:
             ORDER_SENSITIVE_STATEMENTS,
             name="order-sensitive-honest",
             certified_confluent=False,
-            modes=("planned-serial-memory",),
+            modes=("planned-memory",),
             explore=True,
         )
         assert report.passed
@@ -157,13 +154,13 @@ class TestDivergenceAndMinimization:
 
 class TestStatsSurface:
     """Counters must attribute to the mode that produced them — a rete
-    or parallel leg reporting all-zero stats means the driver wired the
-    config wrong, which is exactly what these tests failed on before
-    the snapshot/delta API existed."""
+    leg reporting all-zero stats means the driver wired the config
+    wrong, which is exactly what these tests failed on before the
+    snapshot/delta API existed."""
 
     def test_rete_mode_reports_nonzero_rete_counters(self):
         report = crosscheck_case(
-            build_case("termination_zoo"), ("rete-serial-memory",)
+            build_case("termination_zoo"), ("rete-memory",)
         )
         assert report.passed
         rete_stats = report.modes[0].stats["rete"]
@@ -174,35 +171,19 @@ class TestStatsSurface:
             for value in rete_stats.values()
         ), f"rete mode ran but its counters are all zero: {rete_stats}"
 
-    def test_parallel_mode_reports_nonzero_scheduler_counters(self):
-        report = crosscheck_case(
-            build_case("partitioned", rows=2_000), ("planned-parallel-memory",)
-        )
-        assert report.passed
-        scheduler = report.modes[0].stats["scheduler"]
-        assert scheduler["rounds"] > 0, (
-            f"parallel mode ran but SchedulerStats is zero: {scheduler}"
-        )
-
-    def test_serial_planned_mode_attributes_nothing_to_rete_or_parallel(self):
-        """Deltas isolate each run from the global singletons' history:
-        pollute both singletons first, then check a serial planned run
-        reports zero for both."""
+    def test_serial_planned_mode_attributes_nothing_to_rete(self):
+        """Deltas isolate each run from the global singleton's history:
+        pollute the rete singleton first, then check a planned run
+        reports zero for it."""
         polluted = crosscheck_case(
-            build_case("termination_zoo"),
-            ("rete-serial-memory", "planned-parallel-memory"),
+            build_case("termination_zoo"), ("rete-memory",)
         )
         assert polluted.passed
         report = crosscheck_case(
-            build_case("termination_zoo"), ("planned-serial-memory",)
+            build_case("termination_zoo"), ("planned-memory",)
         )
         assert report.passed
         stats = report.modes[0].stats
-        assert not any(
-            value
-            for value in stats["scheduler"].values()
-            if not isinstance(value, dict)
-        ), stats["scheduler"]
         flat_rete = {
             name: value
             for name, value in stats["rete"].items()
@@ -212,14 +193,14 @@ class TestStatsSurface:
 
     def test_processor_stats_present_per_mode(self):
         report = crosscheck_case(
-            build_case("powernet"), ("planned-serial-memory",)
+            build_case("powernet"), ("planned-memory",)
         )
         processor = report.modes[0].stats["processor"]
         assert processor["considerations"] > 0
 
     def test_server_mode_reports_server_stats(self):
         report = crosscheck_case(
-            build_case("powernet"), ("planned-serial-server",)
+            build_case("powernet"), ("planned-server",)
         )
         server = report.modes[0].stats["server"]
         assert server["sessions"] >= 1
@@ -247,13 +228,6 @@ class TestStatsDelta:
         delta = stats_delta(before, after)
         assert delta == {"a": 3, "nested": {"k": 2}}
 
-    def test_scheduler_snapshot_round_trip(self):
-        before = parallel_module.STATS.snapshot()
-        delta = parallel_module.STATS.delta_since(before)
-        assert not any(
-            value for value in delta.values() if not isinstance(value, dict)
-        )
-
 
 class TestCaseRegistry:
     def test_small_iot_case_passes_quick_modes(self):
@@ -272,7 +246,7 @@ class TestCaseRegistry:
     @pytest.mark.simulation
     def test_million_row_domain_workloads_every_mode(self):
         """The acceptance sweep: both 10⁶-row domain workloads through
-        all eighteen execution modes."""
+        all nine execution modes."""
         for name in ("iot", "fraud"):
             report = crosscheck_case(build_case(name), tuple(ALL_MODES))
             assert report.passed, (name, report.divergences)

@@ -67,15 +67,10 @@ class TestTermination:
         workload = partitioned_workload(
             rows=400, regions=2, hot_rows_per_region=5
         )
-        config = (
-            ExecutionConfig(scheduler="parallel", partitions=partitions)
-            if partitions > 1
-            else ExecutionConfig()
-        )
         processor = RuleProcessor(
             workload.ruleset,
             workload.database.copy(),
-            config=config,
+            config=ExecutionConfig(partitions=partitions),
             max_steps=500,
         )
         for statement in workload.drain_transition():
