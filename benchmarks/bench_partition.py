@@ -2,8 +2,8 @@
 
 ``ExecutionConfig(partitions=P)`` exists to make rule processing scale
 with shards instead of tables: a scan carrying an equality conjunct on
-a table's declared partition key prunes to one shard, and large scans
-fan out per shard on the worker pool. Rules are considered one at a
+a table's declared partition key prunes to one shard. Every other scan
+reads the flat table in tid order, and rules are considered one at a
 time either way. This gate pins both properties:
 
 * **speedup** — on the 10⁵-row multi-domain drain workload

@@ -180,8 +180,7 @@ class CommutativityAnalyzer:
         are *not* applied here — this reports the raw syntactic analysis.
 
         The memoized tuple is always oriented to the sorted pair, so the
-        result is independent of which direction asked first (and of the
-        serial/parallel judging path).
+        result is independent of which direction asked first.
         """
         first = first.lower()
         second = second.lower()
@@ -203,8 +202,10 @@ class CommutativityAnalyzer:
         self, first: str, second: str
     ) -> tuple[NoncommutativityReason, ...]:
         """The raw Lemma 6.1 judgment, bypassing (and not touching) the
-        memo — safe to call from parallel workers; everything it reads
-        (definitions, rule ASTs, schema) is immutable."""
+        memo. :meth:`noncommutativity_reasons` memoizes it, and the
+        precision tiers of
+        :meth:`~repro.analysis.engine.AnalysisEngine.pair_pruning_counts`
+        call it directly."""
         first = first.lower()
         second = second.lower()
         return tuple(
@@ -220,23 +221,6 @@ class CommutativityAnalyzer:
         ):
             return self._base_cache
         return self._cache
-
-    def is_cached(self, first: str, second: str) -> bool:
-        key = frozenset({first.lower(), second.lower()})
-        return key in self._store(key)
-
-    def store_reasons(
-        self,
-        first: str,
-        second: str,
-        reasons: tuple[NoncommutativityReason, ...],
-    ) -> None:
-        """Install a judgment computed out-of-band (e.g. by a parallel
-        worker) into the memo, counting it as one judgment."""
-        key = frozenset({first.lower(), second.lower()})
-        self._store(key)[key] = reasons
-        if self._stats is not None:
-            self._stats.lemma_judgments += 1
 
     def invalidate_rules(self, names) -> int:
         """Drop every memoized judgment touching *names* (rule edits)

@@ -44,13 +44,9 @@ pairs from scratch on every round is the dominant cost.
     memos of pairs involving it. Adding or removing rules clears the
     pair memo wholesale (any rule may join a fixpoint).
 
-* **Parallel fan-out** — on rule sets above ``parallel_threshold`` the
-  engine pre-judges the O(n²) raw Lemma 6.1 pairs in chunked batches on
-  a thread pool. Workers call the pure
-  :meth:`~repro.analysis.commutativity.CommutativityAnalyzer.compute_reasons`
-  (reads only immutable definitions/ASTs); results are installed into
-  the memo from the coordinating thread in sorted order, so the
-  parallel path is byte-identical to the serial one.
+* **Lazy judging** — a raw Lemma 6.1 pair is judged the first time an
+  analysis asks for it, on the calling thread, and served from the
+  memo after that; no pass judges pairs ahead of need.
 
 The engine also keeps :class:`EngineStats` — pairs judged, memo hits,
 invalidations, fixpoint iterations, per-phase wall-clock — surfaced
@@ -59,16 +55,11 @@ through ``AnalysisReport.stats`` and ``starburst-analyze --stats``.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.analysis.commutativity import (
-    CommutativityAnalyzer,
-    NoncommutativityReason,
-)
+from repro.analysis.commutativity import CommutativityAnalyzer
 from repro.analysis.confluence import (
     ConfluenceAnalysis,
     PairJudgment,
@@ -113,7 +104,6 @@ class EngineStats:
     lemma_memo_hits: int = 0
     invalidations: int = 0
     fixpoint_iterations: int = 0
-    parallel_batches: int = 0
     confluence_passes: int = 0
     timings: dict[str, float] = field(default_factory=dict)
 
@@ -190,9 +180,6 @@ class AnalysisEngine:
         refine: bool = False,
         granularity: str = "column",
         column_dataflow: bool = False,
-        parallel: bool | None = None,
-        parallel_threshold: int = 48,
-        max_workers: int | None = None,
         memoize: bool = True,
         stats: EngineStats | None = None,
         reason_stores: dict[str, dict] | None = None,
@@ -201,9 +188,6 @@ class AnalysisEngine:
         self.refine = refine
         self.granularity = granularity
         self.column_dataflow = column_dataflow
-        self.parallel = parallel
-        self.parallel_threshold = parallel_threshold
-        self.max_workers = max_workers or min(8, (os.cpu_count() or 2))
         self.memoize = memoize
         self.stats = stats if stats is not None else EngineStats()
         #: raw Lemma 6.1 memo dicts per view (the Obs one holds only
@@ -500,9 +484,6 @@ class AnalysisEngine:
             refine=self.refine,
             granularity=self.granularity,
             column_dataflow=self.column_dataflow,
-            parallel=self.parallel,
-            parallel_threshold=self.parallel_threshold,
-            max_workers=self.max_workers,
             memoize=self.memoize,
             stats=self.stats,
             reason_stores=self._reason_stores,
@@ -545,9 +526,6 @@ class AnalysisEngine:
         priorities = self.ruleset.priorities
         shared = self._shared_pair_memo(v)
         extended = v.definitions.extended_rules
-
-        if self._should_parallelize(len(names)):
-            self._warm_reasons_parallel(v, names)
 
         violations = []
         pairs_examined = 0
@@ -715,57 +693,3 @@ class AnalysisEngine:
         self._pruning_counts = counts
         self.stats.add_time("pair_pruning", time.perf_counter() - start)
         return dict(counts)
-
-    # ------------------------------------------------------------------
-    # Parallel fan-out
-    # ------------------------------------------------------------------
-
-    def _should_parallelize(self, n_rules: int) -> bool:
-        if self.parallel is False:
-            return False
-        if self.parallel is True:
-            return n_rules >= 2
-        return n_rules >= self.parallel_threshold
-
-    def _warm_reasons_parallel(self, view: _View, names: list[str]) -> None:
-        """Pre-judge every raw Lemma 6.1 pair over *names* in chunked
-        batches on a thread pool, then install results deterministically.
-        Pairs already in the memo they route to are skipped: after a
-        base pass, the Obs view judges only pairs with an observable
-        member.
-
-        Workers only call the pure ``compute_reasons`` (no shared-state
-        writes); the coordinating thread stores results in sorted pair
-        order, so the memo contents — and everything derived from them —
-        are byte-identical to the serial path.
-        """
-        pending = [
-            (first, second)
-            for i, first in enumerate(names)
-            for second in names[i + 1 :]
-            if not view.commutativity.is_cached(first, second)
-        ]
-        if len(pending) < 2:
-            return
-        chunk_size = max(1, len(pending) // (self.max_workers * 4))
-        chunks = [
-            pending[i : i + chunk_size]
-            for i in range(0, len(pending), chunk_size)
-        ]
-
-        def judge_chunk(
-            chunk: list[tuple[str, str]],
-        ) -> list[tuple[str, str, tuple[NoncommutativityReason, ...]]]:
-            return [
-                (first, second, view.commutativity.compute_reasons(first, second))
-                for first, second in chunk
-            ]
-
-        start = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            results = list(pool.map(judge_chunk, chunks))
-        for chunk_result in results:
-            for first, second, reasons in chunk_result:
-                view.commutativity.store_reasons(first, second, reasons)
-        self.stats.parallel_batches += len(chunks)
-        self.stats.add_time("parallel_warm", time.perf_counter() - start)

@@ -38,7 +38,7 @@ from repro.config import ExecutionConfig
 from repro.engine import plan
 from repro.engine import rete
 from repro.engine.database import Database
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.lang.parser import Parser
 from repro.rules.ruleset import RuleSet
 from repro.runtime.exec_graph import explore
@@ -920,7 +920,7 @@ def build_repro_parser() -> argparse.ArgumentParser:
         "--modes",
         default="all",
         metavar="SPEC",
-        help="'all' (9 modes), 'quick' (one per axis), or a comma "
+        help="'all' (10 modes), 'quick' (one per axis), or a comma "
         "list like planned-memory,rete-durable",
     )
     crosscheck.add_argument(
@@ -1103,6 +1103,13 @@ def _run_recover(args) -> int:
     return 0
 
 
+def _require_positive(**counts) -> None:
+    """Raise :class:`ConfigError` for a count flag set below 1."""
+    for name, value in counts.items():
+        if value is not None and value < 1:
+            raise ConfigError(f"{name} must be a positive int; got {value!r}")
+
+
 def _serve_drive_transactions(server, transactions, sessions: int):
     """Deal *transactions* (statement tuples) over *sessions* worker
     threads; returns a :class:`~repro.workloads.streaming.DriveReport`."""
@@ -1171,6 +1178,9 @@ def _run_serve(args) -> int:
 
     profile: dict[str, float] = {}
     try:
+        _require_positive(
+            sessions=args.sessions, rows=args.rows, batch_rows=args.batch_rows
+        )
         if args.rules and not args.schema:
             raise ReproError("serving a rules file requires --schema")
         if args.rules and not args.transaction:
@@ -1323,6 +1333,7 @@ def _run_crosscheck(args) -> int:
     )
 
     try:
+        _require_positive(rows=args.rows)
         modes = parse_modes(args.modes)
         names = tuple(args.workload) or _CROSSCHECK_DEFAULT
         for name in names:

@@ -26,7 +26,8 @@ Fields:
   ``WalWriter``; ``None`` (the default) runs in memory only;
 * ``partitions`` — hash-partition declared tables into this many
   shards (:meth:`repro.engine.storage.TableData.shard`), enabling
-  partition pruning and per-shard fan-out of condition/action scans;
+  partition pruning of condition/action scans whose equality conjunct
+  pins the key; every other scan reads the flat table in tid order.
   ``1`` (the default) keeps the flat layout. Rules are still considered
   one at a time, in the same order either way.
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.config import DEFAULT_CONFIG, ExecutionConfig
-from repro.engine import partition as PART
 from repro.engine import plan as P
 from repro.engine.database import Database
 from repro.engine.expressions import Evaluator, RowContext
@@ -211,10 +210,7 @@ def _matching_tids(
 
     With partitioning enabled, a target scan over a sharded table first
     tries partition pruning (see :func:`_pruned_rows`); an unprunable
-    scan of a large sharded table with a subquery-free predicate fans
-    out per shard on the worker pool instead, merging matched tids in
-    ascending order — the same set, in the same order, as the serial
-    scan.
+    scan walks the flat rows in tid order, as on a flat table.
     """
     if where is None:
         return [row.tid for row in database.rows(table)]
@@ -245,32 +241,6 @@ def _matching_tids(
                 ):
                     matched.append(row.tid)
             return matched
-        data = database.table(table)
-        if (
-            predicate is not None
-            and data.shard_count > 0
-            and len(data) >= PART.FAN_OUT_MIN_ROWS
-            and not P._has_subquery(where)
-        ):
-            def scan_shard(shard):
-                def task():
-                    context = RowContext()
-                    matched = []
-                    for row in data.shard_rows(shard):
-                        context.bind(binding, columns, row.values)
-                        if binding != table:
-                            context.bind(table, columns, row.values)
-                        if sql_is_truthy(predicate(context, evaluator)):
-                            matched.append(row.tid)
-                    return matched
-                return task
-
-            chunks = PART.map_shards(
-                scan_shard(shard) for shard in range(data.shard_count)
-            )
-            P.STATS.rows_scanned += len(data)
-            P.STATS.fanout_scans += 1
-            return sorted(tid for chunk in chunks for tid in chunk)
     rows = database.rows(table)
 
     matched = []

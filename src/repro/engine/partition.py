@@ -1,4 +1,4 @@
-"""Hash-partitioning primitives: the shard function and the worker pool.
+"""The hash-partitioning primitive: the shard function.
 
 Sharded storage (:meth:`repro.engine.storage.TableData.shard`) splits a
 table's tid map into P shards keyed by :func:`stable_shard` over a
@@ -13,29 +13,15 @@ declared partition column. Two properties matter:
   layouts, and therefore every pruned-scan row order, are reproducible
   across runs and across the processes of a crash-recovery pair.
 
-The worker pool is a process-wide ``ThreadPoolExecutor`` shared by the
-per-shard fan-out paths (:mod:`repro.engine.plan`,
-:mod:`repro.engine.dml`). Both fan out only predicates with no
-subquery, so a pool task never fans out again. The compiled predicate
-closures those workers run are pure loops over tuples, so the pool
-degrades gracefully to interleaving on a single core while preserving
-the deterministic tid-order merges that keep fan-out results
-byte-identical to a serial scan.
+Every scan of a sharded table runs on the calling thread. A scan that
+pruning cannot narrow walks the flat tid map in tid order, exactly as
+on a flat table, so it returns the same rows in the same order and
+raises the same row's error.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import zlib
-
-from concurrent.futures import ThreadPoolExecutor
-
-#: fan-out below this many rows is all dispatch overhead; scan inline
-FAN_OUT_MIN_ROWS = 256
-
-_POOL: ThreadPoolExecutor | None = None
-_POOL_LOCK = threading.Lock()
 
 
 def stable_shard(value, count: int) -> int:
@@ -61,30 +47,3 @@ def stable_shard(value, count: int) -> int:
     if isinstance(value, str):
         return zlib.crc32(value.encode("utf-8")) % count
     return 0
-
-
-def worker_pool() -> ThreadPoolExecutor:
-    """The process-wide fan-out pool (created lazily, never shut down)."""
-    global _POOL
-    if _POOL is None:
-        with _POOL_LOCK:
-            if _POOL is None:
-                workers = max(2, min(8, os.cpu_count() or 1))
-                _POOL = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="repro-shard"
-                )
-    return _POOL
-
-
-def map_shards(tasks):
-    """Run the zero-argument *tasks* on the pool; results in task order.
-
-    The caller supplies one task per shard and merges the returned
-    per-shard results in shard/tid order, which is what keeps fan-out
-    byte-identical to the equivalent serial scan.
-    """
-    tasks = list(tasks)
-    if len(tasks) <= 1:
-        return [task() for task in tasks]
-    pool = worker_pool()
-    return [future.result() for future in [pool.submit(task) for task in tasks]]

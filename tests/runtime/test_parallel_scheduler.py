@@ -2,7 +2,7 @@
 
 ``ExecutionConfig(partitions=P)`` hash-partitions every table with a
 declared key: a scan carrying an equality conjunct on the key prunes to
-one shard, and large scans fan out per shard on the worker pool. Rules
+one shard, and every other scan reads the flat table in tid order. Rules
 are still considered one at a time by the same loop, so a sharded
 session must match a flat one exactly — outcome, the rules considered
 in order, the observable stream and the final canonical database — on

@@ -745,3 +745,25 @@ class TestServeMode:
         err = capsys.readouterr().err
         assert "error: max_batch must be a positive int; got 0" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--sessions", "--rows", "--batch-rows"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_count_below_one_exits_two_without_traceback(
+        self, flag, value, capsys
+    ):
+        code = repro_main(["serve", flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        name = flag.removeprefix("--").replace("-", "_")
+        assert f"error: {name} must be a positive int; got {value}" in err
+        assert "Traceback" not in err
+
+
+class TestCrosscheckMode:
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_rows_below_one_exits_two_without_traceback(self, value, capsys):
+        code = repro_main(["crosscheck", "partitioned", "--rows", value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: rows must be a positive int; got {value}" in err
+        assert "Traceback" not in err
