@@ -454,6 +454,7 @@ class RuleAnalyzer:
                     certified=tuple(
                         self.engine.termination_analyzer.certified_rules
                     ),
+                    definitions=self.definitions,
                     rules_source=rules_source,
                 ),
             )

@@ -222,26 +222,6 @@ class CommutativityAnalyzer:
             return self._base_cache
         return self._cache
 
-    def invalidate_rules(self, names) -> int:
-        """Drop every memoized judgment touching *names* (rule edits)
-        from the memo each pair is routed to; returns the number of
-        entries dropped."""
-        wanted = {name.lower() for name in names}
-        stores = [self._cache]
-        if self._base_cache is not None:
-            stores.append(self._base_cache)
-        dropped = 0
-        for store in stores:
-            stale = [
-                pair
-                for pair in store
-                if pair & wanted and self._store(pair) is store
-            ]
-            for pair in stale:
-                del store[pair]
-            dropped += len(stale)
-        return dropped
-
     def _directed_reasons(self, ri: str, rj: str):
         defs = self.definitions
         performs_i = defs.performs(ri)
@@ -411,7 +391,7 @@ class CommutativityAnalyzer:
         rj_rule = self.definitions.ruleset.rule(rj)
         columns = self.definitions.ruleset.schema.table(table).column_names
 
-        if not _reads_only_via_closed_wheres(rj_rule, table):
+        if not self._reads_only_via_closed_wheres(rj, table):
             return False
 
         literal_rows: list[tuple] = []
@@ -501,9 +481,9 @@ class CommutativityAnalyzer:
             keys_j = _update_discriminators(rj_rule, table, columns)
             if keys_i is None or keys_j is None:
                 continue
-            if not _reads_only_via_closed_wheres(ri_rule, table):
+            if not self._reads_only_via_closed_wheres(ri, table):
                 continue
-            if not _reads_only_via_closed_wheres(rj_rule, table):
+            if not self._reads_only_via_closed_wheres(rj, table):
                 continue
             # Some shared discriminator column must separate every pair
             # of statements between the two rules.
@@ -514,6 +494,14 @@ class CommutativityAnalyzer:
             ):
                 qualifying.add(table)
         return frozenset(qualifying)
+
+    def _reads_only_via_closed_wheres(self, rule: str, table: str) -> bool:
+        """True when *rule*'s only contact with *table* is the WHERE
+        clause of its own deletes/updates on that table: no SELECT in
+        its condition or action reads it (directly or as a transition
+        table of a rule defined on it), so *table* is not among its
+        ``RowReadTables``."""
+        return table not in self.definitions.dataflow(rule).row_read_tables
 
 
 _NOT_LITERAL = object()
@@ -547,26 +535,6 @@ def _is_closed_predicate(
             if node.table and node.table.lower() not in (table, binding):
                 return False
             if node.column.lower() not in columns:
-                return False
-    return True
-
-
-def _reads_only_via_closed_wheres(rule, table: str) -> bool:
-    """True when *rule*'s only contact with *table* is the WHERE clause
-    of its own deletes/updates on that table — no SELECT anywhere in its
-    condition or action references it (directly or as a transition
-    table of a rule defined on it)."""
-    selects = []
-    if rule.condition is not None:
-        selects.extend(ast.subqueries_of(rule.condition))
-    for action in rule.actions:
-        selects.extend(ast.selects_of_statement(action))
-    for select in selects:
-        for ref in select.tables:
-            name = ref.name.lower()
-            if name == table:
-                return False
-            if name in ast.TRANSITION_TABLE_NAMES and rule.table == table:
                 return False
     return True
 

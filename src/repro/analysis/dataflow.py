@@ -45,13 +45,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.scoping import References, resolve_references
 from repro.lang import ast
 from repro.rules.rule import Rule
-
-# The scope machinery of the Section 3 Reads computation is reused
-# verbatim: binding resolution (aliases, transition tables, unqualified
-# columns) must agree between the coarse and refined read sets.
-from repro.analysis.derived import _bind_table, _Scope
 
 
 @dataclass(frozen=True, order=True)
@@ -95,10 +91,11 @@ class RuleDataflow:
 
 def rule_dataflow(rule: Rule) -> RuleDataflow:
     """Compute the full attribute-level footprint of *rule*."""
+    references = resolve_references(rule)
     return RuleDataflow(
         writes=compute_writes(rule),
-        column_reads=compute_column_reads(rule),
-        row_read_tables=compute_row_read_tables(rule),
+        column_reads=column_reads(references),
+        row_read_tables=row_read_tables(references),
     )
 
 
@@ -131,166 +128,37 @@ def compute_writes(rule: Rule) -> frozenset[Write]:
 # ----------------------------------------------------------------------
 
 
-def compute_column_reads(rule: Rule) -> frozenset[tuple[str, str]]:
+def column_reads(references: References) -> frozenset[tuple[str, str]]:
     """``ColumnReads(r)``: the ``(table, column)`` pairs whose values the
     rule depends on.
 
     Differs from the Section 3 ``Reads`` exactly where only existence
     matters: an ``EXISTS (SELECT * ...)`` contributes its WHERE / GROUP
-    BY / HAVING columns but not the starred output, and ``count(*)``
-    contributes nothing (its value is pure row membership, tracked by
-    :func:`compute_row_read_tables`).
+    BY / HAVING columns but not its output, ``count(*)`` contributes
+    nothing (its value is pure row membership, tracked by
+    :func:`row_read_tables`). References resolve exactly as for
+    ``Reads`` (:mod:`repro.analysis.scoping`).
     """
-    reads: set[tuple[str, str]] = set()
-    root = _Scope()
-
-    if rule.condition is not None:
-        _column_reads_of_expression(rule.condition, root, rule, reads)
-
-    for action in rule.actions:
-        if isinstance(action, ast.Select):
-            # An action select is observable output: every produced
-            # column is genuinely read.
-            _column_reads_of_select(
-                action, root, rule, reads, output_matters=True
-            )
-        elif isinstance(action, ast.Insert):
-            scope = _Scope(outer=root)
-            for row in action.rows:
-                for value in row:
-                    _column_reads_of_expression(value, scope, rule, reads)
-            if action.query is not None:
-                # The selected values become the inserted row: read.
-                _column_reads_of_select(
-                    action.query, root, rule, reads, output_matters=True
-                )
-        elif isinstance(action, ast.Delete):
-            scope = _Scope(outer=root)
-            _bind_table(scope, action.alias or action.table, action.table, rule)
-            if action.alias:
-                _bind_table(scope, action.table, action.table, rule)
-            if action.where is not None:
-                _column_reads_of_expression(action.where, scope, rule, reads)
-        elif isinstance(action, ast.Update):
-            scope = _Scope(outer=root)
-            _bind_table(scope, action.alias or action.table, action.table, rule)
-            if action.alias:
-                _bind_table(scope, action.table, action.table, rule)
-            for assignment in action.assignments:
-                _column_reads_of_expression(
-                    assignment.value, scope, rule, reads
-                )
-            if action.where is not None:
-                _column_reads_of_expression(action.where, scope, rule, reads)
+    reads = {
+        (table, fact.column)
+        for fact in references.columns
+        if fact.value_read and fact.known
+        for table in fact.tables
+    }
+    for select in references.selects:
+        if select.star and select.value_read:
+            for table in select.from_tables:
+                for column in references.table_columns(table):
+                    reads.add((table, column))
     return frozenset(reads)
 
 
-def compute_row_read_tables(rule: Rule) -> frozenset[str]:
+def row_read_tables(references: References) -> frozenset[str]:
     """``RowReadTables(r)``: tables whose row membership the rule's
-    behavior depends on (transition tables resolved to the rule's own
-    table, mirroring ``Reads``)."""
-    tables: set[str] = set()
-
-    def resolve(name: str) -> str:
-        name = name.lower()
-        if name in ast.TRANSITION_TABLE_NAMES:
-            return rule.table
-        return name
-
-    selects: list[ast.Select] = []
-    if rule.condition is not None:
-        selects.extend(ast.subqueries_of(rule.condition))
-    for action in rule.actions:
-        selects.extend(ast.selects_of_statement(action))
-
-    for select in selects:
-        for ref in select.tables:
-            tables.add(resolve(ref.name))
-    return frozenset(tables)
-
-
-def _select_scope(
-    select: ast.Select, outer: _Scope, rule: Rule
-) -> tuple[_Scope, list[str]]:
-    scope = _Scope(outer=outer)
-    from_tables: list[str] = []
-    for ref in select.tables:
-        _bind_table(scope, ref.binding_name, ref.name, rule)
-        actual = (
-            rule.table
-            if ref.name.lower() in ast.TRANSITION_TABLE_NAMES
-            else ref.name.lower()
-        )
-        from_tables.append(actual)
-    return scope, from_tables
-
-
-def _column_reads_of_select(
-    select: ast.Select,
-    outer: _Scope,
-    rule: Rule,
-    reads: set[tuple[str, str]],
-    *,
-    output_matters: bool,
-) -> None:
-    scope, from_tables = _select_scope(select, outer, rule)
-
-    if output_matters:
-        if select.is_star:
-            for table in from_tables:
-                if rule.schema.has_table(table):
-                    for column in rule.schema.table(table).column_names:
-                        reads.add((table, column))
-        else:
-            for item in select.items:
-                _column_reads_of_expression(item.expr, scope, rule, reads)
-    # In an existence-only context the output columns are irrelevant:
-    # only the predicates deciding *which* rows exist are value reads.
-    # (DISTINCT over the items still cannot matter for existence — a
-    # nonempty result stays nonempty under DISTINCT.)
-
-    if select.where is not None:
-        _column_reads_of_expression(select.where, scope, rule, reads)
-    for key in select.group_by:
-        _column_reads_of_expression(key, scope, rule, reads)
-    if select.having is not None:
-        _column_reads_of_expression(select.having, scope, rule, reads)
-
-
-def _column_reads_of_expression(
-    expr: ast.Expression,
-    scope: _Scope,
-    rule: Rule,
-    reads: set[tuple[str, str]],
-) -> None:
-    for node in ast.walk_expression(expr):
-        if isinstance(node, ast.ColumnRef):
-            if node.table:
-                actual = scope.resolve_qualified(node.table)
-                if actual is None:
-                    if node.table.lower() in ast.TRANSITION_TABLE_NAMES:
-                        actual = rule.table
-                    else:
-                        actual = node.table.lower()
-                if rule.schema.has_table(actual) and rule.schema.table(
-                    actual
-                ).has_column(node.column):
-                    reads.add((actual, node.column.lower()))
-            else:
-                for table in scope.candidate_tables(node.column, rule):
-                    reads.add((table, node.column.lower()))
-        elif isinstance(node, ast.FuncCall) and node.star:
-            # count(*): pure row-membership — no column values read.
-            continue
-        elif isinstance(node, ast.Exists):
-            _column_reads_of_select(
-                node.subquery, scope, rule, reads, output_matters=False
-            )
-        elif isinstance(node, ast.InSubquery):
-            _column_reads_of_select(
-                node.subquery, scope, rule, reads, output_matters=True
-            )
-        elif isinstance(node, ast.ScalarSubquery):
-            _column_reads_of_select(
-                node.subquery, scope, rule, reads, output_matters=True
-            )
+    behavior depends on — every FROM table of every select, transition
+    tables resolved to the rule's own table as in ``Reads``."""
+    return frozenset(
+        table
+        for select in references.selects
+        for table in select.from_tables
+    )

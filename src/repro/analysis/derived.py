@@ -26,15 +26,14 @@ name (:data:`OBS_TABLE`) cannot collide with parser-produced names.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
+from repro.analysis.dataflow import RuleDataflow, Write, rule_dataflow
+from repro.analysis.scoping import References, resolve_references
 from repro.lang import ast
 from repro.rules.events import TriggerEvent
 from repro.rules.rule import Rule
 from repro.rules.ruleset import RuleSet
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.analysis.dataflow import RuleDataflow
 
 #: Name of the fictional observation-log table (Section 8). Contains a
 #: character that cannot appear in a parsed identifier, so it can never
@@ -68,11 +67,11 @@ class DerivedDefinitions:
         self._performs: dict[str, frozenset[TriggerEvent]] = {}
         self._reads: dict[str, frozenset[tuple[str, str]]] = {}
         self._observable: dict[str, bool] = {}
-        self._dataflow: dict[str, "RuleDataflow"] = {}
+        self._dataflow: dict[str, RuleDataflow] = {}
         for rule in ruleset:
             self._triggered_by[rule.name] = rule.triggered_by
             self._performs[rule.name] = _compute_performs(rule)
-            self._reads[rule.name] = _compute_reads(rule)
+            self._reads[rule.name] = _compute_reads(resolve_references(rule))
             self._observable[rule.name] = rule.is_observable
         self._triggers: dict[str, frozenset[str]] = {
             name: frozenset(
@@ -114,20 +113,15 @@ class DerivedDefinitions:
     def observable(self, rule: str) -> bool:
         return self._observable[rule.lower()]
 
-    def dataflow(self, rule: str) -> "RuleDataflow":
+    def dataflow(self, rule: str) -> RuleDataflow:
         """The attribute-level footprint of *rule* — ``Writes``,
         ``ColumnReads`` and ``RowReadTables`` per
         :mod:`repro.analysis.dataflow`. Computed lazily (only analyses
-        running with ``column_dataflow`` or the lint passes need it) and
-        memoized per rule."""
+        running with ``column_dataflow`` or ``refine``, and the lint
+        passes, need it) and memoized per rule."""
         name = rule.lower()
         footprint = self._dataflow.get(name)
         if footprint is None:
-            # Imported here, not at module top: dataflow reuses this
-            # module's scope machinery, so the top-level import goes the
-            # other way.
-            from repro.analysis.dataflow import rule_dataflow
-
             footprint = self._extend_dataflow(
                 name, rule_dataflow(self.ruleset.rule(name))
             )
@@ -135,8 +129,8 @@ class DerivedDefinitions:
         return footprint
 
     def _extend_dataflow(
-        self, name: str, footprint: "RuleDataflow"
-    ) -> "RuleDataflow":
+        self, name: str, footprint: RuleDataflow
+    ) -> RuleDataflow:
         """Hook for subclasses (the Obs extension) to widen a rule's
         footprint before it is memoized."""
         return footprint
@@ -185,8 +179,6 @@ class ObsExtendedDefinitions(DerivedDefinitions):
         so any two observable rules' footprints collide on ``Obs.c``."""
         if not self._observable[name]:
             return footprint
-        from repro.analysis.dataflow import RuleDataflow, Write
-
         return RuleDataflow(
             writes=footprint.writes | {Write(OBS_TABLE, OBS_COLUMN, "I")},
             column_reads=footprint.column_reads | {(OBS_TABLE, OBS_COLUMN)},
@@ -226,194 +218,29 @@ def _compute_performs(rule: Rule) -> frozenset[TriggerEvent]:
 # ----------------------------------------------------------------------
 
 
-class _Scope:
-    """One level of table bindings for column-reference resolution.
-
-    Maps binding names (table name or alias) to the *actual* table read:
-    a transition-table binding resolves to the rule's own table, per the
-    paper ("for every (trans).c referenced ... t.c is in Reads(r) for
-    r's triggering table t").
-    """
-
-    def __init__(self, outer: "_Scope | None" = None) -> None:
-        self.bindings: dict[str, str] = {}
-        self.outer = outer
-
-    def bind(self, name: str, actual_table: str) -> None:
-        self.bindings[name.lower()] = actual_table.lower()
-
-    def resolve_qualified(self, binding: str) -> str | None:
-        scope: _Scope | None = self
-        binding = binding.lower()
-        while scope is not None:
-            if binding in scope.bindings:
-                return scope.bindings[binding]
-            scope = scope.outer
-        return None
-
-    def candidate_tables(self, column: str, rule: Rule) -> list[str]:
-        """Tables that could supply an unqualified *column*: every bound
-        table (innermost level first) that has the column."""
-        scope: _Scope | None = self
-        column = column.lower()
-        while scope is not None:
-            found = [
-                actual
-                for actual in scope.bindings.values()
-                if rule.schema.has_table(actual)
-                and rule.schema.table(actual).has_column(column)
-            ]
-            if found:
-                return found
-            scope = scope.outer
-        return []
-
-
-def _compute_reads(rule: Rule) -> frozenset[tuple[str, str]]:
+def _compute_reads(references: References) -> frozenset[tuple[str, str]]:
     """``Reads(r)``: every ``t.c`` referenced in a select or where clause
-    of ``r``'s condition or action (conservatively resolved).
+    of ``r``'s condition or action, resolved as
+    :mod:`repro.analysis.scoping` decides.
 
     A select's result also depends on the rows of each FROM table, even
     one it names no column of (``exists (select 1 from t)``, the unnamed
-    factor of ``select u.w from t, u``). Each select charges such a table
-    with all its columns, as ``select *`` and ``count(*)`` are charged;
-    otherwise inserts into and deletes from ``t`` would miss Lemma 6.1
+    factor of ``select u.w from t, u``). Each select charges such a
+    table, one no reference under the select resolves to, with all its
+    columns, as ``select *`` and ``count(*)`` are charged; otherwise
+    inserts into and deletes from ``t`` would miss Lemma 6.1
     condition 3."""
     reads: set[tuple[str, str]] = set()
-    root = _Scope()
-
-    if rule.condition is not None:
-        _reads_of_expression(rule.condition, root, rule, reads)
-
-    for action in rule.actions:
-        if isinstance(action, ast.Select):
-            _reads_of_select(action, root, rule, reads)
-        elif isinstance(action, ast.Insert):
-            scope = _Scope(outer=root)
-            for row in action.rows:
-                for value in row:
-                    _reads_of_expression(value, scope, rule, reads)
-            if action.query is not None:
-                _reads_of_select(action.query, root, rule, reads)
-        elif isinstance(action, ast.Delete):
-            scope = _Scope(outer=root)
-            _bind_table(scope, action.alias or action.table, action.table, rule)
-            if action.alias:
-                _bind_table(scope, action.table, action.table, rule)
-            if action.where is not None:
-                _reads_of_expression(action.where, scope, rule, reads)
-        elif isinstance(action, ast.Update):
-            scope = _Scope(outer=root)
-            _bind_table(scope, action.alias or action.table, action.table, rule)
-            if action.alias:
-                _bind_table(scope, action.table, action.table, rule)
-            for assignment in action.assignments:
-                _reads_of_expression(assignment.value, scope, rule, reads)
-            if action.where is not None:
-                _reads_of_expression(action.where, scope, rule, reads)
+    named: list[set[str]] = [set() for __ in references.selects]
+    for fact in references.columns:
+        if fact.known:
+            for table in fact.tables:
+                reads.add((table, fact.column))
+                for index in fact.selects:
+                    named[index].add(table)
+    for select, names in zip(references.selects, named):
+        for table in select.from_tables:
+            if select.star or select.counts_rows or table not in names:
+                for column in references.table_columns(table):
+                    reads.add((table, column))
     return frozenset(reads)
-
-
-def _bind_table(scope: _Scope, binding: str, table: str, rule: Rule) -> None:
-    table = table.lower()
-    if table in ast.TRANSITION_TABLE_NAMES:
-        scope.bind(binding, rule.table)
-    else:
-        scope.bind(binding, table)
-
-
-def _reads_of_select(
-    select: ast.Select,
-    outer: _Scope,
-    rule: Rule,
-    reads: set[tuple[str, str]],
-) -> None:
-    scope = _Scope(outer=outer)
-    from_tables: list[str] = []
-    for ref in select.tables:
-        _bind_table(scope, ref.binding_name, ref.name, rule)
-        actual = (
-            rule.table
-            if ref.name.lower() in ast.TRANSITION_TABLE_NAMES
-            else ref.name.lower()
-        )
-        from_tables.append(actual)
-
-    own: set[tuple[str, str]] = set()
-    if select.is_star:
-        for table in from_tables:
-            _read_every_column(table, rule, own)
-    else:
-        for item in select.items:
-            _reads_of_expression(
-                item.expr, scope, rule, own, star_tables=from_tables
-            )
-
-    if select.where is not None:
-        _reads_of_expression(
-            select.where, scope, rule, own, star_tables=from_tables
-        )
-    for key in select.group_by:
-        _reads_of_expression(
-            key, scope, rule, own, star_tables=from_tables
-        )
-    if select.having is not None:
-        _reads_of_expression(
-            select.having, scope, rule, own, star_tables=from_tables
-        )
-
-    # A FROM table the select names no column of still decides its
-    # result through its rows (see _compute_reads).
-    named = {table for table, __ in own}
-    for table in from_tables:
-        if table not in named:
-            _read_every_column(table, rule, own)
-    reads |= own
-
-
-def _read_every_column(
-    table: str, rule: Rule, reads: set[tuple[str, str]]
-) -> None:
-    if rule.schema.has_table(table):
-        for column in rule.schema.table(table).column_names:
-            reads.add((table, column))
-
-
-def _reads_of_expression(
-    expr: ast.Expression,
-    scope: _Scope,
-    rule: Rule,
-    reads: set[tuple[str, str]],
-    star_tables: list[str] | None = None,
-) -> None:
-    for node in ast.walk_expression(expr):
-        if isinstance(node, ast.FuncCall) and node.star:
-            # count(*) mentions no column but depends on every FROM
-            # table's row set; conservatively charge it with reading all
-            # their columns, like a bare ``select *`` (the attribute-
-            # level pass in dataflow.py tracks this more precisely as a
-            # row-membership read).
-            for table in star_tables or []:
-                _read_every_column(table, rule, reads)
-        elif isinstance(node, ast.ColumnRef):
-            if node.table:
-                actual = scope.resolve_qualified(node.table)
-                if actual is None:
-                    # A qualified reference to an unbound name: resolve
-                    # transition tables to the rule's table; otherwise
-                    # assume it names a base table directly.
-                    if node.table.lower() in ast.TRANSITION_TABLE_NAMES:
-                        actual = rule.table
-                    else:
-                        actual = node.table.lower()
-                if rule.schema.has_table(actual) and rule.schema.table(
-                    actual
-                ).has_column(node.column):
-                    reads.add((actual, node.column.lower()))
-            else:
-                for table in scope.candidate_tables(node.column, rule):
-                    reads.add((table, node.column.lower()))
-        elif isinstance(node, (ast.InSubquery, ast.Exists)):
-            _reads_of_select(node.subquery, scope, rule, reads)
-        elif isinstance(node, ast.ScalarSubquery):
-            _reads_of_select(node.subquery, scope, rule, reads)

@@ -305,9 +305,6 @@ class AnalysisEngine:
         Confluence Requirement does not consult termination)."""
         self.termination_analyzer.certify_rule(rule)
 
-    def revoke_termination_certification(self, rule: str) -> bool:
-        return self.termination_analyzer.revoke_rule_certification(rule)
-
     def add_priority(self, higher: str, lower: str) -> None:
         self.ruleset.add_priority(higher, lower)
         self._sync_priorities()
@@ -376,14 +373,6 @@ class AnalysisEngine:
             for key in stale:
                 del view.pair_memo[key]
             self.stats.invalidations += len(stale)
-
-    def invalidate_all(self) -> None:
-        """Flush every memo (pair verdicts and raw Lemma 6.1 reasons)."""
-        for view in self._views.values():
-            self.stats.invalidations += len(view.pair_memo)
-            view.pair_memo.clear()
-        for store in self._reason_stores.values():
-            store.clear()
 
     def update_ruleset(self, ruleset: RuleSet) -> frozenset[str]:
         """Swap in an edited rule set, invalidating precisely.

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.analysis.dataflow import rule_dataflow
+from repro.analysis.dataflow import compute_writes
 from repro.analysis.derived import DerivedDefinitions
 from repro.analysis.termination import TriggeringGraph
 from repro.lang import ast
@@ -355,13 +355,13 @@ class StratificationAnalyzer:
             name: confined_transition_conjuncts(self.ruleset.rule(name))
             for name in self.base.nodes
         }
-        # Attribution guards need global write facts (raw dataflow — a
+        # Attribution guards need global write facts (raw Writes — a
         # dead action today could be resurrected by an edit; the guard
         # stays conservative).
         updated_columns: set[tuple[str, str]] = set()
         table_updaters: dict[str, set[str]] = {}
         for name in self.base.nodes:
-            for write in rule_dataflow(self.ruleset.rule(name)).writes:
+            for write in compute_writes(self.ruleset.rule(name)):
                 if write.kind == "U":
                     updated_columns.add((write.table, write.column))
                     table_updaters.setdefault(write.table, set()).add(name)

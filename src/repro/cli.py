@@ -34,12 +34,12 @@ import sys
 import time
 
 from repro.analysis.analyzer import RuleAnalyzer
-from repro.config import ExecutionConfig
+from repro.config import ExecutionConfig, require_positive
 from repro.engine import plan
 from repro.engine import rete
 from repro.engine.database import Database
-from repro.errors import ConfigError, ReproError
-from repro.lang.parser import Parser
+from repro.errors import ReproError
+from repro.lang.parser import Parser, parse_statement
 from repro.rules.ruleset import RuleSet
 from repro.runtime.exec_graph import explore
 from repro.runtime.processor import RuleProcessor
@@ -236,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="P",
         help="with --run: hash-partition tables with declared partition "
-        "keys into P shards (enables partition-pruned and fanned-out "
-        "scans; default 1 = flat)",
+        "keys into P shards (enables partition-pruned scans; default 1 = "
+        "flat)",
     )
     return parser
 
@@ -1103,82 +1103,21 @@ def _run_recover(args) -> int:
     return 0
 
 
-def _require_positive(**counts) -> None:
-    """Raise :class:`ConfigError` for a count flag set below 1."""
-    for name, value in counts.items():
-        if value is not None and value < 1:
-            raise ConfigError(f"{name} must be a positive int; got {value!r}")
-
-
-def _serve_drive_transactions(server, transactions, sessions: int):
-    """Deal *transactions* (statement tuples) over *sessions* worker
-    threads; returns a :class:`~repro.workloads.streaming.DriveReport`."""
-    import queue as queue_module
-    import threading
-
-    from repro.workloads.streaming import DriveReport
-
-    work: "queue_module.Queue" = queue_module.Queue()
-    for transaction in transactions:
-        work.put(transaction)
-    report = DriveReport(
-        workers=sessions,
-        committed=0,
-        rows_ingested=0,
-        retries=0,
-        elapsed_seconds=0.0,
-    )
-    lock = threading.Lock()
-    failures: list[BaseException] = []
-
-    def run() -> None:
-        while True:
-            try:
-                transaction = work.get_nowait()
-            except queue_module.Empty:
-                return
-            began = time.perf_counter()
-            try:
-                outcome = server.run_transaction(transaction)
-            except BaseException as error:
-                with lock:
-                    failures.append(error)
-                return
-            latency = time.perf_counter() - began
-            with lock:
-                if outcome.committed:
-                    report.committed += 1
-                report.retries += outcome.retries
-                report.latencies.append(latency)
-
-    threads = [
-        threading.Thread(target=run, name=f"repro-serve-{index}")
-        for index in range(min(sessions, max(1, len(transactions))))
-    ]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    report.elapsed_seconds = time.perf_counter() - started
-    if failures:
-        raise failures[0]
-    return report
-
-
 def _run_serve(args) -> int:
     import json
 
     from repro.config import ServerOptions
     from repro.runtime.server import RuleServer, serial_replay
     from repro.workloads.streaming import (
+        StreamingBatch,
         drive_streaming,
         streaming_workload,
     )
 
     profile: dict[str, float] = {}
     try:
-        _require_positive(
+        # Rejected before any workload, server or WAL is built.
+        require_positive(
             sessions=args.sessions, rows=args.rows, batch_rows=args.batch_rows
         )
         if args.rules and not args.schema:
@@ -1225,21 +1164,26 @@ def _run_serve(args) -> int:
         )
         started = time.perf_counter()
         if workload is not None:
-            report = drive_streaming(
-                server, workload.batches, workers=args.sessions
-            )
+            batches = workload.batches
         else:
-            transactions = [
-                tuple(
-                    statement.strip()
-                    for statement in transaction.split(";")
-                    if statement.strip()
+            # Each transaction is a stream of its own, so
+            # drive_streaming deals them round-robin over the session
+            # threads (it deals streams in sorted order, hence the
+            # zero-padded names).
+            batches = [
+                StreamingBatch(
+                    index=index,
+                    stream=f"transaction-{index:06d}",
+                    statements=tuple(
+                        parse_statement(statement)
+                        for statement in transaction.split(";")
+                        if statement.strip()
+                    ),
+                    rows=0,
                 )
-                for transaction in args.transaction
+                for index, transaction in enumerate(args.transaction)
             ]
-            report = _serve_drive_transactions(
-                server, transactions, args.sessions
-            )
+        report = drive_streaming(server, batches, workers=args.sessions)
         server.close()
         profile["drive"] = time.perf_counter() - started
         profile["commit_validate"] = server.stats.validate_seconds
@@ -1333,7 +1277,7 @@ def _run_crosscheck(args) -> int:
     )
 
     try:
-        _require_positive(rows=args.rows)
+        require_positive(rows=args.rows)
         modes = parse_modes(args.modes)
         names = tuple(args.workload) or _CROSSCHECK_DEFAULT
         for name in names:

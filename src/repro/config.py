@@ -156,3 +156,11 @@ class ServerOptions:
 #: the default server options
 DEFAULT_SERVER_OPTIONS = ServerOptions()
 
+
+def require_positive(**counts) -> None:
+    """Raise :class:`ConfigError` for a count set below 1; None (the
+    caller's default) passes."""
+    for name, value in counts.items():
+        if value is not None and value < 1:
+            raise ConfigError(f"{name} must be a positive int; got {value!r}")
+

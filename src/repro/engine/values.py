@@ -290,10 +290,6 @@ def sql_scalar_function(name: str, args: list[SqlValue]) -> SqlValue:
     return function(args[0])
 
 
-def is_scalar_function(name: str) -> bool:
-    return name in _SCALAR_FUNCTIONS
-
-
 def aggregate(name: str, values: list[SqlValue], distinct: bool) -> SqlValue:
     """Evaluate an aggregate over a column of values (NULLs dropped)."""
     present = [value for value in values if value is not None]

@@ -8,8 +8,9 @@ hierarchy rooted at :class:`Statement`.
 Transition tables (``inserted``, ``deleted``, ``new_updated``,
 ``old_updated``) appear as ordinary :class:`TableRef` names; the binder
 in :mod:`repro.engine.query` resolves them against the triggering rule's
-transition at execution time, and :mod:`repro.analysis.derived` resolves
-them against the rule's table for the ``Reads`` computation.
+transition at execution time, and :mod:`repro.analysis.scoping` resolves
+them against the rule's table for the static analyses (``Reads``, the
+dataflow read sets, lint).
 """
 
 from __future__ import annotations
@@ -279,9 +280,11 @@ class RuleDefinition(Statement):
 def walk_expression(expr: Expression):
     """Yield *expr* and every expression node nested inside it.
 
-    Subqueries are *not* descended into here; use :func:`walk_statement`
-    on the subquery's Select if full traversal is needed. This split lets
-    analyses treat a subquery as an opaque read set when desired.
+    Subqueries are *not* descended into here (an ``IN`` subquery's
+    operand is); use :func:`subqueries_of` or
+    :func:`expressions_of_statement` on the subquery's Select if full
+    traversal is needed. This split lets an analysis open a new scope at
+    each subquery, as :mod:`repro.analysis.scoping` does.
     """
     yield expr
     if isinstance(expr, BinaryOp):

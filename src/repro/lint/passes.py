@@ -14,9 +14,10 @@ the attribute-level ``Writes`` sets of
 :class:`~repro.analysis.termination.TerminationAnalyzer`,
 RPL007/RPL009/RPL010 share one layered
 :class:`~repro.analysis.termination.TerminationReport` (critical mode,
-cached on the context), and RPL006/RPL008 mirror the column-resolution
-scoping of ``derived._compute_reads`` — so what the linter reports is
-exactly what the analyses see (or silently ignore).
+cached on the context), and RPL006/RPL008 fold over the reference
+resolution of :mod:`repro.analysis.scoping` that ``Reads`` folds over —
+so what the linter reports is exactly what the analyses see (or
+silently ignore).
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator
 
-from repro.analysis.derived import DerivedDefinitions, _bind_table, _Scope
+from repro.analysis.derived import DerivedDefinitions
 from repro.analysis.restricted import reachable_rules
+from repro.analysis.scoping import resolve_references
 from repro.analysis.termination import (
     VERDICT_AUTO,
     VERDICT_WITNESS,
@@ -33,11 +35,9 @@ from repro.analysis.termination import (
     TerminationReport,
     build_termination_report,
 )
-from repro.lang import ast
 from repro.lint.diagnostics import DIAGNOSTIC_CODES, Diagnostic
 from repro.lint.folding import unsatisfiable
 from repro.rules.events import all_events
-from repro.rules.rule import Rule
 from repro.rules.ruleset import RuleSet
 
 
@@ -270,71 +270,6 @@ def shadowed_priority_edges(ctx: LintContext) -> Iterator[Diagnostic]:
 # ----------------------------------------------------------------------
 
 
-def _scoped_expressions(
-    rule: Rule,
-) -> Iterator[tuple[ast.Expression, _Scope]]:
-    """Every top-level expression of *rule* with the scope the analyses
-    resolve it under — the exact scoping of ``derived._compute_reads``."""
-    root = _Scope()
-    if rule.condition is not None:
-        yield rule.condition, root
-    for action in rule.actions:
-        if isinstance(action, ast.Select):
-            yield from _select_expressions(action, root, rule)
-        elif isinstance(action, ast.Insert):
-            scope = _Scope(outer=root)
-            for row in action.rows:
-                for value in row:
-                    yield value, scope
-            if action.query is not None:
-                yield from _select_expressions(action.query, root, rule)
-        elif isinstance(action, (ast.Delete, ast.Update)):
-            scope = _Scope(outer=root)
-            _bind_table(scope, action.alias or action.table, action.table, rule)
-            if action.alias:
-                _bind_table(scope, action.table, action.table, rule)
-            if isinstance(action, ast.Update):
-                for assignment in action.assignments:
-                    yield assignment.value, scope
-            if action.where is not None:
-                yield action.where, scope
-
-
-def _select_expressions(
-    select: ast.Select, outer: _Scope, rule: Rule
-) -> Iterator[tuple[ast.Expression, _Scope]]:
-    scope = _Scope(outer=outer)
-    for ref in select.tables:
-        _bind_table(scope, ref.binding_name, ref.name, rule)
-    for item in select.items:
-        yield item.expr, scope
-    if select.where is not None:
-        yield select.where, scope
-    for key in select.group_by:
-        yield key, scope
-    if select.having is not None:
-        yield select.having, scope
-
-
-def _column_refs_with_scopes(
-    rule: Rule,
-) -> Iterator[tuple[ast.ColumnRef, _Scope]]:
-    pending = list(_scoped_expressions(rule))
-    while pending:
-        expr, scope = pending.pop(0)
-        for node in ast.walk_expression(expr):
-            if isinstance(node, ast.ColumnRef):
-                yield node, scope
-            elif isinstance(node, (ast.InSubquery, ast.Exists)):
-                pending.extend(
-                    _select_expressions(node.subquery, scope, rule)
-                )
-            elif isinstance(node, ast.ScalarSubquery):
-                pending.extend(
-                    _select_expressions(node.subquery, scope, rule)
-                )
-
-
 @lint_pass("RPL006")
 def unknown_column_references(ctx: LintContext) -> Iterator[Diagnostic]:
     """Rule validation checks FROM tables and write targets, but not
@@ -343,32 +278,24 @@ def unknown_column_references(ctx: LintContext) -> Iterator[Diagnostic]:
     schema = ctx.ruleset.schema
     for rule in ctx.ruleset:
         seen: set[str] = set()
-        for ref, scope in _column_refs_with_scopes(rule):
-            if ref.table:
-                actual = scope.resolve_qualified(ref.table)
-                if actual is None:
-                    if ref.table.lower() in ast.TRANSITION_TABLE_NAMES:
-                        actual = rule.table
-                    else:
-                        actual = ref.table.lower()
-                if not schema.has_table(actual):
-                    message = (
-                        f"reference {ref.table}.{ref.column} resolves "
-                        f"to unknown table {actual!r}"
-                    )
-                elif not schema.table(actual).has_column(ref.column):
-                    message = (
-                        f"reference {ref.table}.{ref.column}: table "
-                        f"{actual!r} has no column {ref.column.lower()!r}"
-                    )
-                else:
-                    continue
-            else:
-                if scope.candidate_tables(ref.column, rule):
-                    continue
+        for fact in resolve_references(rule).columns:
+            if fact.known:
+                continue
+            ref = fact.ref
+            if not ref.table:
                 message = (
                     f"unqualified column {ref.column!r} matches no "
                     f"table in scope"
+                )
+            elif not schema.has_table(fact.tables[0]):
+                message = (
+                    f"reference {ref.table}.{ref.column} resolves "
+                    f"to unknown table {fact.tables[0]!r}"
+                )
+            else:
+                message = (
+                    f"reference {ref.table}.{ref.column}: table "
+                    f"{fact.tables[0]!r} has no column {fact.column!r}"
                 )
             if message not in seen:
                 seen.add(message)
@@ -379,15 +306,12 @@ def unknown_column_references(ctx: LintContext) -> Iterator[Diagnostic]:
 def ambiguous_column_references(ctx: LintContext) -> Iterator[Diagnostic]:
     for rule in ctx.ruleset:
         seen: set[str] = set()
-        for ref, scope in _column_refs_with_scopes(rule):
-            if ref.table:
+        for fact in resolve_references(rule).columns:
+            if fact.ref.table or len(fact.tables) <= 1:
                 continue
-            candidates = scope.candidate_tables(ref.column, rule)
-            if len(set(candidates)) <= 1:
-                continue
-            tables = ", ".join(sorted(set(candidates)))
+            tables = ", ".join(sorted(fact.tables))
             message = (
-                f"unqualified column {ref.column!r} is ambiguous: it "
+                f"unqualified column {fact.ref.column!r} is ambiguous: it "
                 f"matches {tables}; the analysis charges reads of all "
                 f"of them"
             )

@@ -84,9 +84,6 @@ class Rule:
             for action in self.actions
         )
 
-    def trigger_kinds(self) -> frozenset[ast.TriggerKind]:
-        return frozenset(spec.kind for spec in self.definition.triggers)
-
     def _compute_triggered_by(self) -> frozenset[TriggerEvent]:
         """``Triggered-By(r)`` — the operations in ``O`` that trigger r."""
         events: set[TriggerEvent] = set()

@@ -88,10 +88,6 @@ class ExecutionGraph:
         """
         return len(set(self.final_databases.values())) <= 1
 
-    def is_confluent_for(self, projections: dict[tuple, tuple]) -> bool:
-        """Partial confluence given per-final-state projected databases."""
-        return len(set(projections.values())) <= 1
-
     @property
     def is_observably_deterministic(self) -> bool:
         """A single stream of observable actions across all paths."""

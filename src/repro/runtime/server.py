@@ -23,11 +23,11 @@ The design composes three existing substrate pieces:
   :class:`~repro.transitions.delta.ColumnTouchIndex` — against that
   epoch;
 * **footprints from attribute-level dataflow** — what a session *read*
-  is the union of the PR 3 dataflow footprints
-  (:func:`~repro.analysis.dataflow.rule_dataflow`) of every rule it
-  considered, plus the statement-level footprints of its user
-  statements. Triggering itself needs no footprint: a rule's
-  transition predicate reads only the session's own delta log.
+  is the union of the ``ColumnReads``/``RowReadTables`` read sets
+  (:mod:`repro.analysis.dataflow`) of every rule it considered, plus
+  the statement-level footprints of its user statements. Triggering
+  itself needs no footprint: a rule's transition predicate reads only
+  the session's own delta log.
 
 Commit protocol (first-committer-wins). Under the server mutex the
 validator checks every item in the session's read/write footprint
@@ -136,10 +136,11 @@ class TransactionOutcome:
 
 
 class _StatementShim:
-    """Duck-typed stand-in for :class:`~repro.rules.rule.Rule`, so the
-    attribute-level dataflow helpers can walk a bare user statement.
-    ``table`` is empty: user statements cannot reference transition
-    tables (there is no triggering rule to resolve them against)."""
+    """Duck-typed stand-in for :class:`~repro.rules.rule.Rule`, so
+    :func:`~repro.analysis.scoping.resolve_references` can walk a bare
+    user statement. ``table`` is empty: user statements cannot reference
+    transition tables (there is no triggering rule to resolve them
+    against)."""
 
     __slots__ = ("schema", "table", "condition", "actions")
 
@@ -169,8 +170,9 @@ class _Footprint:
         self.columns |= columns
 
 
-def _reads_of(dataflow, schema, shim_or_rule) -> tuple[frozenset, frozenset]:
-    """The MVCC read footprint of one rule or statement shim.
+def _reads_of(shim_or_rule) -> tuple[frozenset, frozenset]:
+    """The MVCC read footprint of one rule or statement shim: the
+    ``RowReadTables`` and ``ColumnReads`` folds of one scoped walk.
 
     The dataflow sets are reused as-is, with one deliberate widening:
     target tables of UPDATE/DELETE statements become row-membership
@@ -180,8 +182,13 @@ def _reads_of(dataflow, schema, shim_or_rule) -> tuple[frozenset, frozenset]:
     *which* rows to write, so a concurrently inserted matching row
     breaks serial-replay equivalence unless it conflicts.
     """
-    columns = dataflow.compute_column_reads(shim_or_rule)
-    rows = set(dataflow.compute_row_read_tables(shim_or_rule))
+    # Imported lazily: the analysis package imports runtime modules.
+    from repro.analysis.dataflow import column_reads, row_read_tables
+    from repro.analysis.scoping import resolve_references
+
+    references = resolve_references(shim_or_rule)
+    columns = column_reads(references)
+    rows = set(row_read_tables(references))
     for action in shim_or_rule.actions:
         if isinstance(action, (ast.Update, ast.Delete)):
             rows.add(action.table.lower())
@@ -349,12 +356,8 @@ class RuleServer:
             for table in schema
         }
 
-        # Imported lazily: the analysis package imports runtime modules.
-        from repro.analysis import dataflow
-
-        self._dataflow = dataflow
         self._rule_reads: dict[str, tuple[frozenset, frozenset]] = {
-            rule.name: _reads_of(dataflow, schema, rule) for rule in ruleset
+            rule.name: _reads_of(rule) for rule in ruleset
         }
 
         #: committed sessions' scripts in commit order (oracle input)
@@ -426,8 +429,8 @@ class RuleServer:
         self, statement: ast.Statement
     ) -> tuple[frozenset, frozenset]:
         # Fast path for the streaming-ingestion shape: an INSERT of
-        # literal VALUES reads nothing, and walking a wide batch's rows
-        # through the dataflow helpers costs more than executing it.
+        # literal VALUES reads nothing, and resolving a wide batch's
+        # rows costs more than executing it.
         if (
             isinstance(statement, ast.Insert)
             and statement.query is None
@@ -438,11 +441,7 @@ class RuleServer:
             )
         ):
             return frozenset(), frozenset()
-        return _reads_of(
-            self._dataflow,
-            self._database.schema,
-            _StatementShim(self._database.schema, statement),
-        )
+        return _reads_of(_StatementShim(self._database.schema, statement))
 
     # -- session lifecycle ----------------------------------------------
 

@@ -44,7 +44,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
-from repro.config import ExecutionConfig
+from repro.config import ExecutionConfig, require_positive
 from repro.engine import rete as rete_module
 from repro.engine.database import Database
 from repro.errors import RuleProcessingLimitExceeded
@@ -580,6 +580,7 @@ def build_case(
     (``powernet``, ``termination_zoo``) ignore it and enable
     ``explore()`` so the containment leg of the contract runs too.
     """
+    require_positive(rows=rows)
     if name == "powernet":
         from repro.workloads.powernet import power_network_workload
 

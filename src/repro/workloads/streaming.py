@@ -47,6 +47,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.config import require_positive
 from repro.engine.database import Database
 from repro.lang.parser import parse_statement
 from repro.rules.ruleset import RuleSet
@@ -145,6 +146,7 @@ def streaming_workload(
     Event values are uniform on ``1..100``, so ~5% clear the alert
     rule's ``> 95`` threshold in every region.
     """
+    require_positive(rows=rows, batch_rows=batch_rows)
     rng = random.Random(seed)
     schema = streaming_schema(streams)
     rules = "\n".join(
@@ -264,6 +266,7 @@ def drive_streaming(
     propagates (the workload is designed not to — the budget exists for
     fairness under extreme contention).
     """
+    require_positive(workers=workers)
     batches = list(batches)
     streams = sorted({batch.stream for batch in batches})
     worker_of = {

@@ -5,13 +5,7 @@ they power."""
 import pytest
 
 from repro.analysis.commutativity import CommutativityAnalyzer
-from repro.analysis.dataflow import (
-    Write,
-    compute_column_reads,
-    compute_row_read_tables,
-    compute_writes,
-    rule_dataflow,
-)
+from repro.analysis.dataflow import Write, compute_writes, rule_dataflow
 from repro.analysis.derived import (
     DerivedDefinitions,
     ObsExtendedDefinitions,
@@ -86,7 +80,7 @@ class TestColumnReads:
             """,
             schema,
         )
-        reads = compute_column_reads(rule)
+        reads = rule_dataflow(rule).column_reads
         # Row existence, not row content: dept.id is NOT a value read.
         assert ("dept", "budget") in reads
         assert ("dept", "id") not in reads
@@ -117,7 +111,7 @@ class TestColumnReads:
             """,
             schema,
         )
-        reads = compute_column_reads(rule)
+        reads = rule_dataflow(rule).column_reads
         assert ("audit", "event") in reads
         assert ("dept", "id") in reads
 
@@ -127,7 +121,7 @@ class TestColumnReads:
             "then insert into audit (select id, salary from inserted)",
             schema,
         )
-        reads = compute_column_reads(rule)
+        reads = rule_dataflow(rule).column_reads
         assert ("emp", "id") in reads
         assert ("emp", "salary") in reads
 
@@ -151,7 +145,7 @@ class TestColumnReads:
             "then update emp set salary = dept where id > 0",
             schema,
         )
-        reads = compute_column_reads(rule)
+        reads = rule_dataflow(rule).column_reads
         assert ("emp", "dept") in reads
         assert ("emp", "id") in reads
         assert ("emp", "salary") not in reads
@@ -164,7 +158,7 @@ class TestRowReadTables:
             "then update emp set salary = 0",
             schema,
         )
-        assert compute_row_read_tables(rule) == frozenset()
+        assert rule_dataflow(rule).row_read_tables == frozenset()
 
     def test_every_evaluated_from_table_is_a_row_read(self, schema):
         rule = rule_for(
@@ -175,7 +169,7 @@ class TestRowReadTables:
             """,
             schema,
         )
-        assert compute_row_read_tables(rule) == {"dept", "emp"}
+        assert rule_dataflow(rule).row_read_tables == {"dept", "emp"}
 
 
 class TestDefinitionsIntegration:

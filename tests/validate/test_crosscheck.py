@@ -7,6 +7,7 @@ import pytest
 from repro.engine import plan
 from repro.engine import rete as rete_module
 from repro.engine.database import Database
+from repro.errors import ConfigError
 from repro.rules.ruleset import RuleSet
 from repro.schema.catalog import schema_from_spec
 from repro.stats import stats_delta
@@ -249,6 +250,14 @@ class TestStatsDelta:
 
 
 class TestCaseRegistry:
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rows_below_one_is_refused(self, value):
+        with pytest.raises(ConfigError) as caught:
+            build_case("partitioned", rows=value)
+        assert str(caught.value) == (
+            f"rows must be a positive int; got {value}"
+        )
+
     def test_small_iot_case_passes_quick_modes(self):
         case = build_case("iot", rows=2_000)
         report = crosscheck_case(case, QUICK_MODES)

@@ -1,7 +1,10 @@
 """Streaming-ingestion workload tests (the server benchmark's driver)."""
 
+import pytest
+
 from repro.config import ServerOptions
 from repro.engine.database import Database
+from repro.errors import ConfigError
 from repro.runtime.server import RuleServer, serial_replay
 from repro.workloads.streaming import (
     STREAMS,
@@ -59,6 +62,28 @@ class TestWorkloadConstruction:
     def test_hot_every_zero_disables_the_hot_row(self):
         workload = streaming_workload(rows=800, batch_rows=100, hot_every=0)
         assert all(len(b.statements) == 1 for b in workload.batches)
+
+
+class TestCountsBelowOne:
+    """Counts below 1 are refused in the CLI's wording, not turned into
+    a ZeroDivisionError, an IndexError or an empty workload."""
+
+    @pytest.mark.parametrize("name", ["rows", "batch_rows"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_workload_counts(self, name, value):
+        with pytest.raises(ConfigError) as caught:
+            streaming_workload(**{name: value})
+        assert str(caught.value) == (
+            f"{name} must be a positive int; got {value}"
+        )
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_drive_streaming_workers(self, value):
+        with pytest.raises(ConfigError) as caught:
+            drive_streaming(None, [], workers=value)
+        assert str(caught.value) == (
+            f"workers must be a positive int; got {value}"
+        )
 
 
 class TestDrive:
