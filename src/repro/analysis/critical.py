@@ -41,6 +41,7 @@ from repro.analysis.stratification import (
     summarize_writes,
 )
 from repro.engine.database import Database
+from repro.errors import ExecutionError
 from repro.lang import ast
 from repro.lint.folding import unsatisfiable
 from repro.rules.events import TriggerEvent
@@ -670,12 +671,39 @@ def find_witness(
 ) -> Witness | None:
     """Search for a replay-validated non-termination witness for a
     cyclic component. Returns ``None`` when no sufficient condition
-    fires within the budgets (which proves nothing — see DESIGN.md)."""
-    members = frozenset(component)
+    fires within the budgets (which proves nothing — see DESIGN.md).
+
+    A search that cannot evaluate a rule (its condition or action
+    raises an :class:`~repro.errors.ExecutionError` on the seeded
+    instance, e.g. an unknown column) also finds no witness: the
+    cycle's verdict stays unknown, and lint's reference checks report
+    the rule itself.
+    """
     if rules_source is None:
         rules_source = ruleset.source()
-    schema_spec = schema_to_spec(ruleset.schema)
+    try:
+        return _search_witness(
+            ruleset,
+            frozenset(component),
+            rules_source,
+            max_states=max_states,
+            max_steps=max_steps,
+            max_period=max_period,
+        )
+    except ExecutionError:
+        return None
 
+
+def _search_witness(
+    ruleset,
+    members: frozenset[str],
+    rules_source: str,
+    *,
+    max_states: int,
+    max_steps: int,
+    max_period: int,
+) -> Witness | None:
+    schema_spec = schema_to_spec(ruleset.schema)
     for rows_per_table in (1, 2):
         try:
             statements = _seed_statements(ruleset, members, rows_per_table)

@@ -807,7 +807,11 @@ def build_repro_parser() -> argparse.ArgumentParser:
         "--rows",
         type=int,
         default=8_000,
-        help="streaming workload: total event rows (default 8000)",
+        help=(
+            "streaming workload: total event rows, in batches of "
+            "--batch-rows plus a last partial batch for any remainder "
+            "(default 8000)"
+        ),
     )
     serve.add_argument(
         "--batch-rows",

@@ -10,6 +10,11 @@ evaluate their WHERE predicate against the pre-statement state and
 collect the target tids, then apply all changes; INSERT ... SELECT fully
 evaluates the query before inserting. A statement therefore never
 observes its own partial effects.
+
+An aliased target (``update t x set ... where ...``) binds each target
+row under the alias, and under the bare table name one context level
+further out (:func:`_target_contexts`): an unqualified column resolves
+once, to the alias, while ``x.a`` and ``t.a`` both still resolve.
 """
 
 from __future__ import annotations
@@ -198,6 +203,23 @@ def _pruned_rows(
     return None
 
 
+def _target_contexts(
+    table: str, binding: str
+) -> tuple[RowContext, RowContext | None]:
+    """The context a target row binds in, and the level outside it.
+
+    The row binds under *binding* in the first; when *binding* is an
+    alias, the caller binds the bare table name in the second, which
+    the first chains to. One level holding both names would make every
+    unqualified column ambiguous; with the table name outside, the
+    alias answers first and ``t.a`` still resolves, as in SQL.
+    """
+    if binding == table:
+        return RowContext(), None
+    table_context = RowContext()
+    return table_context.child(), table_context
+
+
 def _matching_tids(
     database: Database,
     table: str,
@@ -218,13 +240,13 @@ def _matching_tids(
     evaluator = Evaluator(provider, config=config)
     predicate = P.compile_predicate(where) if config.planner else None
 
+    context, table_context = _target_contexts(table, binding)
     if config.partitions > 1 and config.planner:
         pruned = _pruned_rows(database, table, binding, where, evaluator)
         if pruned is not None:
             rows, key_index, key_value, residual = pruned
             checks = [P.compile_predicate(conjunct) for conjunct in residual]
             matched = []
-            context = RowContext()
             for row in rows:
                 # Raw guard standing in for the elided key conjunct:
                 # stable_shard's equality consistency tracks Python ==,
@@ -233,8 +255,8 @@ def _matching_tids(
                 if row.values[key_index] != key_value:
                     continue
                 context.bind(binding, columns, row.values)
-                if binding != table:
-                    context.bind(table, columns, row.values)
+                if table_context is not None:
+                    table_context.bind(table, columns, row.values)
                 if all(
                     sql_is_truthy(check(context, evaluator))
                     for check in checks
@@ -244,12 +266,10 @@ def _matching_tids(
     rows = database.rows(table)
 
     matched = []
-    context = RowContext()
     for row in rows:
         context.bind(binding, columns, row.values)
-        if binding != table:
-            # The bare table name also resolves, as in SQL.
-            context.bind(table, columns, row.values)
+        if table_context is not None:
+            table_context.bind(table, columns, row.values)
         if predicate is not None:
             keep = predicate(context, evaluator)
         else:
@@ -311,13 +331,13 @@ def _execute_update(
         ]
     planned: list[tuple[int, tuple, tuple]] = []
     table_data = database.table(table)
+    context, table_context = _target_contexts(table, binding)
     for tid in tids:
         old = table_data.get(tid)
         assert old is not None
-        context = RowContext()
         context.bind(binding, columns, old)
-        if binding != table:
-            context.bind(table, columns, old)
+        if table_context is not None:
+            table_context.bind(table, columns, old)
         new = list(old)
         if planner:
             for index, value in compiled:

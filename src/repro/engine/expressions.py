@@ -90,6 +90,8 @@ class Evaluator:
     node it runs, and when the same node runs again it decides whether
     the node is closed (:func:`repro.engine.plan.is_closed_subquery`)
     and, if so, returns the kept rows instead of running it per row.
+    An ``EXISTS`` asks its subquery for one row, so the planned path
+    stops at the first qualifying row and keeps at most that one.
     """
 
     def __init__(
@@ -101,9 +103,10 @@ class Evaluator:
         self._provider = provider
         self._config = config if config is not None else DEFAULT_CONFIG
         self._planner = self._config.planner
-        #: id(subquery node) -> (node, rows of its first run or None
-        #: once found open, whether closedness has been decided); the
-        #: node is held so its id cannot be reused while the memo lives
+        #: id(subquery expression) -> (expression, rows of its first
+        #: run or None once found open, whether closedness has been
+        #: decided); the expression is held so its id cannot be reused
+        #: while the memo lives
         self._subqueries: dict[int, tuple] = {}
 
     def evaluate(self, expr: ast.Expression, context: RowContext):
@@ -154,7 +157,7 @@ class Evaluator:
             )
 
         if isinstance(expr, ast.InSubquery):
-            rows = self._run_subquery(expr.subquery, context)
+            rows = self._run_subquery(expr, context)
             for row in rows:
                 if len(row) != 1:
                     raise QueryError("IN subquery must produce one column")
@@ -165,12 +168,12 @@ class Evaluator:
             )
 
         if isinstance(expr, ast.Exists):
-            rows = self._run_subquery(expr.subquery, context)
+            rows = self._run_subquery(expr, context, limit=1)
             result = bool(rows)
             return (not result) if expr.negated else result
 
         if isinstance(expr, ast.ScalarSubquery):
-            rows = self._run_subquery(expr.subquery, context)
+            rows = self._run_subquery(expr, context)
             if not rows:
                 return None
             if len(rows) > 1:
@@ -249,11 +252,19 @@ class Evaluator:
         return True if negated else False
 
     def _run_subquery(
-        self, select: ast.Select, context: RowContext
+        self, expr: ast.Expression, context: RowContext, limit: int | None = None
     ) -> tuple[tuple, ...]:
+        """The rows of *expr*'s subquery in *context*.
+
+        *limit* passes to :func:`~repro.engine.query.execute_select`:
+        an ``EXISTS`` reads one row, so its planned run stops at the
+        first match. The memo is keyed by *expr*, so what a limited run
+        kept is read only by the node that asked for it.
+        """
         from repro.engine.query import execute_select
 
-        key = id(select)
+        select = expr.subquery
+        key = id(expr)
         entry = self._subqueries.get(key) if self._planner else None
         if entry is not None:
             __, rows, decided = entry
@@ -263,12 +274,16 @@ class Evaluator:
 
                 if not is_closed_subquery(select, self._provider):
                     rows = None
-                self._subqueries[key] = (select, rows, True)
+                self._subqueries[key] = (expr, rows, True)
             if rows is not None:
                 return rows
         rows = execute_select(
-            self._provider, select, outer_context=context, config=self._config
+            self._provider,
+            select,
+            outer_context=context,
+            config=self._config,
+            limit=limit,
         ).rows
         if self._planner and entry is None:
-            self._subqueries[key] = (select, rows, False)
+            self._subqueries[key] = (expr, rows, False)
         return rows

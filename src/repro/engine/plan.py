@@ -349,12 +349,16 @@ class Plan:
     (literals or outer-context references), evaluated once per execution
     before any scan; ``items`` are the compiled SELECT item expressions
     for the non-aggregate projection path (``None`` when the query is
-    ``*``, grouped, or aggregated).
+    ``*``, grouped, or aggregated). ``row_per_match`` holds when the
+    answer has one row per matched context (no GROUP BY and no
+    aggregate among the items): only then may a row limit stop the
+    enumeration early.
     """
 
     sources: tuple[SourcePlan, ...]
     constant_gates: tuple = ()
     items: tuple | None = None
+    row_per_match: bool = True
 
 
 @dataclass(frozen=True)
@@ -696,23 +700,20 @@ def _build_plan(
         compile_predicate(gate) for gate in classified.constant_gates
     )
 
+    row_per_match = not select.group_by and not any(
+        isinstance(node, ast.FuncCall) and node.name in ast.AGGREGATE_FUNCTIONS
+        for item in select.items
+        for node in ast.walk_expression(item.expr)
+    )
     items = None
-    if select.items and not select.group_by:
-        has_aggregate = any(
-            isinstance(node, ast.FuncCall)
-            and node.name in ast.AGGREGATE_FUNCTIONS
-            for item in select.items
-            for node in ast.walk_expression(item.expr)
-        )
-        if not has_aggregate:
-            items = tuple(
-                compile_predicate(item.expr) for item in select.items
-            )
+    if select.items and row_per_match:
+        items = tuple(compile_predicate(item.expr) for item in select.items)
 
     return Plan(
         sources=tuple(sources),
         constant_gates=constant_gates,
         items=items,
+        row_per_match=row_per_match,
     )
 
 
@@ -823,6 +824,27 @@ def _shard_table(provider, table_name: str):
     return data
 
 
+class _LimitReached(Exception):
+    """Internal signal: a limited enumeration has matched enough."""
+
+
+def _filtered(rows, binding, columns, filters, context, evaluator):
+    """Yield the *rows* that pass every pushed filter, one at a time.
+
+    Each row counts in ``rows_scanned`` when it is examined, so a
+    limited run reports the rows it filtered before it stopped.
+    """
+    truthy = V.sql_is_truthy
+    for row in rows:
+        STATS.rows_scanned += 1
+        context.bind(binding, columns, row)
+        for predicate in filters:
+            if not truthy(predicate(context, evaluator)):
+                break
+        else:
+            yield row
+
+
 def execute_planned(
     provider,
     select: ast.Select,
@@ -830,11 +852,22 @@ def execute_planned(
     outer_context: RowContext | None,
     evaluator: Evaluator,
     config=None,
+    limit: int | None = None,
 ) -> tuple[list[RowContext], list[list[tuple]], Plan]:
     """Run *select*'s plan; returns (matched contexts, raw rows, plan).
 
     The matched contexts and per-source raw rows are exactly what the
     naive cross-product filter produces, in the same order.
+
+    A *limit* stops the enumeration once that many contexts matched,
+    so the result is the first *limit* of the full answer. It applies
+    only when the plan's answer has one row per matched context
+    (:attr:`Plan.row_per_match`); a grouped or aggregate SELECT runs in
+    full. The outermost source applies its pushed filters as the
+    enumeration asks for its rows, so a limited run stops filtering
+    where it stops matching; deeper sources filter up front, because
+    their pool is read once per outer row and their join index is
+    built from the filtered pool.
 
     When *config* enables partitioning and a scanned table is sharded,
     a const probe whose columns pin the partition key resolves through
@@ -848,6 +881,8 @@ def execute_planned(
     source_columns = tuple((binding, columns) for binding, columns, __ in sources)
     plan = plan_select(select, source_columns)
     table_names = tuple(ref.name.lower() for ref in select.tables)
+    if not plan.row_per_match:
+        limit = None
 
     matched: list[RowContext] = []
     matched_rows: list[list[tuple]] = []
@@ -898,18 +933,16 @@ def execute_planned(
                 STATS.index_probes += 1
 
         if source_plan.filters:
-            truthy = V.sql_is_truthy
-            filters = source_plan.filters
-            kept = []
-            for row in rows:
-                filter_context.bind(binding, columns, row)
-                for predicate in filters:
-                    if not truthy(predicate(filter_context, evaluator)):
-                        break
-                else:
-                    kept.append(row)
-            STATS.rows_scanned += len(rows)
-            rows = kept
+            rows = _filtered(
+                rows,
+                binding,
+                columns,
+                source_plan.filters,
+                filter_context,
+                evaluator,
+            )
+            if i > 0:
+                rows = list(rows)
 
         if source_plan.join_cols is not None:
             if not source_plan.filters and not source_plan.const_probes:
@@ -941,6 +974,8 @@ def execute_planned(
                 snapshot.bind(name, columns, row)
             matched.append(snapshot)
             matched_rows.append(captured)
+            if len(matched) == limit:
+                raise _LimitReached
             return
         source_plan = plan.sources[level]
         binding, columns, __ = sources[level]
@@ -963,7 +998,10 @@ def execute_planned(
                 enumerate_level(level + 1)
             raw.pop()
 
-    enumerate_level(0)
+    try:
+        enumerate_level(0)
+    except _LimitReached:
+        pass
     return matched, matched_rows, plan
 
 

@@ -149,6 +149,7 @@ def execute_select(
     outer_context: RowContext | None = None,
     *,
     config: ExecutionConfig | None = None,
+    limit: int | None = None,
 ) -> QueryResult:
     """Execute *select* against *provider* and return its result rows.
 
@@ -157,6 +158,12 @@ def execute_select(
     :class:`~repro.config.ExecutionConfig`: ``config.planner=False``
     forces the naive cross-product reference path (both paths must
     return byte-identical results).
+
+    A *limit* says the caller reads at most that many rows. The planned
+    path then stops after the first *limit* matched contexts where the
+    answer has one row per match, and returns the first rows of the
+    full answer (see :func:`repro.engine.plan.execute_planned`); the
+    naive path ignores it and stays the full reference evaluation.
     """
     if config is None:
         config = DEFAULT_CONFIG
@@ -176,7 +183,13 @@ def execute_select(
     plan = None
     if planner:
         matched, matched_rows, plan = P.execute_planned(
-            provider, select, sources, outer_context, evaluator, config=config
+            provider,
+            select,
+            sources,
+            outer_context,
+            evaluator,
+            config=config,
+            limit=limit,
         )
     else:
         matched = []

@@ -133,8 +133,10 @@ def streaming_workload(
     seed: int = 0,
     hot_every: int = 13,
 ) -> StreamingWorkload:
-    """Build the workload: *rows* events in ``rows // batch_rows``
-    seeded batches dealt round-robin over *streams*.
+    """Build the workload: *rows* events in seeded batches of
+    *batch_rows* rows dealt round-robin over *streams*; when
+    *batch_rows* does not divide *rows*, a last, partial batch carries
+    the ``rows % batch_rows`` left over.
 
     Each batch is one multi-row ``INSERT`` into its stream's event
     table; every ``hot_every``-th batch additionally bumps the shared
@@ -166,10 +168,12 @@ def streaming_workload(
 
     batches: list[StreamingBatch] = []
     next_id = {stream: 0 for stream in streams}
-    for index in range(rows // batch_rows):
+    full, partial = divmod(rows, batch_rows)
+    sizes = [batch_rows] * full + ([partial] if partial else [])
+    for index, size in enumerate(sizes):
         stream = streams[index % len(streams)]
         values = []
-        for _ in range(batch_rows):
+        for _ in range(size):
             event_id = next_id[stream]
             next_id[stream] = event_id + 1
             values.append(
@@ -181,7 +185,7 @@ def streaming_workload(
         ]
         if hot_every and index % hot_every == 0:
             statements.append(
-                f"update totals set ingested = ingested + {batch_rows} "
+                f"update totals set ingested = ingested + {size} "
                 f"where id = 0"
             )
         batches.append(
@@ -191,7 +195,7 @@ def streaming_workload(
                 statements=tuple(
                     parse_statement(source) for source in statements
                 ),
-                rows=batch_rows,
+                rows=size,
             )
         )
     return StreamingWorkload(

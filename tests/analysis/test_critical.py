@@ -6,6 +6,7 @@ from repro.analysis.critical import Witness, find_witness, replay_witness
 from repro.analysis.termination import (
     ANALYZER_CRITICAL,
     VERDICT_AUTO,
+    VERDICT_UNKNOWN,
     VERDICT_WITNESS,
     build_termination_report,
 )
@@ -90,6 +91,21 @@ class TestFindWitness:
         """
         ruleset = RuleSet.parse(source, schema)
         assert find_witness(ruleset, frozenset({"gc"})) is None
+
+    def test_unevaluable_rule_yields_none_and_stays_unknown(self, schema):
+        # No table has a column z, so the condition cannot be evaluated
+        # on any seeded instance; the search proves nothing either way.
+        source = """
+        create rule bump on cd when inserted, updated
+        if z > 0
+        then update cd set v = v + 1
+        """
+        ruleset = RuleSet.parse(source, schema)
+        assert find_witness(ruleset, frozenset({"bump"})) is None
+        report = build_termination_report(
+            ruleset, mode="critical", rules_source=source
+        )
+        assert report.verdict_for("bump").verdict == VERDICT_UNKNOWN
 
 
 class TestReplayWitness:

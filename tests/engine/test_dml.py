@@ -190,3 +190,81 @@ class TestTransitionTableProvider:
         )
         assert result.affected == 1
         assert (2, 20) not in database.table("t").value_tuples()
+
+
+ALIAS_CONFIGS = (
+    ExecutionConfig(),
+    ExecutionConfig(planner=False),
+    ExecutionConfig(partitions=4),
+)
+ALIAS_CONFIG_IDS = ("planned", "reference", "sharded")
+
+
+def _aliased_database(config):
+    schema = schema_from_spec({"t": ["id", "v"], "u": ["x"]})
+    db = Database(schema)
+    db.load("t", [(1, 10), (2, 20), (3, 30), (4, 20)])
+    db.load("u", [(1,), (3,)])
+    db.declare_partition_key("t", "id")
+    db.apply_partitioning(config.partitions)
+    return db
+
+
+class TestAliasedTarget:
+    """An aliased target binds the alias inside the bare table name, so
+    an unqualified column resolves once and both qualifiers resolve."""
+
+    @pytest.mark.parametrize("config", ALIAS_CONFIGS, ids=ALIAS_CONFIG_IDS)
+    @pytest.mark.parametrize(
+        "aliased, plain",
+        [
+            ("update t w set v = 9 where id = 1",
+             "update t set v = 9 where id = 1"),
+            ("update t w set v = id + 1 where w.id = 1",
+             "update t set v = id + 1 where id = 1"),
+            ("update t w set v = t.id + w.v where t.v = 20",
+             "update t set v = id + v where v = 20"),
+            ("delete from t w where id = 3", "delete from t where id = 3"),
+            ("delete from t w where w.v >= 20 and t.id < 4",
+             "delete from t where v >= 20 and id < 4"),
+            ("delete from t w where exists (select * from u where x = id)",
+             "delete from t where exists (select * from u where x = id)"),
+            ("update t w set v = 0 where exists "
+             "(select * from u where u.x = w.id and x > t.id - 1)",
+             "update t set v = 0 where exists "
+             "(select * from u where u.x = id and x > id - 1)"),
+            ("update t w set v = (select count(*) from u where x <= id) "
+             "where not exists (select * from u where x = t.id)",
+             "update t set v = (select count(*) from u where x <= id) "
+             "where not exists (select * from u where x = id)"),
+        ],
+    )
+    def test_matches_the_unaliased_statement(self, config, aliased, plain):
+        expected_db = _aliased_database(config)
+        expected = execute_statement(
+            expected_db, parse_statement(plain), config=config
+        )
+        database = _aliased_database(config)
+        result = execute_statement(
+            database, parse_statement(aliased), config=config
+        )
+        assert result.affected == expected.affected > 0
+        assert database.canonical() == expected_db.canonical()
+
+    @pytest.mark.parametrize("config", ALIAS_CONFIGS, ids=ALIAS_CONFIG_IDS)
+    def test_rule_action_with_an_aliased_target(self, config):
+        from repro.rules.ruleset import RuleSet
+        from repro.runtime.processor import RuleProcessor
+
+        database = _aliased_database(ExecutionConfig())
+        ruleset = RuleSet.parse(
+            "create rule zero on u when inserted "
+            "then update t w set v = 0 where id = 1",
+            database.schema,
+        )
+        processor = RuleProcessor(ruleset, database, config=config)
+        processor.execute_user("insert into u values (5)")
+        assert processor.run().rules_considered == ["zero"]
+        assert sorted(database.table("t").value_tuples()) == [
+            (1, 0), (2, 20), (3, 30), (4, 20),
+        ]

@@ -27,6 +27,14 @@ create rule a on t when deleted
 then delete from t where v = 0
 """
 
+# A self-triggering rule whose condition names a column no table has:
+# the critical-mode witness search cannot evaluate it.
+UNKNOWN_COLUMN_RULES = """
+create rule a on t when inserted, updated
+if z > 0
+then update t set v = v + 1
+"""
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -189,6 +197,23 @@ class TestLintOptions:
         )
         assert code == 0
         assert "RPL001" in capsys.readouterr().out
+
+    def test_unevaluable_rule_reports_rpl006(self, files, capsys):
+        code = repro_main(
+            [
+                "lint",
+                files("r.txt", UNKNOWN_COLUMN_RULES),
+                "--schema",
+                files("s.txt", SCHEMA),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert (
+            "error RPL006 [a]: unqualified column 'z' matches no table "
+            "in scope" in captured.out
+        )
+        assert "error:" not in captured.err
 
 
 class TestAnalyzeDelegation:

@@ -565,6 +565,31 @@ class TestTerminationModes:
         assert layered["mode"] == "critical"
         assert layered["verdicts"][0]["verdict"] == "auto-certified"
 
+    def test_critical_mode_leaves_an_unevaluable_cycle_unknown(
+        self, files, capsys
+    ):
+        # The witness search cannot evaluate the condition (no table has
+        # a column z): it finds no witness and the cycle stays unknown.
+        code = main(
+            [
+                files(
+                    "r.txt",
+                    "create rule a on t when inserted, updated "
+                    "if z > 0 then update t set v = v + 1",
+                ),
+                "--schema",
+                files("s.txt", SCHEMA),
+                "--termination",
+                "critical",
+                "--verbose",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "may not terminate [critical]" in captured.out
+        assert "{a}: unknown" in captured.out
+        assert "unknown column" not in captured.err
+
     def test_dot_clusters_strata(self, files, capsys, tmp_path):
         dot_path = tmp_path / "tg.dot"
         main(
@@ -642,6 +667,15 @@ class TestServeMode:
         out = capsys.readouterr().out
         assert code == 0
         assert "served 8 committed transactions over 4 session threads" in out
+        assert "replay: equal" in out
+
+    def test_rows_below_one_batch_serve_a_partial_batch(self, capsys):
+        code = repro_main(
+            ["serve", "--rows", "50", "--sessions", "2", "--verify"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "served 1 committed transactions over 2 session threads" in out
         assert "replay: equal" in out
 
     def test_rules_mode_runs_transactions(self, files, capsys):

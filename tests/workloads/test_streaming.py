@@ -64,6 +64,36 @@ class TestWorkloadConstruction:
         assert all(len(b.statements) == 1 for b in workload.batches)
 
 
+class TestPartialBatch:
+    """Rows past the last full batch go into a last, partial batch."""
+
+    def test_remainder_is_a_last_partial_batch(self):
+        workload = streaming_workload(rows=150, batch_rows=100)
+        assert [batch.rows for batch in workload.batches] == [100, 50]
+        assert workload.total_rows == 150
+        events = workload.batches[-1].statements[0]
+        assert len(events.rows) == 50
+
+    def test_full_batches_are_unchanged_by_a_remainder(self):
+        whole = streaming_workload(rows=300, batch_rows=100, seed=3)
+        longer = streaming_workload(rows=350, batch_rows=100, seed=3)
+        assert [repr(s) for b in longer.batches[:3] for s in b.statements] == [
+            repr(s) for b in whole.batches for s in b.statements
+        ]
+
+    def test_a_hot_partial_batch_bumps_by_its_own_rows(self):
+        workload = streaming_workload(rows=50, batch_rows=100)
+        (batch,) = workload.batches
+        assert batch.rows == 50
+        assert len(batch.statements) == 2  # batch 0 is a hot batch
+        server = RuleServer(
+            workload.ruleset, workload.database, options=ServerOptions()
+        )
+        report = drive_streaming(server, workload.batches, workers=2)
+        assert report.committed == 1
+        assert workload.database.table("totals").value_tuples() == [(0, 50)]
+
+
 class TestCountsBelowOne:
     """Counts below 1 are refused in the CLI's wording, not turned into
     a ZeroDivisionError, an IndexError or an empty workload."""
