@@ -160,8 +160,22 @@ class ObsExtendedDefinitions(DerivedDefinitions):
     any two observable rules to be noncommutative).
     """
 
-    def __init__(self, ruleset: RuleSet) -> None:
-        super().__init__(ruleset)
+    def __init__(
+        self, ruleset: RuleSet, base: DerivedDefinitions | None = None
+    ) -> None:
+        """Extend *base*, the base definitions of the same *ruleset*, or
+        compute them here when it is None.
+
+        The extension widens copies of the base ``Reads`` and
+        ``Performs``; every other definition is the base's own, so the
+        rules' references are resolved once for both views.
+        """
+        if base is None:
+            base = DerivedDefinitions(ruleset)
+        vars(self).update(vars(base))
+        self._performs = dict(base._performs)
+        self._reads = dict(base._reads)
+        self._dataflow = {}
         obs_insert = TriggerEvent.insert(OBS_TABLE)
         obs_read = (OBS_TABLE, OBS_COLUMN)
         self.extended_rules = frozenset(

@@ -217,7 +217,9 @@ class AnalysisEngine:
         if key == BASE_VIEW:
             definitions: DerivedDefinitions = DerivedDefinitions(self.ruleset)
         else:
-            definitions = ObsExtendedDefinitions(self.ruleset)
+            definitions = ObsExtendedDefinitions(
+                self.ruleset, base=self._view(BASE_VIEW).definitions
+            )
         commutativity = CommutativityAnalyzer(
             definitions,
             granularity=self.granularity,

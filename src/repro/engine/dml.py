@@ -149,7 +149,7 @@ def _execute_insert(
 def _pruned_rows(
     database: Database,
     table: str,
-    binding: str,
+    layout: P.RowLayout,
     where: ast.Expression,
     evaluator: Evaluator,
 ):
@@ -162,44 +162,45 @@ def _pruned_rows(
     Kleene AND the whole predicate cannot be True for it —
     :func:`~repro.engine.partition.stable_shard`'s equality-consistency
     guarantees every possibly-matching row lives in the probed shard.
-    A key expression that raises falls back to the full scan so the
-    per-row error behavior of the serial path is preserved.
+    The key column resolves as the target row binds (*layout*): a bare
+    ``a`` and ``x.a`` name the alias's column, ``t.a`` the table's,
+    which is the same row. A key expression that raises falls back to
+    the full scan so the per-row error behavior of the serial path is
+    preserved.
 
-    Returns ``(rows, key_index, key_value, residual_conjuncts)``: the
-    probed shard's rows, the key column to equality-guard them on (the
-    shard may hold hash siblings of *key_value*), and the conjuncts
-    still to evaluate per row — the pruned conjunct itself is elided,
-    its work done by the raw guard. ``rows`` is empty for a NULL key
-    value (``key = NULL`` matches no row).
+    Returns ``(rows, residual_conjuncts)``: the probed shard's rows
+    whose key equals the probe value (the shard may hold hash siblings
+    of it), and the conjuncts still to evaluate per row — the pruned
+    conjunct itself is elided, its work done by that raw guard.
+    ``rows`` is empty for a NULL key value (``key = NULL`` matches no
+    row).
     """
     data = database.table(table)
     if data.shard_count == 0:
         return None
     key_col = data.partition_column
-    columns = database.schema.table(table).column_names
-    binding_columns = {binding: columns}
-    if binding != table:
-        binding_columns[table] = columns
-    conjuncts = P.split_conjuncts(where)
+    scope = dict.fromkeys(layout.names, layout.columns)
+    conjuncts = list(P.split_conjuncts(where))
     for conjunct in conjuncts:
-        for candidate in binding_columns:
-            probe = P._as_const_probe(conjunct, candidate, binding_columns)
-            if probe is None or probe.column != key_col:
-                continue
-            try:
-                value = evaluator.evaluate(probe.value, RowContext())
-            except Exception:
-                return None
-            if value is None:
-                return [], key_col, None, []
-            P.STATS.shard_probes += 1
-            residual = [c for c in conjuncts if c is not conjunct]
-            return (
-                data.shard_rows(data.shard_of_value(value)),
-                key_col,
-                value,
-                residual,
-            )
+        probe = P._as_const_probe(conjunct, layout, scope)
+        if probe is None or probe.column != key_col:
+            continue
+        try:
+            value = evaluator.evaluate(probe.value, RowContext())
+        except Exception:
+            return None
+        if value is None:
+            return [], []
+        P.STATS.shard_probes += 1
+        # stable_shard's equality consistency tracks Python ==, and a
+        # NULL key in a row compares unequal here exactly as SQL
+        # equality excludes it.
+        rows = [
+            row
+            for row in data.shard_rows(data.shard_of_value(value))
+            if row.values[key_col] == value
+        ]
+        return rows, [c for c in conjuncts if c is not conjunct]
     return None
 
 
@@ -220,6 +221,15 @@ def _target_contexts(
     return table_context.child(), table_context
 
 
+def _target_layout(
+    table: str, binding: str, columns: tuple[str, ...]
+) -> P.RowLayout:
+    """The :class:`~repro.engine.plan.RowLayout` of a target row bound
+    as :func:`_target_contexts` binds it."""
+    names = (table,) if binding == table else (binding, table)
+    return P.RowLayout(names, columns)
+
+
 def _matching_tids(
     database: Database,
     table: str,
@@ -232,49 +242,51 @@ def _matching_tids(
 
     With partitioning enabled, a target scan over a sharded table first
     tries partition pruning (see :func:`_pruned_rows`); an unprunable
-    scan walks the flat rows in tid order, as on a flat table.
+    scan walks the flat rows in tid order, as on a flat table. The
+    planned scan reads each row's columns by position and binds the
+    row in a context only when *where* reads it there
+    (:func:`repro.engine.plan.compile_row_predicate`).
     """
     if where is None:
         return [row.tid for row in database.rows(table)]
     columns = database.schema.table(table).column_names
     evaluator = Evaluator(provider, config=config)
-    predicate = P.compile_predicate(where) if config.planner else None
-
     context, table_context = _target_contexts(table, binding)
-    if config.partitions > 1 and config.planner:
-        pruned = _pruned_rows(database, table, binding, where, evaluator)
-        if pruned is not None:
-            rows, key_index, key_value, residual = pruned
-            checks = [P.compile_predicate(conjunct) for conjunct in residual]
-            matched = []
-            for row in rows:
-                # Raw guard standing in for the elided key conjunct:
-                # stable_shard's equality consistency tracks Python ==,
-                # and a NULL key value compares unequal here exactly as
-                # SQL equality excludes it.
-                if row.values[key_index] != key_value:
-                    continue
-                context.bind(binding, columns, row.values)
-                if table_context is not None:
-                    table_context.bind(table, columns, row.values)
-                if all(
-                    sql_is_truthy(check(context, evaluator))
-                    for check in checks
-                ):
-                    matched.append(row.tid)
-            return matched
-    rows = database.rows(table)
+
+    if not config.planner:
+        matched = []
+        for row in database.rows(table):
+            context.bind(binding, columns, row.values)
+            if table_context is not None:
+                table_context.bind(table, columns, row.values)
+            keep = evaluator.evaluate(where, context)
+            if sql_is_truthy(keep):
+                matched.append(row.tid)
+        return matched
+
+    layout = _target_layout(table, binding, columns)
+    pruned = None
+    if config.partitions > 1:
+        pruned = _pruned_rows(database, table, layout, where, evaluator)
+    if pruned is not None:
+        rows, checks = pruned
+    else:
+        rows, checks = database.rows(table), [where]
+    compiled = [P.compile_row_predicate(check, layout) for check in checks]
+    predicates = [predicate for predicate, __ in compiled]
+    bind = any(binds for __, binds in compiled)
 
     matched = []
     for row in rows:
-        context.bind(binding, columns, row.values)
-        if table_context is not None:
-            table_context.bind(table, columns, row.values)
-        if predicate is not None:
-            keep = predicate(context, evaluator)
+        values = row.values
+        if bind:
+            context.bind(binding, columns, values)
+            if table_context is not None:
+                table_context.bind(table, columns, values)
+        for predicate in predicates:
+            if not sql_is_truthy(predicate(values, context, evaluator)):
+                break
         else:
-            keep = evaluator.evaluate(where, context)
-        if sql_is_truthy(keep):
             matched.append(row.tid)
     return matched
 
@@ -324,24 +336,28 @@ def _execute_update(
     # Compute all new values against the pre-statement state first.
     planner = config.planner
     evaluator = Evaluator(provider, config=config)
+    bind = True
     if planner:
+        layout = _target_layout(table, binding, columns)
         compiled = [
-            (index, P.compile_predicate(value_expr))
+            (index, *P.compile_row_predicate(value_expr, layout))
             for index, value_expr in assignment_indexes
         ]
+        bind = any(binds for __, __, binds in compiled)
     planned: list[tuple[int, tuple, tuple]] = []
     table_data = database.table(table)
     context, table_context = _target_contexts(table, binding)
     for tid in tids:
         old = table_data.get(tid)
         assert old is not None
-        context.bind(binding, columns, old)
-        if table_context is not None:
-            table_context.bind(table, columns, old)
+        if bind:
+            context.bind(binding, columns, old)
+            if table_context is not None:
+                table_context.bind(table, columns, old)
         new = list(old)
         if planner:
-            for index, value in compiled:
-                new[index] = value(context, evaluator)
+            for index, value, __ in compiled:
+                new[index] = value(old, context, evaluator)
         else:
             for index, value_expr in assignment_indexes:
                 new[index] = evaluator.evaluate(value_expr, context)

@@ -22,12 +22,15 @@ module replaces that hot path with a small query-planning layer:
   (:meth:`repro.engine.storage.TableData.equality_index`) instead of a
   scan. Those indexes are memoized on the copy-on-write
   :class:`~repro.engine.storage.TableData` exactly like the canonical
-  fragments: they survive :meth:`Database.copy` forks and invalidate
-  per-table on write;
+  fragments: they survive :meth:`Database.copy` forks, and inserts,
+  deletes and updates maintain them in place;
 * **predicate compilation** — expression trees compile once into Python
   closures (cached by the expression's AST, which is a frozen, hashable
   dataclass), eliminating the per-row ``isinstance`` dispatch of the
-  tree-walking evaluator. Plans are likewise cached by the SELECT's AST
+  tree-walking evaluator. A predicate compiled for the
+  :class:`RowLayout` of the row a single-source loop scans reads that
+  row's columns by position instead of looking each name up in a
+  :class:`RowContext`. Plans are likewise cached by the SELECT's AST
   plus the source column layout, so a rule's condition is planned once
   and reused across every processor step and every ``explore()`` fork.
 
@@ -141,21 +144,68 @@ def select_fingerprint(select: ast.Select) -> tuple[str, ...]:
     )
 
 
+@dataclass(frozen=True)
+class RowLayout:
+    """The row a single-source loop scans, as :class:`RowContext` sees it.
+
+    ``names`` are the names the row is bound under: a SELECT source's
+    binding, or a DML target's alias and, one context level further
+    out, its bare table name (:func:`repro.engine.dml._target_contexts`).
+    ``columns`` is the row's column tuple. Nothing else bound at those
+    levels answers a reference the row answers: a pushed filter's bare
+    columns have one owner among the FROM bindings, and a DML target's
+    levels hold only the target.
+    """
+
+    names: tuple[str, ...]
+    columns: tuple[str, ...]
+
+    def slot(self, expr: ast.Expression) -> int | None:
+        """The position of the row's column *expr* resolves to, or None
+        when *expr* is not a column reference the row answers: a bare
+        ``c`` among the columns, or ``q.c`` with ``q`` one of the names."""
+        if not isinstance(expr, ast.ColumnRef):
+            return None
+        column = expr.column.lower()
+        if column not in self.columns:
+            return None
+        if expr.table and expr.table.lower() not in self.names:
+            return None
+        return self.columns.index(column)
+
+
 def compile_predicate(expr: ast.Expression):
-    """Compile *expr* into a closure ``f(context, evaluator) -> value``.
+    """Compile *expr* into a closure ``f(row, context, evaluator) -> value``
+    whose column references all resolve through *context*; a caller
+    with no scanned row passes ``row=None``."""
+    return compile_row_predicate(expr, None)[0]
+
+
+def compile_row_predicate(expr: ast.Expression, layout: RowLayout | None):
+    """Compile *expr* for the row *layout* describes.
+
+    Returns ``(f, binds_row)``. ``f(row, context, evaluator) -> value``
+    reads a reference :class:`RowContext` would resolve to the scanned
+    row from the value tuple *row* by position, and resolves every
+    other one through *context*; ``binds_row`` says whether a loop
+    calling ``f`` must still bind the row in its context first
+    (:func:`_binds_row`; False without a layout).
 
     The closure is provider-independent — subquery nodes delegate back to
     the passed :class:`Evaluator` (whose ``execute_select`` call is
     itself planned and cached) — so compiled predicates are memoized
-    globally, keyed by the (frozen, value-hashable) AST node plus its
-    literal-type fingerprint.
+    globally, keyed by the (frozen, value-hashable) AST node, the layout
+    and the AST's literal-type fingerprint.
     """
-    key = (expr, expression_fingerprint(expr))
+    key = (expr, layout, expression_fingerprint(expr))
     compiled = _PREDICATE_CACHE.get(key)
     if compiled is not None:
         STATS.predicate_cache_hits += 1
         return compiled
-    compiled = _compile(expr)
+    compiled = (
+        _compile(expr, layout),
+        layout is not None and _binds_row(expr, layout),
+    )
     if len(_PREDICATE_CACHE) >= _PREDICATE_CACHE_CAP:
         _PREDICATE_CACHE.clear()
     _PREDICATE_CACHE[key] = compiled
@@ -163,140 +213,207 @@ def compile_predicate(expr: ast.Expression):
     return compiled
 
 
-def _compile(expr: ast.Expression):
+def _binds_row(expr: ast.Expression, layout: RowLayout) -> bool:
+    """Whether *expr*, compiled for *layout*, reads its row through the
+    context, so the caller must bind the row there first.
+
+    That holds for a node :func:`_compile` hands to the evaluator (a
+    subquery may correlate with the row) and for ``q.c`` where ``q``
+    names the row but ``c`` is not one of its columns: the lookup must
+    find the row to raise ``table 'q' has no column 'c'``. Every other
+    reference either reads the row by position or resolves past the
+    row's level, where binding it changes nothing.
+    """
+    for node in ast.walk_expression(expr):
+        if _deferred(node):
+            return True
+        if (
+            isinstance(node, ast.ColumnRef)
+            and node.table
+            and node.table.lower() in layout.names
+            and layout.slot(node) is None
+        ):
+            return True
+    return False
+
+
+_UNARY_OPS = frozenset({"not", "-"})
+_COMPARISON_OPS = frozenset({"=", "<>", "<", "<=", ">", ">="})
+_ARITHMETIC_OPS = frozenset({"+", "-", "*", "/", "%", "||"})
+_BINARY_OPS = _COMPARISON_OPS | _ARITHMETIC_OPS | {
+    "and",
+    "or",
+    "like",
+    "not like",
+}
+_COMPILED_NODES = (
+    ast.Literal,
+    ast.ColumnRef,
+    ast.BinaryOp,
+    ast.UnaryOp,
+    ast.IsNull,
+    ast.Between,
+    ast.InList,
+    ast.FuncCall,
+)
+
+
+def _deferred(node: ast.Expression) -> bool:
+    """Whether :func:`_compile` hands *node* whole to the evaluator.
+
+    Subqueries do, and so do an aggregate (invalid outside SELECT
+    items, so the evaluator raises the naive path's error), an unknown
+    operator and any future node type.
+    """
+    if isinstance(node, ast.BinaryOp):
+        return node.op not in _BINARY_OPS
+    if isinstance(node, ast.UnaryOp):
+        return node.op not in _UNARY_OPS
+    if isinstance(node, ast.FuncCall):
+        return node.name in ast.AGGREGATE_FUNCTIONS
+    return not isinstance(node, _COMPILED_NODES)
+
+
+def _compile(expr: ast.Expression, layout: RowLayout | None):
+    if _deferred(expr):
+        # The evaluator plans a subquery's SELECT when it runs and keeps
+        # the rows of a closed one for the rest of the statement.
+        return lambda row, context, evaluator: evaluator.evaluate(
+            expr, context
+        )
+
     if isinstance(expr, ast.Literal):
         value = expr.value
-        return lambda context, evaluator: value
+        return lambda row, context, evaluator: value
 
     if isinstance(expr, ast.ColumnRef):
+        slot = None if layout is None else layout.slot(expr)
+        if slot is not None:
+            return lambda row, context, evaluator: row[slot]
         column = expr.column
         if expr.table:
             table = expr.table
-            return lambda context, evaluator: context.lookup_qualified(
+            return lambda row, context, evaluator: context.lookup_qualified(
                 table, column
             )
-        return lambda context, evaluator: context.lookup_unqualified(column)
+        return lambda row, context, evaluator: context.lookup_unqualified(
+            column
+        )
 
     if isinstance(expr, ast.BinaryOp):
-        return _compile_binary(expr)
+        return _compile_binary(expr, layout)
 
     if isinstance(expr, ast.UnaryOp):
-        operand = _compile(expr.operand)
+        operand = _compile(expr.operand, layout)
         if expr.op == "not":
             as_bool = Evaluator._as_bool
-            return lambda context, evaluator: V.sql_not(
-                as_bool(operand(context, evaluator))
+            return lambda row, context, evaluator: V.sql_not(
+                as_bool(operand(row, context, evaluator))
             )
-        if expr.op == "-":
-            return _compile_negate(operand)
-        # Unknown operator: defer to the evaluator's error path.
-        return lambda context, evaluator: evaluator.evaluate(expr, context)
+        return _compile_negate(operand)
 
     if isinstance(expr, ast.IsNull):
-        operand = _compile(expr.operand)
+        operand = _compile(expr.operand, layout)
         if expr.negated:
-            return lambda context, evaluator: (
-                operand(context, evaluator) is not None
+            return lambda row, context, evaluator: (
+                operand(row, context, evaluator) is not None
             )
-        return lambda context, evaluator: operand(context, evaluator) is None
+        return lambda row, context, evaluator: (
+            operand(row, context, evaluator) is None
+        )
 
     if isinstance(expr, ast.Between):
-        operand = _compile(expr.operand)
-        low = _compile(expr.low)
-        high = _compile(expr.high)
+        operand = _compile(expr.operand, layout)
+        low = _compile(expr.low, layout)
+        high = _compile(expr.high, layout)
         negated = expr.negated
 
-        def between(context, evaluator):
-            value = operand(context, evaluator)
+        def between(row, context, evaluator):
+            value = operand(row, context, evaluator)
             result = V.sql_and(
-                V.sql_compare(">=", value, low(context, evaluator)),
-                V.sql_compare("<=", value, high(context, evaluator)),
+                V.sql_compare(">=", value, low(row, context, evaluator)),
+                V.sql_compare("<=", value, high(row, context, evaluator)),
             )
             return V.sql_not(result) if negated else result
 
         return between
 
     if isinstance(expr, ast.InList):
-        operand = _compile(expr.operand)
-        items = tuple(_compile(item) for item in expr.items)
+        operand = _compile(expr.operand, layout)
+        items = tuple(_compile(item, layout) for item in expr.items)
         negated = expr.negated
         evaluate_in = Evaluator._evaluate_in
-        return lambda context, evaluator: evaluate_in(
-            operand(context, evaluator),
-            [item(context, evaluator) for item in items],
+        return lambda row, context, evaluator: evaluate_in(
+            operand(row, context, evaluator),
+            [item(row, context, evaluator) for item in items],
             negated,
         )
 
-    if isinstance(expr, ast.FuncCall):
-        if expr.name in ast.AGGREGATE_FUNCTIONS:
-            # Aggregates are invalid here; route through the evaluator so
-            # the error is identical to the naive path's.
-            return lambda context, evaluator: evaluator.evaluate(expr, context)
-        name = expr.name
-        args = tuple(_compile(arg) for arg in expr.args)
-        return lambda context, evaluator: V.sql_scalar_function(
-            name, [arg(context, evaluator) for arg in args]
-        )
-
-    # Subqueries (and any future node type) go back to the evaluator,
-    # which plans the subquery's SELECT when it runs and keeps the rows
-    # of a closed one for the rest of the statement.
-    return lambda context, evaluator: evaluator.evaluate(expr, context)
+    # A scalar function call (aggregates were deferred above).
+    name = expr.name
+    args = tuple(_compile(arg, layout) for arg in expr.args)
+    return lambda row, context, evaluator: V.sql_scalar_function(
+        name, [arg(row, context, evaluator) for arg in args]
+    )
 
 
-def _compile_binary(expr: ast.BinaryOp):
+def _compile_binary(expr: ast.BinaryOp, layout: RowLayout | None):
     op = expr.op
-    left = _compile(expr.left)
-    right = _compile(expr.right)
+    left = _compile(expr.left, layout)
+    right = _compile(expr.right, layout)
     as_bool = Evaluator._as_bool
 
     if op == "and":
 
-        def kleene_and(context, evaluator):
-            left_value = as_bool(left(context, evaluator))
+        def kleene_and(row, context, evaluator):
+            left_value = as_bool(left(row, context, evaluator))
             if left_value is False:
                 return False
-            return V.sql_and(left_value, as_bool(right(context, evaluator)))
+            return V.sql_and(
+                left_value, as_bool(right(row, context, evaluator))
+            )
 
         return kleene_and
 
     if op == "or":
 
-        def kleene_or(context, evaluator):
-            left_value = as_bool(left(context, evaluator))
+        def kleene_or(row, context, evaluator):
+            left_value = as_bool(left(row, context, evaluator))
             if left_value is True:
                 return True
-            return V.sql_or(left_value, as_bool(right(context, evaluator)))
+            return V.sql_or(
+                left_value, as_bool(right(row, context, evaluator))
+            )
 
         return kleene_or
 
-    if op in ("=", "<>", "<", "<=", ">", ">="):
+    if op in _COMPARISON_OPS:
         compare = V.sql_compare
-        return lambda context, evaluator: compare(
-            op, left(context, evaluator), right(context, evaluator)
+        return lambda row, context, evaluator: compare(
+            op, left(row, context, evaluator), right(row, context, evaluator)
         )
-    if op in ("+", "-", "*", "/", "%", "||"):
+    if op in _ARITHMETIC_OPS:
         arithmetic = V.sql_arithmetic
-        return lambda context, evaluator: arithmetic(
-            op, left(context, evaluator), right(context, evaluator)
+        return lambda row, context, evaluator: arithmetic(
+            op, left(row, context, evaluator), right(row, context, evaluator)
         )
     if op == "like":
-        return lambda context, evaluator: V.sql_like(
-            left(context, evaluator), right(context, evaluator)
+        return lambda row, context, evaluator: V.sql_like(
+            left(row, context, evaluator), right(row, context, evaluator)
         )
-    if op == "not like":
-        return lambda context, evaluator: V.sql_not(
-            V.sql_like(left(context, evaluator), right(context, evaluator))
+    # "not like" (an unknown operator was deferred to the evaluator)
+    return lambda row, context, evaluator: V.sql_not(
+        V.sql_like(
+            left(row, context, evaluator), right(row, context, evaluator)
         )
-    # Unknown operator: defer to the evaluator's error path.
-    return lambda context, evaluator: evaluator.evaluate(expr, context)
+    )
 
 
 def _compile_negate(operand):
     from repro.errors import EvaluationError
 
-    def negate(context, evaluator):
-        value = operand(context, evaluator)
+    def negate(row, context, evaluator):
+        value = operand(row, context, evaluator)
         if value is None:
             return None
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -324,17 +441,20 @@ def split_conjuncts(expr: ast.Expression):
 class SourcePlan:
     """The per-FROM-table slice of a :class:`Plan`.
 
-    ``filters`` are pushed single-table conjuncts (compiled, original
-    order); ``const_probes`` are ``(column_index, value_closure)`` pairs
-    from equality-with-constant conjuncts, served by a hash index;
-    ``join_cols``/``join_values`` describe the hash-join key when this
-    level is the probe target of one or more equi-join conjuncts; and
-    ``residuals`` are the remaining conjuncts whose deepest binding is
-    this level.
+    ``filters`` are pushed single-table conjuncts (compiled for the
+    source's :class:`RowLayout`, original order), and ``filters_bind``
+    says whether one of them reads the row through the context
+    (:func:`compile_row_predicate`); ``const_probes`` are ``(column_index,
+    value_closure)`` pairs from equality-with-constant conjuncts, served
+    by a hash index; ``join_cols``/``join_values`` describe the
+    hash-join key when this level is the probe target of one or more
+    equi-join conjuncts; and ``residuals`` are the remaining conjuncts
+    whose deepest binding is this level.
     """
 
     binding: str
     filters: tuple = ()
+    filters_bind: bool = False
     const_probes: tuple = ()
     join_cols: tuple[int, ...] | None = None
     join_values: tuple = ()
@@ -604,7 +724,11 @@ def classify_select(
 
         if len(deps) == 1:
             binding = next(iter(deps))
-            probe = _as_const_probe(conjunct, binding, binding_columns)
+            probe = _as_const_probe(
+                conjunct,
+                RowLayout((binding,), binding_columns[binding]),
+                binding_columns,
+            )
             if probe is not None:
                 const_probes[order[binding]].append(probe)
             else:
@@ -670,13 +794,17 @@ def _build_plan(
     classified = classify_select(select, source_columns)
 
     sources = []
-    for source in classified.sources:
+    for source, (__, columns) in zip(classified.sources, source_columns):
+        layout = RowLayout((source.binding,), columns)
+        filters = [
+            compile_row_predicate(conjunct, layout)
+            for conjunct in source.filters
+        ]
         sources.append(
             SourcePlan(
                 binding=source.binding,
-                filters=tuple(
-                    compile_predicate(conjunct) for conjunct in source.filters
-                ),
+                filters=tuple(predicate for predicate, __ in filters),
+                filters_bind=any(binds for __, binds in filters),
                 const_probes=tuple(
                     (probe.column, compile_predicate(probe.value))
                     for probe in source.const_probes
@@ -717,16 +845,22 @@ def _build_plan(
     )
 
 
-def _as_const_probe(conjunct, binding, binding_columns) -> ConstProbe | None:
-    """``col = <row-independent expr>`` → a :class:`ConstProbe`."""
+def _as_const_probe(
+    conjunct, layout: RowLayout, binding_columns
+) -> ConstProbe | None:
+    """``col = <row-independent expr>`` → a :class:`ConstProbe`.
+
+    ``col`` is a column of the row *layout* describes; the other side
+    must depend on no binding in *binding_columns*.
+    """
     if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
         return None
     for ref_side, value_side in (
         (conjunct.left, conjunct.right),
         (conjunct.right, conjunct.left),
     ):
-        resolved = _ref_binding(ref_side, binding_columns)
-        if resolved is None or resolved[0] != binding:
+        column = layout.slot(ref_side)
+        if column is None:
             continue
         try:
             value_deps = _conjunct_deps(value_side, binding_columns)
@@ -734,7 +868,7 @@ def _as_const_probe(conjunct, binding, binding_columns) -> ConstProbe | None:
             continue
         if value_deps:
             continue
-        return ConstProbe(conjunct, resolved[1], value_side)
+        return ConstProbe(conjunct, column, value_side)
     return None
 
 
@@ -828,18 +962,23 @@ class _LimitReached(Exception):
     """Internal signal: a limited enumeration has matched enough."""
 
 
-def _filtered(rows, binding, columns, filters, context, evaluator):
+def _filtered(rows, binding, columns, source_plan, context, evaluator):
     """Yield the *rows* that pass every pushed filter, one at a time.
 
-    Each row counts in ``rows_scanned`` when it is examined, so a
-    limited run reports the rows it filtered before it stopped.
+    The filters read the row by position; the row is bound in *context*
+    only when one of them reads it there (``filters_bind``). Each row
+    counts in ``rows_scanned`` when it is examined, so a limited run
+    reports the rows it filtered before it stopped.
     """
     truthy = V.sql_is_truthy
+    filters = source_plan.filters
+    bind = source_plan.filters_bind
     for row in rows:
         STATS.rows_scanned += 1
-        context.bind(binding, columns, row)
+        if bind:
+            context.bind(binding, columns, row)
         for predicate in filters:
-            if not truthy(predicate(context, evaluator)):
+            if not truthy(predicate(row, context, evaluator)):
                 break
         else:
             yield row
@@ -889,7 +1028,7 @@ def execute_planned(
 
     base = RowContext(outer=outer_context)
     for gate in plan.constant_gates:
-        if not V.sql_is_truthy(gate(base, evaluator)):
+        if not V.sql_is_truthy(gate(None, base, evaluator)):
             return matched, matched_rows, plan
 
     n = len(sources)
@@ -907,7 +1046,8 @@ def execute_planned(
 
         if source_plan.const_probes:
             probe_values = [
-                value(base, evaluator) for __, value in source_plan.const_probes
+                value(None, base, evaluator)
+                for __, value in source_plan.const_probes
             ]
             key = _probe_key(probe_values)
             if key is None:
@@ -934,12 +1074,7 @@ def execute_planned(
 
         if source_plan.filters:
             rows = _filtered(
-                rows,
-                binding,
-                columns,
-                source_plan.filters,
-                filter_context,
-                evaluator,
+                rows, binding, columns, source_plan, filter_context, evaluator
             )
             if i > 0:
                 rows = list(rows)
@@ -981,7 +1116,10 @@ def execute_planned(
         binding, columns, __ = sources[level]
         if source_plan.join_cols is not None:
             key = _probe_key(
-                [value(context, evaluator) for value in source_plan.join_values]
+                [
+                    value(None, context, evaluator)
+                    for value in source_plan.join_values
+                ]
             )
             candidates = () if key is None else join_indexes[level].get(key, ())
             STATS.hash_join_probes += 1
@@ -992,7 +1130,7 @@ def execute_planned(
             context.bind(binding, columns, row)
             raw.append(row)
             for predicate in residuals:
-                if not truthy(predicate(context, evaluator)):
+                if not truthy(predicate(None, context, evaluator)):
                     break
             else:
                 enumerate_level(level + 1)

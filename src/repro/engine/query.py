@@ -229,7 +229,7 @@ def execute_select(
 
     if plan is not None and plan.items is not None:
         rows = [
-            tuple(item(context, evaluator) for item in plan.items)
+            tuple(item(None, context, evaluator) for item in plan.items)
             for context in matched
         ]
     else:

@@ -363,7 +363,7 @@ class ReteNetwork:
         probe = RowContext()
         for gate in classified.constant_gates:
             try:
-                value = P.compile_predicate(gate)(probe, _EVALUATOR)
+                value = P.compile_predicate(gate)(None, probe, _EVALUATOR)
             except Exception:
                 raise _Unsupported("constant-error") from None
             if not V.sql_is_truthy(value):
@@ -371,7 +371,9 @@ class ReteNetwork:
         for source in classified.sources:
             for const_probe in source.const_probes:
                 try:
-                    P.compile_predicate(const_probe.value)(probe, _EVALUATOR)
+                    P.compile_predicate(const_probe.value)(
+                        None, probe, _EVALUATOR
+                    )
                 except Exception:
                     raise _Unsupported("constant-error") from None
 
@@ -650,7 +652,7 @@ class ReteInstance:
         context.bind(alpha.binding, alpha.columns, values)
         truthy = V.sql_is_truthy
         for predicate in alpha.predicates:
-            if not truthy(predicate(context, _EVALUATOR)):
+            if not truthy(predicate(None, context, _EVALUATOR)):
                 return False
         return True
 
@@ -692,7 +694,7 @@ class ReteInstance:
         memory = self._memory(beta.key)
         context = self._left_context(beta, token)
         key = P._probe_key(
-            [build(context, _EVALUATOR) for build in beta.join_builds]
+            [build(None, context, _EVALUATOR) for build in beta.join_builds]
         )
         memory.left_keys[token] = key
         if key is None:
@@ -729,7 +731,7 @@ class ReteInstance:
         context.bind(right.binding, right.columns, values)
         truthy = V.sql_is_truthy
         for predicate in beta.residuals:
-            if not truthy(predicate(context, _EVALUATOR)):
+            if not truthy(predicate(None, context, _EVALUATOR)):
                 return
         out_token = token + (rtid,)
         memory.out[out_token] = None

@@ -459,7 +459,7 @@ class RuleProcessor:
                     value = evaluator.evaluate(rule.condition, RowContext())
                 else:
                     condition = P.compile_predicate(rule.condition)
-                    value = condition(RowContext(), evaluator)
+                    value = condition(None, RowContext(), evaluator)
                 condition_true = sql_is_truthy(value)
 
         if not condition_true:

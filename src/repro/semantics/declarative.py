@@ -283,7 +283,7 @@ class DeclarativeEngine:
                 value = evaluator.evaluate(rule.condition, RowContext())
             else:
                 predicate = P.compile_predicate(rule.condition)
-                value = predicate(RowContext(), evaluator)
+                value = predicate(None, RowContext(), evaluator)
             if not sql_is_truthy(value):
                 return False, False
 

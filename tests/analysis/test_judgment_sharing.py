@@ -341,3 +341,57 @@ def test_parallel_report_matches_memo_free_paths():
     assert comparable(report) == comparable(
         reference_report(ruleset, {}, [])
     )
+
+
+# ----------------------------------------------------------------------
+# The Obs view's definitions extend the base view's
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build", programs())
+def test_engine_obs_definitions_equal_standalone_ones(build):
+    ruleset = build()
+    engine = AnalysisEngine(ruleset)
+    shared = engine.obs_definitions
+    standalone = ObsExtendedDefinitions(ruleset)
+    assert shared.extended_rules == standalone.extended_rules
+    for name in ruleset.names:
+        for definition in (
+            "triggered_by",
+            "performs",
+            "triggers",
+            "reads",
+            "observable",
+            "dataflow",
+        ):
+            assert getattr(shared, definition)(name) == getattr(
+                standalone, definition
+            )(name), (name, definition)
+    # The extension widened copies: the base view is unchanged.
+    base = DerivedDefinitions(ruleset)
+    for name in ruleset.names:
+        assert engine.definitions.reads(name) == base.reads(name)
+        assert engine.definitions.performs(name) == base.performs(name)
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_analyze_resolves_each_rule_once_per_read_set(monkeypatch, index):
+    # One Reads walk per rule in the base view and one dataflow walk per
+    # rule for the pruning tiers; the Obs view resolves nothing again.
+    from repro.analysis import dataflow, derived
+
+    calls = []
+    for module in (derived, dataflow):
+        resolve = module.resolve_references
+        monkeypatch.setattr(
+            module,
+            "resolve_references",
+            lambda rule, resolve=resolve: calls.append(rule) or resolve(rule),
+        )
+    config = GeneratorConfig(
+        n_tables=8, n_rules=40, p_observable=0.1, p_priority=0.02
+    )
+    ruleset = generated_program(index, config)
+    assert any(rule.is_observable for rule in ruleset)
+    RuleAnalyzer(ruleset).analyze(termination_mode="stratified")
+    assert len(calls) == 2 * len(ruleset.names) == 80

@@ -1,0 +1,369 @@
+"""Predicates compiled for the row a loop scans read its columns by position.
+
+:func:`repro.engine.plan.compile_row_predicate` takes the
+:class:`~repro.engine.plan.RowLayout` of a single-source loop's row: a
+column reference :class:`~repro.engine.expressions.RowContext` would
+resolve to that row compiles to a tuple index, and the loop binds the
+row in a context only when the flag returned beside the closure says a
+node still reads it there (a subquery, or ``q.c`` naming the row with
+a column it lacks). These tests hold the planned loops that use it — a
+SELECT source's pushed filters, the DML target scans (flat and pruned
+to one shard) and UPDATE's SET expressions — to the tree-walking
+reference (``ExecutionConfig(matching="naive", planner=False)``) over
+seeded NULL-bearing instances, flat and sharded, with aliased and
+unaliased targets; pin the errors both paths raise; and pin the memo
+key and the partition pruning of aliased targets.
+"""
+
+import random
+
+import pytest
+
+from repro.config import ExecutionConfig
+from repro.engine import plan
+from repro.engine.database import Database
+from repro.engine.dml import execute_statement
+from repro.engine.expressions import RowContext
+from repro.engine.query import DatabaseProvider, execute_select
+from repro.errors import EvaluationError
+from repro.lang import ast
+from repro.lang.parser import parse_statement
+from repro.schema.catalog import schema_from_spec
+from tests.engine.test_exists_early_exit import (
+    PLANNED,
+    REFERENCE,
+    SHARDS,
+    TABLES,
+    _instances,
+)
+from tests.engine.test_planner_equivalence import (
+    _random_instance,
+    _random_predicate,
+)
+from tests.seeding import derive_seed
+
+
+def _reference_names(rng, text, names):
+    """*text*, whose references to a row are qualified by ``names[0]``,
+    with each such reference made bare or qualified by one of *names*:
+    every form RowContext resolves to that row. (No table's columns
+    share a name, so a bare column has one owner.)"""
+    forms = ["", *(f"{name}." for name in names)]
+    parts = text.split(f"{names[0]}.")
+    return parts[0] + "".join(rng.choice(forms) + part for part in parts[1:])
+
+
+def _where(rng, table, names, outer=None):
+    """Two random conjuncts over *table*'s row, which answers to
+    *names*, and optionally over the columns of the binding *outer*
+    (bound to :data:`PARTNER`'s table)."""
+    scope = {names[0]: TABLES[table]}
+    if outer is not None:
+        scope[outer] = TABLES[PARTNER[table]]
+    return " and ".join(
+        _reference_names(rng, _random_predicate(rng, scope), names)
+        for __ in range(2)
+    )
+
+
+#: the table an outer reference of a generated predicate reads
+PARTNER = {"r": "s", "s": "t", "t": "r"}
+
+
+def _target_names(table, alias):
+    """The names a DML target row answers to: its alias, then its table."""
+    return (table,) if alias == table else (alias, table)
+
+
+def _assert_select_matches(providers, text):
+    select = parse_statement(text)
+    reference = execute_select(providers[0][1], select, config=REFERENCE)
+    for config, provider in providers:
+        planned = execute_select(provider, select, config=config)
+        assert planned.columns == reference.columns, text
+        assert planned.rows == reference.rows, (config, text)
+
+
+class TestSelectSweep:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_pushed_filters(self, seed):
+        rng = random.Random(derive_seed("layout-select", seed))
+        flat, sharded = _instances("layout-select-instance", seed)
+        providers = list(
+            zip(PLANNED, (DatabaseProvider(flat), DatabaseProvider(sharded)))
+        )
+        for table in TABLES:
+            alias = rng.choice([table, "x"])
+            source = table if alias == table else f"{table} x"
+            _assert_select_matches(
+                providers,
+                f"select * from {source} where {_where(rng, table, (alias,))}",
+            )
+            # a pushed filter of a correlated subquery reads outer
+            # columns: qualified, and bare ones the row does not have
+            outer = PARTNER[table]
+            inner = _where(rng, table, (alias,), outer="o")
+            inner = _reference_names(rng, inner, ("o",))
+            _assert_select_matches(
+                providers,
+                f"select * from {outer} o where exists "
+                f"(select * from {source} where {inner})",
+            )
+
+    def test_filter_reads_an_outer_column_outward(self):
+        # ``a`` is r's column only: inside the subquery over s (c, d) it
+        # must resolve to the outer row, never to a position of s's row.
+        database = Database(schema_from_spec(TABLES))
+        database.load("r", [(1, 0), (3, 0), (None, 0)])
+        database.load("s", [(2, 0), (5, 0)])
+        provider = DatabaseProvider(database)
+        text = "select r.a from r where exists (select * from s where c < a)"
+        for config in (*PLANNED, REFERENCE):
+            result = execute_select(
+                provider, parse_statement(text), config=config
+            )
+            assert result.rows == ((3,),), config
+
+
+def _dml_statements(rng, table):
+    """UPDATEs and DELETEs over *table*, aliased and not, whose WHERE
+    and SET read the target row through every name it answers to."""
+    key, other = TABLES[table]
+    statements = []
+    for alias in (table, "x"):
+        target = table if alias == table else f"{table} x"
+        names = _target_names(table, alias)
+        where = _where(rng, table, names)
+
+        def ref(column):
+            return _reference_names(rng, f"{alias}.{column}", names)
+
+        statements += [
+            f"update {target} set {other} = {ref(key)} + {ref(other)} "
+            f"where {where}",
+            f"update {target} set {other} = {rng.randrange(6)}, "
+            f"{key} = {ref(other)}",
+            f"delete from {target} where {where}",
+            # a key conjunct, so the sharded side prunes: first, and last
+            f"update {target} set {other} = 9 where "
+            f"{ref(key)} = {rng.randrange(6)} and {where}",
+            f"delete from {target} where {where} and "
+            f"{ref(key)} = {rng.randrange(6)}",
+        ]
+    return statements
+
+
+def _assert_dml_matches(seed_label, seed, text):
+    stmt = parse_statement(text)
+    flat, sharded = _instances(seed_label, seed)
+    reference = _random_instance(
+        random.Random(derive_seed(seed_label, seed)), TABLES
+    )
+    affected = execute_statement(reference, stmt, config=REFERENCE).affected
+    for config, database in zip(PLANNED, (flat, sharded)):
+        result = execute_statement(database, stmt, config=config)
+        assert result.affected == affected, (config, text)
+        assert database.canonical() == reference.canonical(), (config, text)
+
+
+class TestDmlSweep:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_where_and_set(self, seed):
+        rng = random.Random(derive_seed("layout-dml", seed))
+        for table in TABLES:
+            for text in _dml_statements(rng, table):
+                _assert_dml_matches("layout-dml-instance", seed, text)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_correlated_subqueries_see_the_target_row(self, seed):
+        rng = random.Random(derive_seed("layout-dml-bind", seed))
+        for alias in ("r", "x"):
+            target = "r" if alias == "r" else "r x"
+            for correlation in (f"s.c = {alias}.a", "s.d = b", "s.c = r.b"):
+                subquery = (
+                    f"exists (select * from s where {correlation} and "
+                    f"{_random_predicate(rng, {'s': TABLES['s']})})"
+                )
+                for text in (
+                    f"update {target} set b = 0 where {subquery}",
+                    f"delete from {target} where a is not null and "
+                    f"{subquery}",
+                    f"update {target} set b = (select max(s.d) from s "
+                    f"where {correlation})",
+                    f"update {target} set b = 1 where "
+                    f"a = {rng.randrange(6)} and {subquery}",
+                ):
+                    _assert_dml_matches(
+                        "layout-dml-bind-instance", seed, text
+                    )
+
+
+def _table_t(rows, partitions):
+    """``t(a, b)`` holding *rows*, sharded on ``a`` when *partitions*
+    is above 1."""
+    database = Database(schema_from_spec({"t": ["a", "b"]}))
+    database.load("t", rows)
+    if partitions > 1:
+        database.declare_partition_key("t", "a")
+        database.apply_partitioning(partitions)
+    return database
+
+
+class TestErrorParity:
+    """Both paths raise the same error, with the same message."""
+
+    CASES = [
+        (
+            "update t x set b = 1 where x.z = 1",
+            "table 'x' has no column 'z'",
+        ),
+        ("update t set b = 1 where z = 1", "unknown column 'z'"),
+        ("delete from t where q.a = 1", "unknown table or alias 'q'"),
+        ("update t x set b = x.z", "table 'x' has no column 'z'"),
+        ("update t set b = z + 1 where a = 1", "unknown column 'z'"),
+    ]
+
+    @staticmethod
+    def _database(partitions):
+        return _table_t([(i % 4, i) for i in range(12)], partitions)
+
+    @pytest.mark.parametrize("text, message", CASES)
+    def test_same_error_on_both_paths(self, text, message):
+        stmt = parse_statement(text)
+        with pytest.raises(EvaluationError) as reference:
+            execute_statement(self._database(1), stmt, config=REFERENCE)
+        assert str(reference.value) == message
+        for config in PLANNED:
+            with pytest.raises(EvaluationError) as planned:
+                execute_statement(
+                    self._database(config.partitions), stmt, config=config
+                )
+            assert str(planned.value) == message, config
+
+    def test_ill_typed_comparison_on_a_flat_table(self):
+        stmt = parse_statement("update t set b = 1 where a = 'x'")
+        message = "cannot compare int with str using '='"
+        for config in (REFERENCE, ExecutionConfig()):
+            with pytest.raises(EvaluationError) as raised:
+                execute_statement(self._database(1), stmt, config=config)
+            assert str(raised.value) == message, config
+
+
+class TestCompileCache:
+    def test_one_ast_over_two_layouts_compiles_twice(self):
+        expr = parse_statement("select * from t where a - b > 0").where
+        first = plan.RowLayout(("t",), ("a", "b"))
+        second = plan.RowLayout(("t",), ("b", "a"))
+        by_first, __ = plan.compile_row_predicate(expr, first)
+        by_second, __ = plan.compile_row_predicate(expr, second)
+        assert by_first is not by_second
+        assert plan.compile_row_predicate(expr, first)[0] is by_first
+        # the row (5, 2) is a=5, b=2 under the first layout and
+        # a=2, b=5 under the second
+        assert by_first((5, 2), None, None) is True
+        assert by_second((5, 2), None, None) is False
+
+    def test_the_layout_is_part_of_the_key(self):
+        expr = parse_statement("select * from t where a > 1").where
+        layout = plan.RowLayout(("t",), ("a",))
+        by_position, __ = plan.compile_row_predicate(expr, layout)
+        by_context = plan.compile_predicate(expr)
+        assert by_position is not by_context
+        assert by_position((2,), None, None) is True
+        context = RowContext()
+        context.bind("t", ("a",), (0,))
+        assert by_context(None, context, None) is False
+
+    def test_literal_twins_stay_apart_under_one_layout(self):
+        layout = plan.RowLayout(("t",), ("a",))
+        one = ast.BinaryOp("+", ast.ColumnRef(None, "a"), ast.Literal(1))
+        true = ast.BinaryOp("+", ast.ColumnRef(None, "a"), ast.Literal(True))
+        assert one == true  # Python equality conflates 1 and True
+        by_one, __ = plan.compile_row_predicate(one, layout)
+        by_true, __ = plan.compile_row_predicate(true, layout)
+        assert by_one((1,), None, None) == 2
+        with pytest.raises(EvaluationError):
+            by_true((1,), None, None)
+
+    @pytest.mark.parametrize(
+        "where, binds",
+        [
+            ("a = 1 and t.b > 2", False),
+            ("x.a = 1", False),
+            ("z = 1", False),  # resolves past the row's level
+            ("q.a = 1", False),  # likewise
+            ("t.z = 1", True),  # the lookup must find t to raise
+            ("x.z = 1", True),
+            ("a in (select c from s)", True),
+            ("exists (select * from s where c = a)", True),
+            ("a = 1 or (select max(c) from s) > b", True),
+        ],
+    )
+    def test_binds_row(self, where, binds):
+        expr = parse_statement(f"select * from t where {where}").where
+        layout = plan.RowLayout(("x", "t"), ("a", "b"))
+        assert plan.compile_row_predicate(expr, layout)[1] is binds
+
+
+class TestTargetPruning:
+    """An aliased target prunes on every name of its key column."""
+
+    @staticmethod
+    def _database(partitions):
+        return _table_t([(i % 4, i % 5) for i in range(60)], partitions)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "update t set b = 9 where a = 1",
+            "update t set b = 9 where t.a = 1",
+            "update t x set b = 9 where a = 1",
+            "update t x set b = 9 where x.a = 1",
+            "update t x set b = 9 where t.a = 1",
+            "delete from t where a = 1",
+            "delete from t x where a = 1",
+            "delete from t x where x.a = 1",
+            "delete from t x where t.a = 1",
+        ],
+    )
+    def test_one_shard_probe_and_the_flat_result(self, text):
+        stmt = parse_statement(text)
+        flat = self._database(1)
+        expected = execute_statement(flat, stmt, config=PLANNED[0]).affected
+        sharded = self._database(SHARDS)
+        before = plan.STATS.snapshot()
+        result = execute_statement(sharded, stmt, config=PLANNED[1])
+        assert plan.STATS.delta_since(before)["shard_probes"] == 1
+        assert result.affected == expected == 15
+        assert sharded.canonical() == flat.canonical()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "update t set b = 9 where b = 3 and a = 1",
+            "update t x set b = 9 where x.b = 3 and a = 1 and t.b < 4",
+            "delete from t x where b = 3 and t.a = 1",
+        ],
+    )
+    def test_conjuncts_before_the_key_still_filter(self, text):
+        # The key conjunct is elided; every other conjunct, before it
+        # or after it, still decides each row of the probed shard.
+        stmt = parse_statement(text)
+        flat = self._database(1)
+        expected = execute_statement(flat, stmt, config=PLANNED[0]).affected
+        sharded = self._database(SHARDS)
+        result = execute_statement(sharded, stmt, config=PLANNED[1])
+        assert result.affected == expected == 3
+        assert sharded.canonical() == flat.canonical()
+
+    def test_a_row_dependent_key_value_does_not_prune(self):
+        # ``t.b`` names the target row under an alias: no probe value.
+        stmt = parse_statement("update t x set b = 9 where a = t.b")
+        flat = self._database(1)
+        expected = execute_statement(flat, stmt, config=PLANNED[0]).affected
+        sharded = self._database(SHARDS)
+        before = plan.STATS.snapshot()
+        result = execute_statement(sharded, stmt, config=PLANNED[1])
+        assert plan.STATS.delta_since(before)["shard_probes"] == 0
+        assert result.affected == expected
+        assert sharded.canonical() == flat.canonical()
