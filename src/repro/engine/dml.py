@@ -23,12 +23,14 @@ from dataclasses import dataclass, field
 
 from repro.config import DEFAULT_CONFIG, ExecutionConfig
 from repro.engine import plan as P
+from repro.engine import values as V
 from repro.engine.database import Database
 from repro.engine.expressions import Evaluator, RowContext
 from repro.engine.query import DatabaseProvider, QueryResult, execute_select
 from repro.engine.values import sql_is_truthy
-from repro.errors import ExecutionError, RollbackSignal
+from repro.errors import EvaluationError, ExecutionError, RollbackSignal
 from repro.lang import ast
+from repro.schema.catalog import ColumnType
 from repro.transitions.delta import DeltaLog
 
 
@@ -146,6 +148,16 @@ def _execute_insert(
 # ----------------------------------------------------------------------
 
 
+#: one value of each column type: whether a probe value compares with a
+#: column's values at all is ``values._comparable`` of it and the sample
+_TYPE_SAMPLES = {
+    ColumnType.INT: 0,
+    ColumnType.FLOAT: 0.0,
+    ColumnType.STRING: "",
+    ColumnType.BOOL: False,
+}
+
+
 def _pruned_rows(
     database: Database,
     table: str,
@@ -166,14 +178,18 @@ def _pruned_rows(
     ``a`` and ``x.a`` name the alias's column, ``t.a`` the table's,
     which is the same row. A key expression that raises falls back to
     the full scan so the per-row error behavior of the serial path is
-    preserved.
+    preserved, and so does a key value ``sql_compare`` would refuse to
+    compare with the column's declared type (``a = true`` on an
+    integer ``a``): every stored key has that type, so the flat scan
+    raises at its first non-NULL key, where the raw guard below would
+    silently match by Python ``==``.
 
-    Returns ``(rows, residual_conjuncts)``: the probed shard's rows
-    whose key equals the probe value (the shard may hold hash siblings
-    of it), and the conjuncts still to evaluate per row — the pruned
-    conjunct itself is elided, its work done by that raw guard.
-    ``rows`` is empty for a NULL key value (``key = NULL`` matches no
-    row).
+    Returns ``(pairs, residual_conjuncts)``: the probed shard's
+    ``(tid, values)`` pairs, in tid order, whose key equals the probe
+    value (the shard may hold hash siblings of it), and the conjuncts
+    still to evaluate per row — the pruned conjunct itself is elided,
+    its work done by that raw guard. ``pairs`` is empty for a NULL key
+    value (``key = NULL`` matches no row).
     """
     data = database.table(table)
     if data.shard_count == 0:
@@ -191,16 +207,21 @@ def _pruned_rows(
             return None
         if value is None:
             return [], []
+        key_type = database.schema.table(table).column_types[key_col]
+        try:
+            V._comparable(_TYPE_SAMPLES[key_type], value, "=")
+        except EvaluationError:
+            return None
         P.STATS.shard_probes += 1
         # stable_shard's equality consistency tracks Python ==, and a
         # NULL key in a row compares unequal here exactly as SQL
         # equality excludes it.
-        rows = [
-            row
-            for row in data.shard_rows(data.shard_of_value(value))
-            if row.values[key_col] == value
+        pairs = [
+            pair
+            for pair in data.shard_items(data.shard_of_value(value))
+            if pair[1][key_col] == value
         ]
-        return rows, [c for c in conjuncts if c is not conjunct]
+        return pairs, [c for c in conjuncts if c is not conjunct]
     return None
 
 
@@ -243,8 +264,10 @@ def _matching_tids(
     With partitioning enabled, a target scan over a sharded table first
     tries partition pruning (see :func:`_pruned_rows`); an unprunable
     scan walks the flat rows in tid order, as on a flat table. The
-    planned scan reads each row's columns by position and binds the
-    row in a context only when *where* reads it there
+    planned scan walks ``(tid, values)`` pairs straight from the tid
+    map (no :class:`~repro.engine.storage.Row` list), reads each row's
+    columns by position and binds the row in a context only when
+    *where* reads it there
     (:func:`repro.engine.plan.compile_row_predicate`).
     """
     if where is None:
@@ -269,16 +292,15 @@ def _matching_tids(
     if config.partitions > 1:
         pruned = _pruned_rows(database, table, layout, where, evaluator)
     if pruned is not None:
-        rows, checks = pruned
+        pairs, checks = pruned
     else:
-        rows, checks = database.rows(table), [where]
+        pairs, checks = database.table(table).items(), [where]
     compiled = [P.compile_row_predicate(check, layout) for check in checks]
     predicates = [predicate for predicate, __ in compiled]
     bind = any(binds for __, binds in compiled)
 
     matched = []
-    for row in rows:
-        values = row.values
+    for tid, values in pairs:
         if bind:
             context.bind(binding, columns, values)
             if table_context is not None:
@@ -287,7 +309,7 @@ def _matching_tids(
             if not sql_is_truthy(predicate(values, context, evaluator)):
                 break
         else:
-            matched.append(row.tid)
+            matched.append(tid)
     return matched
 
 

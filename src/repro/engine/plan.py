@@ -102,6 +102,10 @@ STATS = PlannerStats()
 # ----------------------------------------------------------------------
 
 _PREDICATE_CACHE: dict = {}
+#: the identity front of ``_PREDICATE_CACHE``: ``(id(expr), layout)`` ->
+#: ``(expr, compiled)``. An entry holds its node, so the id stays its own
+#: while the entry lives.
+_PREDICATE_BY_ID: dict = {}
 
 
 def _iter_select_expressions(select: ast.Select):
@@ -195,21 +199,32 @@ def compile_row_predicate(expr: ast.Expression, layout: RowLayout | None):
     the passed :class:`Evaluator` (whose ``execute_select`` call is
     itself planned and cached) — so compiled predicates are memoized
     globally, keyed by the (frozen, value-hashable) AST node, the layout
-    and the AST's literal-type fingerprint.
+    and the AST's literal-type fingerprint. A front memo keyed by the
+    node's identity answers a repeated call with the same node (a rule's
+    condition, a statement's WHERE) without walking it for the
+    fingerprint or hashing it.
     """
+    front = (id(expr), layout)
+    entry = _PREDICATE_BY_ID.get(front)
+    if entry is not None:
+        STATS.predicate_cache_hits += 1
+        return entry[1]
     key = (expr, layout, expression_fingerprint(expr))
     compiled = _PREDICATE_CACHE.get(key)
     if compiled is not None:
         STATS.predicate_cache_hits += 1
-        return compiled
-    compiled = (
-        _compile(expr, layout),
-        layout is not None and _binds_row(expr, layout),
-    )
-    if len(_PREDICATE_CACHE) >= _PREDICATE_CACHE_CAP:
-        _PREDICATE_CACHE.clear()
-    _PREDICATE_CACHE[key] = compiled
-    STATS.predicates_compiled += 1
+    else:
+        compiled = (
+            _compile(expr, layout),
+            layout is not None and _binds_row(expr, layout),
+        )
+        if len(_PREDICATE_CACHE) >= _PREDICATE_CACHE_CAP:
+            _PREDICATE_CACHE.clear()
+        _PREDICATE_CACHE[key] = compiled
+        STATS.predicates_compiled += 1
+    if len(_PREDICATE_BY_ID) >= _PREDICATE_CACHE_CAP:
+        _PREDICATE_BY_ID.clear()
+    _PREDICATE_BY_ID[front] = (expr, compiled)
     return compiled
 
 
@@ -681,6 +696,9 @@ def _resolves_within(
 
 
 _PLAN_CACHE: dict = {}
+#: the identity front of ``_PLAN_CACHE``: ``(id(select), source_columns)``
+#: -> ``(select, plan)``, holding the node like ``_PREDICATE_BY_ID``
+_PLAN_BY_ID: dict = {}
 _CLASSIFY_CACHE: dict = {}
 
 
@@ -770,20 +788,29 @@ def plan_select(
     The cache key includes the per-binding column layouts because the
     same AST can resolve against different providers — two rules'
     ``select * from inserted`` conditions share an AST shape but carry
-    their own table's columns.
+    their own table's columns. Like :func:`compile_row_predicate`, an
+    identity front answers a repeated call with the same node first.
     """
+    front = (id(select), source_columns)
+    entry = _PLAN_BY_ID.get(front)
+    if entry is not None:
+        STATS.plan_cache_hits += 1
+        return entry[1]
     key = (select, source_columns, select_fingerprint(select))
     plan = _PLAN_CACHE.get(key)
     if plan is not None:
         STATS.plan_cache_hits += 1
-        return plan
-    started = time.perf_counter()
-    plan = _build_plan(select, source_columns)
-    if len(_PLAN_CACHE) >= _PLAN_CACHE_CAP:
-        _PLAN_CACHE.clear()
-    _PLAN_CACHE[key] = plan
-    STATS.plans_built += 1
-    STATS.plan_seconds += time.perf_counter() - started
+    else:
+        started = time.perf_counter()
+        plan = _build_plan(select, source_columns)
+        if len(_PLAN_CACHE) >= _PLAN_CACHE_CAP:
+            _PLAN_CACHE.clear()
+        _PLAN_CACHE[key] = plan
+        STATS.plans_built += 1
+        STATS.plan_seconds += time.perf_counter() - started
+    if len(_PLAN_BY_ID) >= _PLAN_CACHE_CAP:
+        _PLAN_BY_ID.clear()
+    _PLAN_BY_ID[front] = (select, plan)
     return plan
 
 
@@ -935,7 +962,8 @@ def _probe_key(values) -> tuple | None:
 
 
 def _persistent_index(provider, table_name: str, cols: tuple[int, ...]):
-    """The provider-backed persistent index, or None when unavailable."""
+    """The provider's index on *cols* (a base table's persistent index,
+    an overlay's cached one), or None when the provider has none."""
     getter = getattr(provider, "equality_index", None)
     if getter is None:
         return None
@@ -1146,5 +1174,7 @@ def execute_planned(
 def clear_caches() -> None:
     """Drop the plan and predicate memo tables (tests and benchmarks)."""
     _PLAN_CACHE.clear()
+    _PLAN_BY_ID.clear()
     _PREDICATE_CACHE.clear()
+    _PREDICATE_BY_ID.clear()
     _CLASSIFY_CACHE.clear()

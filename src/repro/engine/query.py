@@ -56,15 +56,25 @@ class DatabaseProvider:
 
 
 class OverlayProvider:
-    """A provider that serves some tables itself and delegates the rest."""
+    """A provider that serves some tables itself and delegates the rest.
+
+    *indexes* caches the equality indexes built over the overlays, keyed
+    by ``(overlay name, cols)``. A caller that serves the same overlays
+    through several providers passes one dict to all of them, so an
+    index is built once (the rule processor shares a pending slice's
+    transition tables between the rules that read it); by default each
+    provider keeps its own.
+    """
 
     def __init__(
         self,
         base,
         overlays: dict[str, tuple[tuple[str, ...], list[tuple]]],
+        indexes: dict | None = None,
     ) -> None:
         self._base = base
         self._overlays = {name.lower(): value for name, value in overlays.items()}
+        self._indexes = {} if indexes is None else indexes
 
     def resolve(self, name: str) -> tuple[tuple[str, ...], list[tuple]]:
         overlay = self._overlays.get(name.lower())
@@ -73,12 +83,20 @@ class OverlayProvider:
         return self._base.resolve(name)
 
     def equality_index(self, name: str, cols: tuple[int, ...]):
-        """Delegate for base tables; None for overlays (the planner
-        builds a transient index over the — typically tiny — overlay)."""
-        if name.lower() in self._overlays:
-            return None
-        getter = getattr(self._base, "equality_index", None)
-        return None if getter is None else getter(name, cols)
+        """Delegate for base tables; for an overlay, the cached index
+        over its rows, built on first use (``transient_index_builds``).
+        Callers must not mutate the returned dict or its buckets."""
+        key = (name.lower(), cols)
+        overlay = self._overlays.get(key[0])
+        if overlay is None:
+            getter = getattr(self._base, "equality_index", None)
+            return None if getter is None else getter(name, cols)
+        index = self._indexes.get(key)
+        if index is None:
+            index = P.build_equality_index(overlay[1], cols)
+            P.STATS.transient_index_builds += 1
+            self._indexes[key] = index
+        return index
 
     def shard_table(self, name: str):
         """Delegate for base tables; None for overlays (an overlay is a

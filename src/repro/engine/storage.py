@@ -326,6 +326,11 @@ class TableData:
             self._shard_rows[shard] = rows
         return rows
 
+    def shard_items(self, shard: int) -> list[tuple[int, tuple]]:
+        """One shard's (tid, values) pairs in tid order, straight from its
+        tid map (like :meth:`items`: no :class:`Row` objects)."""
+        return sorted(self._shards[shard].items())
+
     def shard_equality_index(self, shard: int, cols: tuple[int, ...]) -> dict:
         """One shard's hash index over *cols* (shard-local memo).
 
@@ -460,10 +465,12 @@ class TableData:
         """All value tuples, in tid order.
 
         The returned list is cached and shared (like :meth:`rows`);
-        callers must not mutate it.
+        callers must not mutate it. It is built from the tid map, so a
+        read after a write builds no :class:`Row` list.
         """
         if self._values_list is None:
-            self._values_list = [row.values for row in self.rows()]
+            rows = self._rows
+            self._values_list = [rows[tid] for tid in sorted(rows)]
         return self._values_list
 
     def equality_index(self, cols: tuple[int, ...]) -> dict:

@@ -241,8 +241,8 @@ def explore(
         steps: list[tuple[tuple, tuple[ObservableAction, ...]]] = []
         before = len(current.observables)
         for rule_name in eligible:
-            # The fork shares the parent's cached per-rule net effects,
-            # canonical fragments, and COW database pages; consider()
+            # The fork shares the parent's pending slices, canonical
+            # fragments, and COW database pages; consider()
             # reuses the eligibility already computed on this state.
             child = current.fork()
             child.consider(rule_name, eligible=eligible)

@@ -28,13 +28,19 @@ considered. So bringing TR up to date rechecks only the rules on
 tables the log's per-table touch index shows were written since, and
 :meth:`mark_considered` / :meth:`mark_assertion_point`, the only
 writers of ``markers``, keep TR in step with them. A recheck stops at
-the first pending operation in ``Triggered-By``. Each rule's pending
-transition is one cached :class:`~repro.transitions.net_effect.NetEffect`,
-advanced by :meth:`NetEffect.fold` over only the primitives appended
-since it was last examined — each primitive is folded at most once per
-rule. ``incremental=False`` checks every rule at every step from
-scratch (the seed behavior); the equivalence harness and the substrate
-benchmark gate assert both modes produce identical results.
+the first pending operation in ``Triggered-By``. A rule sees its
+pending transition only through its own table, so the pending
+transitions are cached per *slice*, one per (rule table, marker): the
+net effect on that table of the log suffix past the marker, advanced
+by :meth:`NetEffect.fold` over only the primitives on that table
+appended since it was last examined — each primitive is folded at
+most once per slice, however many rules on the table hold the marker.
+Until its next fold a slice also keeps the transition tables built
+from it and the equality indexes over them, so rules that share a
+slice share ``inserted`` and its index. ``incremental=False`` checks
+every rule at every step from scratch (the seed behavior); the
+equivalence harness and the substrate benchmark gate assert both modes
+produce identical results.
 """
 
 from __future__ import annotations
@@ -92,11 +98,14 @@ class ProcessingResult:
 class ProcessorStats(StatsBase):
     """Work counters for the runtime substrate (benchmark gate input).
 
-    ``primitives_folded`` counts incremental net-effect advances;
+    ``primitives_folded`` counts the primitives folded into pending
+    slices, at most once per slice (incremental path);
     ``primitives_scanned`` counts from-scratch suffix refolds (the
-    non-incremental path). The substrate gate's triggering-work ratio
-    is ``scanned(incremental=False) / folded(incremental=True)`` over
-    the same workload. ``trigger_checks`` counts triggering checks: on
+    non-incremental path's triggering checks, and
+    :meth:`RuleProcessor.pending_net_effect` on either path). The
+    substrate gate's triggering-work ratio is
+    ``scanned(incremental=False) / folded(incremental=True)`` over the
+    same workload. ``trigger_checks`` counts triggering checks: on
     the incremental path only the rechecks of rules on tables written
     since TR was last brought up to date, on the from-scratch path
     every active rule at every step. ``touch_skips`` counts rechecks
@@ -117,31 +126,39 @@ class ProcessorStats(StatsBase):
     SECONDS = frozenset({"trigger_seconds"})
 
 
-class _RuleTransition:
-    """A rule's cached pending transition: the net effect of the log
-    suffix past its marker, advanced incrementally.
+class _Slice:
+    """The pending transition of the rules on one table that hold one
+    marker: the net effect, on that table, of the log suffix past the
+    marker, advanced incrementally.
 
-    ``position`` is the log position folded up to; ``canonical_at``
-    keys the memoized canonical form used by ``state_key``. A marker
-    moves only through :meth:`RuleProcessor.mark_considered` and
-    :meth:`RuleProcessor.mark_assertion_point`, which replace or drop
-    the transition, so a cached transition always starts at its rule's
-    marker.
+    ``position`` is the log position folded up to. ``overlays`` (the
+    four transition tables), ``indexes`` (the equality indexes built
+    over them, keyed by overlay name and columns) and ``canonical``
+    (the form ``state_key`` reads) are memos of ``net``: a fold that
+    adds primitives replaces all three, never mutates them, so a
+    provider or a fork still holding the old ones reads a consistent
+    state. Slices are keyed by (table, marker) in
+    :attr:`RuleProcessor._slices`; markers move only through
+    :meth:`RuleProcessor.mark_considered` and
+    :meth:`RuleProcessor.mark_assertion_point`, which drop a slice no
+    rule holds any more.
     """
 
-    __slots__ = ("position", "net", "canonical", "canonical_at")
+    __slots__ = ("position", "net", "overlays", "indexes", "canonical")
 
     def __init__(self, marker: int) -> None:
         self.position = marker
         self.net = NetEffect()
+        self.overlays: dict | None = None
+        self.indexes: dict = {}
         self.canonical: tuple | None = None
-        self.canonical_at = -1
 
-    def fork(self) -> "_RuleTransition":
-        clone = _RuleTransition(self.position)
+    def fork(self) -> "_Slice":
+        clone = _Slice(self.position)
         clone.net = self.net.share()
+        clone.overlays = self.overlays
+        clone.indexes = self.indexes
         clone.canonical = self.canonical
-        clone.canonical_at = self.canonical_at
         return clone
 
 
@@ -180,7 +197,9 @@ class RuleProcessor:
         self._column_names = {
             table.name: table.column_names for table in ruleset.schema
         }
-        self._transitions: dict[str, _RuleTransition] = {}
+        #: the pending transitions, one slice per (rule table, marker)
+        #: some rule holds (incremental path only)
+        self._slices: dict[tuple[str, int], _Slice] = {}
         #: the paper's TR as of log position ``_triggered_at``: the rules
         #: whose pending transition holds a Triggered-By event, before
         #: the activation filter (incremental path only)
@@ -298,36 +317,42 @@ class RuleProcessor:
     # Triggering
     # ------------------------------------------------------------------
 
-    def _transition_for(self, rule_name: str) -> _RuleTransition:
-        """The rule's cached transition, advanced to the current log end.
+    def _slice_for(self, rule) -> _Slice:
+        """The pending slice *rule* reads, advanced to the current log end.
 
-        Each primitive is folded into a given rule's net effect at most
-        once (amortized).
+        Only primitives on the rule's table are folded, each at most
+        once per slice; an advance over other tables' primitives only
+        moves the slice's position.
         """
-        transition = self._transitions.get(rule_name)
-        if transition is None:
-            transition = _RuleTransition(self.markers[rule_name])
-            self._transitions[rule_name] = transition
-        position = self.log.position
-        if transition.position < position:
-            self.stats.primitives_folded += position - transition.position
-            transition.net = transition.net.fold(
-                self.log.iter_range(transition.position, position)
-            )
-            transition.position = position
-        return transition
+        table = rule.table
+        key = (table, self.markers[rule.name])
+        pending = self._slices.get(key)
+        if pending is None:
+            pending = self._slices[key] = _Slice(key[1])
+        start, position = pending.position, self.log.position
+        if start < position:
+            if self.log.written_since(table, start):
+                primitives = [
+                    primitive
+                    for primitive in self.log.iter_range(start, position)
+                    if primitive.table == table
+                ]
+                if primitives:
+                    self.stats.primitives_folded += len(primitives)
+                    pending.net = pending.net.fold(primitives)
+                    pending.overlays = None
+                    pending.indexes = {}
+                    pending.canonical = None
+            pending.position = position
+        return pending
 
     def pending_net_effect(self, rule_name: str) -> NetEffect:
-        """The composite transition since *rule_name* was last considered."""
-        rule_name = rule_name.lower()
-        if not self.incremental:
-            marker = self.markers[rule_name]
-            suffix = self.log.since(marker)
-            self.stats.primitives_scanned += len(suffix)
-            return NetEffect.from_primitives(suffix)
-        # The cached net effect escapes to the caller: mark it shared so
-        # later folds copy instead of mutating what the caller holds.
-        return self._transition_for(rule_name).net.share()
+        """The composite transition, over every table, since *rule_name*
+        was last considered, refolded from the log (the cached slices
+        hold only the rule's own table)."""
+        suffix = self.log.since(self.markers[rule_name.lower()])
+        self.stats.primitives_scanned += len(suffix)
+        return NetEffect.from_primitives(suffix)
 
     def _is_triggered(self, rule) -> bool:
         """The from-scratch triggering check: the operation set of the
@@ -349,7 +374,7 @@ class RuleProcessor:
             # that table and nothing needs folding.
             self.stats.touch_skips += 1
             return False
-        effect = self._transition_for(rule.name).net.table(rule.table)
+        effect = self._slice_for(rule).net.table(rule.table)
         return (
             (rule.triggered_by_insert and bool(effect.inserted))
             or (rule.triggered_by_delete and bool(effect.deleted))
@@ -431,11 +456,22 @@ class RuleProcessor:
         rule = self.ruleset.rule(rule_name)
         self.stats.considerations += 1
 
-        triggering_net = self.pending_net_effect(rule_name)
-        overlays = transition_table_overlays(
-            triggering_net, rule.table, self._column_names[rule.table]
+        columns = self._column_names[rule.table]
+        if self.incremental:
+            pending = self._slice_for(rule)
+            if pending.overlays is None:
+                pending.overlays = transition_table_overlays(
+                    pending.net, rule.table, columns
+                )
+            overlays, indexes = pending.overlays, pending.indexes
+        else:
+            overlays = transition_table_overlays(
+                self.pending_net_effect(rule_name), rule.table, columns
+            )
+            indexes = None
+        provider = OverlayProvider(
+            DatabaseProvider(self.database), overlays, indexes
         )
-        provider = OverlayProvider(DatabaseProvider(self.database), overlays)
 
         # Mark the rule considered *before* running its action: the rule
         # sees its own action's operations as a fresh transition (and may
@@ -533,10 +569,18 @@ class RuleProcessor:
 
         Its marker moves there, its pending transition restarts empty,
         and it leaves TR. Operations logged past *position* on its table
-        are rechecked at the next refresh like any other write.
+        are rechecked at the next refresh like any other write. The
+        slice it held is dropped once no rule on its table holds the
+        old marker.
         """
+        marker = self.markers[rule_name]
         self.markers[rule_name] = position
-        self._transitions[rule_name] = _RuleTransition(position)
+        table = self.ruleset.rule(rule_name).table
+        if (table, marker) in self._slices and not any(
+            self.markers[rule.name] == marker
+            for rule in self.ruleset.rules_by_table[table]
+        ):
+            del self._slices[table, marker]
         self._triggered.discard(rule_name)
 
     def mark_assertion_point(self) -> None:
@@ -546,7 +590,7 @@ class RuleProcessor:
         position = self.log.position
         for name in self.markers:
             self.markers[name] = position
-        self._transitions.clear()
+        self._slices.clear()
         self._triggered.clear()
         self._triggered_at = position
 
@@ -590,7 +634,7 @@ class RuleProcessor:
     # ------------------------------------------------------------------
 
     def _pending_canonical(self, rule_name: str) -> tuple:
-        """Canonical *visible* pending transition, memoized per fold.
+        """Canonical *visible* pending transition, memoized per slice fold.
 
         Restricted to the rule's subscribed table: triggering checks and
         transition-table overlays both read only
@@ -599,14 +643,14 @@ class RuleProcessor:
         writes on other tables are invisible to this rule's future
         behavior and must not block state merging.
         """
-        table = self.ruleset.rule(rule_name).table
+        rule = self.ruleset.rule(rule_name)
         if not self.incremental:
-            return self.pending_net_effect(rule_name).table(table).canonical()
-        transition = self._transition_for(rule_name)
-        if transition.canonical_at != transition.position:
-            transition.canonical = transition.net.table(table).canonical()
-            transition.canonical_at = transition.position
-        return transition.canonical
+            effect = self.pending_net_effect(rule_name).table(rule.table)
+            return effect.canonical()
+        pending = self._slice_for(rule)
+        if pending.canonical is None:
+            pending.canonical = pending.net.table(rule.table).canonical()
+        return pending.canonical
 
     def state_key(self) -> tuple:
         """A hashable canonical key for the execution-graph state (D, TR).
@@ -621,7 +665,7 @@ class RuleProcessor:
 
         Canonical fragments are memoized: per-table database canonicals
         carry across copy-on-write forks until the table is written, and
-        per-rule pending canonicals until the rule's fold advances. Each
+        pending canonicals per slice until a fold adds to it. Each
         fragment also keeps its hash
         (:class:`~repro.engine.values.CanonicalFragment`), so hashing the
         key is O(tables + rules), not O(rows).
@@ -656,9 +700,9 @@ class RuleProcessor:
 
         With the incremental substrate this is O(tables + chunks +
         rules): the database copy is copy-on-write, the log aliases its
-        sealed chunks, and the cached per-rule transitions (net effects,
-        triggering verdicts, canonical fragments) are shared with the
-        child, diverging copy-on-write at the first fold that touches
+        sealed chunks, and the pending slices (net effects, transition
+        tables, their indexes, canonical fragments) are shared with the
+        child, diverging copy-on-write at the first fold that adds to
         them. ``incremental=False`` performs the original deep copies.
         """
         self.stats.forks += 1
@@ -684,14 +728,13 @@ class RuleProcessor:
         if self.incremental:
             clone.database = self.database.copy()
             clone.log = self.log.fork()
-            clone._transitions = {
-                name: transition.fork()
-                for name, transition in self._transitions.items()
+            clone._slices = {
+                key: pending.fork() for key, pending in self._slices.items()
             }
         else:
             clone.database = self.database.copy(cow=False)
             clone.log = self.log.fork(share=False)
-            clone._transitions = {}
+            clone._slices = {}
         clone._rete = (
             None
             if self._rete is None

@@ -15,9 +15,10 @@ compaction steps (dropping identity updates and empty tables): an
 identity composite update means the tuple currently holds its
 pre-transition values, so folding later primitives onto the compacted
 state yields exactly the from-scratch result. :meth:`NetEffect.fold`
-exploits this: the rule processor keeps one cached net effect per rule
-and advances it by only the primitives appended since the last check,
-instead of refolding the whole suffix. Folds are copy-on-write at table
+exploits this: the rule processor keeps one cached net effect per
+pending slice (rule table, marker) and advances it by only the
+primitives appended on that table since the last check, instead of
+refolding the whole suffix. Folds are copy-on-write at table
 granularity — a fold touching table ``t`` leaves every other table's
 :class:`TableNetEffect` structurally shared with the input — so forked
 processors alias their parents' cached transitions.
@@ -195,8 +196,8 @@ class NetEffect:
     def share(self) -> "NetEffect":
         """Mark every table effect shared; later folds copy-on-write.
 
-        Called when a cached net effect escapes its owner (processor
-        forks, ``pending_net_effect`` returns to a caller).
+        Called when a cached net effect escapes its owner (a processor
+        fork shares its pending slices with the child).
         """
         for effect in self._tables.values():
             effect._owned = False

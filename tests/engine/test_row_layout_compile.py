@@ -305,6 +305,57 @@ class TestCompileCache:
         assert plan.compile_row_predicate(expr, layout)[1] is binds
 
 
+class TestIdentityFront:
+    """The memos answer a repeated node by identity first; equal but
+    distinct nodes still go through the keyed memo."""
+
+    def test_literal_twins_in_distinct_asts_compile_apart(self):
+        plan.clear_caches()
+        for first, second in ((1, True), (True, 1)):
+            one = parse_statement(f"select * from t where a = {first}").where
+            other = parse_statement(f"select * from t where a = {second}").where
+            assert one == other  # Python equality conflates 1 and True
+            by_one = plan.compile_predicate(one)
+            by_other = plan.compile_predicate(other)
+            assert by_one is not by_other
+            context = RowContext()
+            context.bind("t", ("a",), (first,))
+            assert by_one(None, context, None) is True
+            with pytest.raises(EvaluationError):
+                by_other(None, context, None)
+
+    def test_an_equal_distinct_ast_hits_the_keyed_memo(self):
+        plan.clear_caches()
+        text = "select * from t where a + 1 > b"
+        layout = plan.RowLayout(("t",), ("a", "b"))
+        first = parse_statement(text)
+        second = parse_statement(text)
+        assert first.where is not second.where
+        compiled = plan.compile_row_predicate(first.where, layout)
+        built = plan.plan_select(first, (("t", ("a", "b")),))
+        before = plan.STATS.snapshot()
+        assert plan.compile_row_predicate(second.where, layout) is compiled
+        assert plan.plan_select(second, (("t", ("a", "b")),)) is built
+        # and once more by identity
+        assert plan.compile_row_predicate(second.where, layout) is compiled
+        assert plan.plan_select(second, (("t", ("a", "b")),)) is built
+        delta = plan.STATS.delta_since(before)
+        assert delta["predicate_cache_hits"] == 2
+        assert delta["plan_cache_hits"] == 2
+        assert delta["predicates_compiled"] == delta["plans_built"] == 0
+
+    def test_clear_caches_empties_the_identity_front(self):
+        select = parse_statement("select * from t where a = 2")
+        compiled = plan.compile_predicate(select.where)
+        built = plan.plan_select(select, (("t", ("a",)),))
+        plan.clear_caches()
+        before = plan.STATS.snapshot()
+        assert plan.compile_predicate(select.where) is not compiled
+        assert plan.plan_select(select, (("t", ("a",)),)) is not built
+        delta = plan.STATS.delta_since(before)
+        assert delta["predicate_cache_hits"] == delta["plan_cache_hits"] == 0
+
+
 class TestTargetPruning:
     """An aliased target prunes on every name of its key column."""
 
@@ -367,3 +418,53 @@ class TestTargetPruning:
         assert plan.STATS.delta_since(before)["shard_probes"] == 0
         assert result.affected == expected
         assert sharded.canonical() == flat.canonical()
+
+
+class TestIllTypedKeyValues:
+    """A key value the column's type cannot compare with does not prune:
+    the sharded target scan raises what the flat scan raises, and a
+    comparable value of another type still prunes."""
+
+    @staticmethod
+    def _database(partitions):
+        return _table_t([(i % 4, i) for i in range(12)], partitions)
+
+    @staticmethod
+    def _outcome(database, stmt, config):
+        try:
+            affected = execute_statement(database, stmt, config=config).affected
+        except EvaluationError as error:
+            affected = str(error)
+        return affected, database.canonical()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("update t set b = 1 where a = true", "int with bool"),
+            ("update t set b = 1 where a = 'x'", "int with str"),
+            ("delete from t where a = true", "int with bool"),
+            ("delete from t x where x.a = 'x'", "int with str"),
+            ("update t set b = 1 where b > 3 and a = false", "int with bool"),
+        ],
+    )
+    def test_sharded_scan_raises_the_flat_scans_error(self, text, message):
+        stmt = parse_statement(text)
+        flat = self._outcome(self._database(1), stmt, PLANNED[0])
+        before = plan.STATS.snapshot()
+        sharded = self._outcome(self._database(SHARDS), stmt, PLANNED[1])
+        assert plan.STATS.delta_since(before)["shard_probes"] == 0
+        assert f"cannot compare {message} using '='" in flat[0]
+        assert sharded == flat
+
+    @pytest.mark.parametrize(
+        "text",
+        ["update t set b = 0 where a = 1.0", "delete from t where a = 1.0"],
+    )
+    def test_a_float_key_value_still_prunes(self, text):
+        stmt = parse_statement(text)
+        flat = self._outcome(self._database(1), stmt, PLANNED[0])
+        before = plan.STATS.snapshot()
+        sharded = self._outcome(self._database(SHARDS), stmt, PLANNED[1])
+        assert plan.STATS.delta_since(before)["shard_probes"] == 1
+        assert sharded == flat
+        assert flat[0] == 3
