@@ -230,15 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         "FILE.wal and commit at quiescence; `repro recover FILE.wal` "
         "replays it after a crash",
     )
-    parser.add_argument(
-        "--partitions",
-        type=int,
-        default=1,
-        metavar="P",
-        help="with --run: hash-partition tables with declared partition "
-        "keys into P shards (enables partition-pruned scans; default 1 = "
-        "flat)",
-    )
     return parser
 
 
@@ -408,7 +399,6 @@ def _execution_config(args) -> ExecutionConfig:
         matching=matching,
         planner=matching != "naive",
         wal=getattr(args, "durable", None),
-        partitions=getattr(args, "partitions", 1),
     )
 
 
@@ -924,7 +914,7 @@ def build_repro_parser() -> argparse.ArgumentParser:
         "--modes",
         default="all",
         metavar="SPEC",
-        help="'all' (10 modes), 'quick' (one per axis), or a comma "
+        help="'all' (9 modes), 'quick' (one per axis), or a comma "
         "list like planned-memory,rete-durable",
     )
     crosscheck.add_argument(

@@ -23,13 +23,7 @@ Fields:
 * ``incremental`` — the processor's incremental triggering substrate
   (cached net effects, touch index, COW snapshots);
 * ``wal`` — write-ahead logging: a path string or an open
-  ``WalWriter``; ``None`` (the default) runs in memory only;
-* ``partitions`` — hash-partition declared tables into this many
-  shards (:meth:`repro.engine.storage.TableData.shard`), enabling
-  partition pruning of condition/action scans whose equality conjunct
-  pins the key; every other scan reads the flat table in tid order.
-  ``1`` (the default) keeps the flat layout. Rules are still considered
-  one at a time, in the same order either way.
+  ``WalWriter``; ``None`` (the default) runs in memory only.
 
 Out-of-range values raise :class:`~repro.errors.ConfigError`.
 """
@@ -53,17 +47,12 @@ class ExecutionConfig:
     incremental: bool = True
     #: WAL path (str) or an open WalWriter; None runs in memory only
     wal: object = None
-    partitions: int = 1
 
     def __post_init__(self) -> None:
         if self.matching not in MATCHING_MODES:
             raise ConfigError(
                 f"matching must be one of {', '.join(MATCHING_MODES)}; "
                 f"got {self.matching!r}"
-            )
-        if not isinstance(self.partitions, int) or self.partitions < 1:
-            raise ConfigError(
-                f"partitions must be a positive int; got {self.partitions!r}"
             )
 
     def with_options(self, **changes) -> "ExecutionConfig":
@@ -93,7 +82,7 @@ class ServerOptions:
 
     Orthogonal to :class:`ExecutionConfig` (which still governs how each
     session's own rule cascade executes — matching mode, planner,
-    partitions, durability of the *server's* log):
+    durability of the *server's* log):
 
     * ``isolation`` — what first-committer-wins validation checks:
       ``"serializable"`` (the default) validates the session's reads

@@ -23,9 +23,6 @@ class Database:
             table.name: TableData(table.name, len(table)) for table in schema
         }
         self._next_tid = 1
-        #: declared partition keys: table name -> column index (hints only;
-        #: shards materialize when apply_partitioning is called)
-        self._partition_hints: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Access
@@ -63,10 +60,19 @@ class Database:
         return self.table(table).delete(tid)
 
     def update_row(self, table: str, tid: int, values: tuple) -> tuple:
-        self._check_types(table, values)
-        return self.table(table).update(tid, values)
+        data = self.table(table)
+        self._check_types(table, values, data.get(tid))
+        return data.update(tid, values)
 
-    def _check_types(self, table: str, values: tuple) -> None:
+    def _check_types(
+        self, table: str, values: tuple, stored: tuple | None = None
+    ) -> None:
+        """Raise :class:`SchemaError` unless *values* fit *table*.
+
+        With the *stored* row an update replaces, a position whose
+        value is the stored object itself is not checked again: it
+        passed this check when it was stored.
+        """
         definition = self.schema.table(table)
         types = definition.column_types
         if len(values) != len(types):
@@ -74,52 +80,14 @@ class Database:
                 f"table {table!r} expects {len(types)} values, got {len(values)}"
             )
         for index, (kind, value) in enumerate(zip(types, values)):
+            if stored is not None and value is stored[index]:
+                continue
             if not kind.accepts(value):
                 raise SchemaError(
                     f"value {value!r} does not fit column "
                     f"{table}.{definition.column_names[index]} "
                     f"of type {kind.value}"
                 )
-
-    # ------------------------------------------------------------------
-    # Partitioning
-    # ------------------------------------------------------------------
-
-    def declare_partition_key(self, table: str, column: str) -> None:
-        """Declare *column* as the hash-partition key of *table*.
-
-        A declaration is a hint: it records which column a workload
-        distributes on, and takes effect when a session configured with
-        ``ExecutionConfig(partitions=P)`` calls
-        :meth:`apply_partitioning`. Flat sessions (``partitions=1``)
-        ignore hints entirely, so declaring keys never changes behavior
-        on its own.
-        """
-        definition = self.schema.table(table)
-        names = definition.column_names
-        key = column.lower()
-        if key not in names:
-            raise SchemaError(
-                f"table {table!r} has no column {column!r} "
-                f"to partition on"
-            )
-        self._partition_hints[definition.name] = names.index(key)
-
-    @property
-    def partition_hints(self) -> dict[str, int]:
-        """Declared partition keys (table name -> column index)."""
-        return dict(self._partition_hints)
-
-    def apply_partitioning(self, count: int) -> None:
-        """Shard every table with a declared key into *count* shards.
-
-        Idempotent: re-sharding at the same count rebuilds the same
-        layout. ``count <= 1`` keeps the flat layout.
-        """
-        if count <= 1:
-            return
-        for name, column in self._partition_hints.items():
-            self._tables[name].shard(column, count)
 
     # ------------------------------------------------------------------
     # Bulk loading (used by tests, examples, and workload generators)
@@ -209,7 +177,7 @@ class Database:
         new = tuple(
             changed.get(index, value) for index, value in enumerate(old)
         )
-        self._check_types(table, new)
+        self._check_types(table, new, old)
         data.update(tid, new)
         return old, new
 
@@ -281,7 +249,6 @@ class Database:
             name: data.copy(cow=cow) for name, data in self._tables.items()
         }
         clone._next_tid = self._next_tid
-        clone._partition_hints = dict(self._partition_hints)
         return clone
 
     def __repr__(self) -> str:

@@ -28,7 +28,12 @@ from repro.engine.database import Database
 from repro.engine.expressions import Evaluator, RowContext
 from repro.engine.query import DatabaseProvider, QueryResult, execute_select
 from repro.engine.values import sql_is_truthy
-from repro.errors import EvaluationError, ExecutionError, RollbackSignal
+from repro.errors import (
+    EvaluationError,
+    ExecutionError,
+    ReproError,
+    RollbackSignal,
+)
 from repro.lang import ast
 from repro.schema.catalog import ColumnType
 from repro.transitions.delta import DeltaLog
@@ -158,69 +163,59 @@ _TYPE_SAMPLES = {
 }
 
 
-def _pruned_rows(
+def _probed_pairs(
     database: Database,
     table: str,
     layout: P.RowLayout,
     where: ast.Expression,
     evaluator: Evaluator,
 ):
-    """The pruned target scan a partition-key conjunct allows, or None
-    when pruning does not apply.
+    """The target candidates an equality-index probe gives, or None
+    when the target scan must read every row.
 
-    Sound whenever a *top-level AND* conjunct of *where* pins the
-    partition key to a row-independent value: any row outside the
-    key's shard evaluates that conjunct to False (or NULL), so under
-    Kleene AND the whole predicate cannot be True for it —
-    :func:`~repro.engine.partition.stable_shard`'s equality-consistency
-    guarantees every possibly-matching row lives in the probed shard.
-    The key column resolves as the target row binds (*layout*): a bare
-    ``a`` and ``x.a`` name the alias's column, ``t.a`` the table's,
-    which is the same row. A key expression that raises falls back to
-    the full scan so the per-row error behavior of the serial path is
-    preserved, and so does a key value ``sql_compare`` would refuse to
-    compare with the column's declared type (``a = true`` on an
-    integer ``a``): every stored key has that type, so the flat scan
-    raises at its first non-NULL key, where the raw guard below would
-    silently match by Python ``==``.
+    The first *top-level AND* conjunct of *where* that pins a column to
+    a row-independent value (:func:`~repro.engine.plan._as_const_probe`)
+    probes :meth:`~repro.engine.storage.TableData.equality_index` on
+    that column: any row outside the probed bucket evaluates the
+    conjunct to False (or NULL), so under Kleene AND the whole predicate
+    cannot be True for it. The column resolves as the target row binds
+    (*layout*): a bare ``a`` and ``x.a`` name the alias's column,
+    ``t.a`` the table's, which is the same row. A value that raises
+    falls back to the full scan, so the scan raises it at the row the
+    reference path does, and so does a value ``sql_compare`` would
+    refuse to compare with the column's declared type (``a = true`` on
+    an integer ``a``): every stored value has that type, so the full
+    scan raises at its first non-NULL value, where the index would
+    silently match nothing.
 
-    Returns ``(pairs, residual_conjuncts)``: the probed shard's
-    ``(tid, values)`` pairs, in tid order, whose key equals the probe
-    value (the shard may hold hash siblings of it), and the conjuncts
-    still to evaluate per row — the pruned conjunct itself is elided,
-    its work done by that raw guard. ``pairs`` is empty for a NULL key
-    value (``key = NULL`` matches no row).
+    Returns ``(pairs, residual_conjuncts)``: the bucket's ``(tid,
+    values)`` pairs in tid order, and the conjuncts still to evaluate
+    per row — the probed conjunct is elided, the bucket's key equality
+    (:func:`~repro.engine.values.sort_key`, so ``1 = 1.0``) does its
+    work. ``pairs`` is empty for a NULL value (``a = NULL`` matches no
+    row).
     """
-    data = database.table(table)
-    if data.shard_count == 0:
-        return None
-    key_col = data.partition_column
     scope = dict.fromkeys(layout.names, layout.columns)
     conjuncts = list(P.split_conjuncts(where))
     for conjunct in conjuncts:
         probe = P._as_const_probe(conjunct, layout, scope)
-        if probe is None or probe.column != key_col:
+        if probe is None:
             continue
         try:
             value = evaluator.evaluate(probe.value, RowContext())
-        except Exception:
+        except ReproError:
             return None
         if value is None:
             return [], []
-        key_type = database.schema.table(table).column_types[key_col]
+        column_type = database.schema.table(table).column_types[probe.column]
         try:
-            V._comparable(_TYPE_SAMPLES[key_type], value, "=")
+            V._comparable(_TYPE_SAMPLES[column_type], value, "=")
         except EvaluationError:
             return None
-        P.STATS.shard_probes += 1
-        # stable_shard's equality consistency tracks Python ==, and a
-        # NULL key in a row compares unequal here exactly as SQL
-        # equality excludes it.
-        pairs = [
-            pair
-            for pair in data.shard_items(data.shard_of_value(value))
-            if pair[1][key_col] == value
-        ]
+        P.STATS.index_probes += 1
+        pairs = database.table(table).equality_pairs(
+            (probe.column,), (V.sort_key(value),)
+        )
         return pairs, [c for c in conjuncts if c is not conjunct]
     return None
 
@@ -261,17 +256,15 @@ def _matching_tids(
 ) -> list[int]:
     """Tids of rows in *table* satisfying *where* (pre-statement state).
 
-    With partitioning enabled, a target scan over a sharded table first
-    tries partition pruning (see :func:`_pruned_rows`); an unprunable
-    scan walks the flat rows in tid order, as on a flat table. The
-    planned scan walks ``(tid, values)`` pairs straight from the tid
-    map (no :class:`~repro.engine.storage.Row` list), reads each row's
-    columns by position and binds the row in a context only when
-    *where* reads it there
-    (:func:`repro.engine.plan.compile_row_predicate`).
+    The planned scan first tries an equality-index probe (see
+    :func:`_probed_pairs`); a scan no conjunct narrows walks every row
+    in tid order. Both walk ``(tid, values)`` pairs (no
+    :class:`~repro.engine.storage.Row` list), read each row's columns
+    by position and bind the row in a context only when *where* reads
+    it there (:func:`repro.engine.plan.compile_row_predicate`).
     """
     if where is None:
-        return [row.tid for row in database.rows(table)]
+        return database.table(table).tids()
     columns = database.schema.table(table).column_names
     evaluator = Evaluator(provider, config=config)
     context, table_context = _target_contexts(table, binding)
@@ -288,11 +281,9 @@ def _matching_tids(
         return matched
 
     layout = _target_layout(table, binding, columns)
-    pruned = None
-    if config.partitions > 1:
-        pruned = _pruned_rows(database, table, layout, where, evaluator)
-    if pruned is not None:
-        pairs, checks = pruned
+    probed = _probed_pairs(database, table, layout, where, evaluator)
+    if probed is not None:
+        pairs, checks = probed
     else:
         pairs, checks = database.table(table).items(), [where]
     compiled = [P.compile_row_predicate(check, layout) for check in checks]

@@ -88,7 +88,6 @@ class PlannerStats(StatsBase):
         "transient_index_builds",
         "hash_join_probes",
         "rows_scanned",
-        "shard_probes",
         "plan_seconds",
     )
     SECONDS = frozenset({"plan_seconds"})
@@ -970,22 +969,6 @@ def _persistent_index(provider, table_name: str, cols: tuple[int, ...]):
     return getter(table_name, cols)
 
 
-def _shard_table(provider, table_name: str):
-    """The sharded base TableData behind *table_name*, or None.
-
-    None when the provider cannot expose base storage for the name (an
-    overlay, a transition table) or when the table is flat — in either
-    case the caller falls back to the ordinary scan/index paths.
-    """
-    getter = getattr(provider, "shard_table", None)
-    if getter is None:
-        return None
-    data = getter(table_name)
-    if data is None or data.shard_count == 0:
-        return None
-    return data
-
-
 class _LimitReached(Exception):
     """Internal signal: a limited enumeration has matched enough."""
 
@@ -1018,7 +1001,6 @@ def execute_planned(
     sources: list[tuple[str, tuple[str, ...], list[tuple]]],
     outer_context: RowContext | None,
     evaluator: Evaluator,
-    config=None,
     limit: int | None = None,
 ) -> tuple[list[RowContext], list[list[tuple]], Plan]:
     """Run *select*'s plan; returns (matched contexts, raw rows, plan).
@@ -1035,15 +1017,6 @@ def execute_planned(
     where it stops matching; deeper sources filter up front, because
     their pool is read once per outer row and their join index is
     built from the filtered pool.
-
-    When *config* enables partitioning and a scanned table is sharded,
-    a const probe whose columns pin the partition key resolves through
-    the single shard the probe value hashes to (``shard_probes``) —
-    sound because :func:`~repro.engine.partition.stable_shard` is
-    equality-consistent, so every row the probe can match lives in that
-    shard, and the shard-local bucket holds them in the same tid order
-    as the global index. Every other scan of a sharded table filters
-    the flat rows in tid order, as on a flat table.
     """
     source_columns = tuple((binding, columns) for binding, columns, __ in sources)
     plan = plan_select(select, source_columns)
@@ -1063,14 +1036,9 @@ def execute_planned(
     pools: list = [None] * n
     join_indexes: list = [None] * n
 
-    partitioned = config is not None and config.partitions > 1
-
     filter_context = RowContext(outer=outer_context)
     for i, source_plan in enumerate(plan.sources):
         binding, columns, rows = sources[i]
-        table_data = (
-            _shard_table(provider, table_names[i]) if partitioned else None
-        )
 
         if source_plan.const_probes:
             probe_values = [
@@ -1082,18 +1050,7 @@ def execute_planned(
                 rows = []
             else:
                 cols = tuple(col for col, __ in source_plan.const_probes)
-                index = None
-                if (
-                    table_data is not None
-                    and table_data.partition_column in cols
-                    and len(rows) == len(table_data)
-                ):
-                    at = cols.index(table_data.partition_column)
-                    shard = table_data.shard_of_value(probe_values[at])
-                    index = table_data.shard_equality_index(shard, cols)
-                    STATS.shard_probes += 1
-                if index is None:
-                    index = _persistent_index(provider, table_names[i], cols)
+                index = _persistent_index(provider, table_names[i], cols)
                 if index is None:
                     index = build_equality_index(rows, cols)
                     STATS.transient_index_builds += 1

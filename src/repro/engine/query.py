@@ -49,11 +49,6 @@ class DatabaseProvider:
         """The table's persistent hash index on the columns at *cols*."""
         return self._database.table(name).equality_index(cols)
 
-    def shard_table(self, name: str):
-        """The base :class:`~repro.engine.storage.TableData` for *name*
-        (partition-aware scan paths read its shards directly)."""
-        return self._database.table(name)
-
 
 class OverlayProvider:
     """A provider that serves some tables itself and delegates the rest.
@@ -97,14 +92,6 @@ class OverlayProvider:
             P.STATS.transient_index_builds += 1
             self._indexes[key] = index
         return index
-
-    def shard_table(self, name: str):
-        """Delegate for base tables; None for overlays (an overlay is a
-        small in-memory row list, never sharded storage)."""
-        if name.lower() in self._overlays:
-            return None
-        getter = getattr(self._base, "shard_table", None)
-        return None if getter is None else getter(name)
 
 
 @dataclass(frozen=True)
@@ -206,7 +193,6 @@ def execute_select(
             sources,
             outer_context,
             evaluator,
-            config=config,
             limit=limit,
         )
     else:

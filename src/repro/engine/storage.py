@@ -29,24 +29,12 @@ against ``index_builds`` (full rebuilds). The first write after a
 copy-on-write fork clones the index structures instead of dropping
 them: a dict/list copy is far cheaper than re-deriving the same index
 with per-row key extraction.
-
-Sharding. :meth:`TableData.shard` hash-partitions the tid map into P
-shards on a declared key column (:func:`repro.engine.partition.stable_shard`),
-each shard with its own tid-ordered row memo and its own equality-index
-cache. The flat ``_rows`` map stays authoritative — every existing
-caller sees the exact same table, and a scan that pruning cannot
-narrow reads it in tid order — while partition-aware paths
-(:mod:`repro.engine.dml` target scans, :mod:`repro.engine.plan` const
-probes) read single shards: an equality conjunct on the partition key
-prunes a scan to one shard, and shard-local index caches survive
-writes to the *other* shards' rows.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 
-from repro.engine.partition import stable_shard
 from repro.engine.values import CanonicalFragment, sort_key, sorted_rows
 from repro.errors import ExecutionError
 
@@ -101,7 +89,7 @@ def index_key(values: tuple, cols: tuple[int, ...]) -> tuple | None:
 
 
 class _EqualityIndexes:
-    """The equality indexes over one row population (a table or shard).
+    """The equality indexes over one table's rows.
 
     ``buckets[cols][key]`` is the value-tuple list consumers iterate
     (tid order); ``tids[cols][key]`` is the parallel tid list that makes
@@ -117,14 +105,15 @@ class _EqualityIndexes:
     def __bool__(self) -> bool:
         return bool(self.buckets)
 
-    def build(self, cols: tuple[int, ...], rows: list[Row]) -> dict:
+    def build(self, cols: tuple[int, ...], pairs) -> dict:
+        """Index the ``(tid, values)`` *pairs* (in tid order) on *cols*."""
         bucket: dict = {}
         tids: dict = {}
-        for row in rows:
-            key = index_key(row.values, cols)
+        for tid, values in pairs:
+            key = index_key(values, cols)
             if key is not None:
-                bucket.setdefault(key, []).append(row.values)
-                tids.setdefault(key, []).append(row.tid)
+                bucket.setdefault(key, []).append(values)
+                tids.setdefault(key, []).append(tid)
         # Publish tids before buckets: concurrent readers (RuleServer
         # session threads whose snapshot forks share this structure
         # copy-on-write) key on ``buckets``, so any cols visible there
@@ -225,10 +214,6 @@ class TableData:
         "_row_list",
         "_values_list",
         "_indexes",
-        "_partition",
-        "_shards",
-        "_shard_rows",
-        "_shard_indexes",
     )
 
     def __init__(self, name: str, arity: int) -> None:
@@ -247,104 +232,15 @@ class TableData:
         #: Shared with copy-on-write clones; the first write on either
         #: side deep-copies the structure (see :meth:`_own`).
         self._indexes = _EqualityIndexes()
-        #: (key column index, shard count) when hash-partitioned
-        self._partition: tuple[int, int] | None = None
-        #: per-shard tid maps mirroring ``_rows`` (None when flat)
-        self._shards: list[dict[int, tuple]] | None = None
-        #: per-shard memoized tid-ordered Row lists (entries None when dirty)
-        self._shard_rows: list[list[Row] | None] | None = None
-        #: per-shard equality-index caches
-        self._shard_indexes: list[_EqualityIndexes] | None = None
 
     def _own(self) -> None:
         if self._shared:
             self._rows = dict(self._rows)
             self._shared = False
-            # The index and shard structures may be aliased by the other
-            # side of the share; clone them (cheaper than the rebuild the
-            # old drop-on-write discipline forced) before mutating.
+            # The index structures may be aliased by the other side
+            # of the share; clone them (cheaper than the rebuild the old
+            # drop-on-write discipline forced) before mutating.
             self._indexes = self._indexes.copy()
-            if self._shards is not None:
-                self._shards = [dict(shard) for shard in self._shards]
-                self._shard_rows = list(self._shard_rows)
-                self._shard_indexes = [
-                    indexes.copy() for indexes in self._shard_indexes
-                ]
-
-    # ------------------------------------------------------------------
-    # Partitioning
-    # ------------------------------------------------------------------
-
-    @property
-    def shard_count(self) -> int:
-        """How many shards this table is hash-partitioned into (0 = flat)."""
-        return self._partition[1] if self._partition is not None else 0
-
-    @property
-    def partition_column(self) -> int | None:
-        """The partition-key column index, or None when flat."""
-        return self._partition[0] if self._partition is not None else None
-
-    def shard(self, column: int, count: int) -> None:
-        """Hash-partition the table into *count* shards on *column*.
-
-        Builds fresh shard structures from the current rows (O(rows),
-        paid once per session); the flat tid map stays authoritative so
-        every non-partition-aware caller is unaffected. Safe on a
-        shared (copy-on-write) table: nothing aliased is mutated.
-        """
-        if not 0 <= column < self.arity:
-            raise ExecutionError(
-                f"table {self.name!r} has no column index {column}"
-            )
-        if count < 1:
-            raise ExecutionError(f"shard count must be >= 1, got {count}")
-        shards: list[dict[int, tuple]] = [{} for __ in range(count)]
-        for tid, values in self._rows.items():
-            shards[stable_shard(values[column], count)][tid] = values
-        self._partition = (column, count)
-        self._shards = shards
-        self._shard_rows = [None] * count
-        self._shard_indexes = [_EqualityIndexes() for __ in range(count)]
-
-    def shard_of_value(self, value) -> int:
-        """The shard a partition-key *value* hashes to."""
-        if self._partition is None:
-            raise ExecutionError(f"table {self.name!r} is not partitioned")
-        return stable_shard(value, self._partition[1])
-
-    def shard_rows(self, shard: int) -> list[Row]:
-        """One shard's rows, in tid order (memoized like :meth:`rows`).
-
-        The returned list is cached and shared; callers must not
-        mutate it.
-        """
-        rows = self._shard_rows[shard]
-        if rows is None:
-            source = self._shards[shard]
-            rows = [Row(tid, source[tid]) for tid in sorted(source)]
-            self._shard_rows[shard] = rows
-        return rows
-
-    def shard_items(self, shard: int) -> list[tuple[int, tuple]]:
-        """One shard's (tid, values) pairs in tid order, straight from its
-        tid map (like :meth:`items`: no :class:`Row` objects)."""
-        return sorted(self._shards[shard].items())
-
-    def shard_equality_index(self, shard: int, cols: tuple[int, ...]) -> dict:
-        """One shard's hash index over *cols* (shard-local memo).
-
-        Same contract as :meth:`equality_index`, restricted to the
-        shard's rows. Because every row with a given partition-key value
-        lives in one shard, probing this index with a key that pins the
-        partition column returns exactly the global index's bucket —
-        while surviving writes to every other shard.
-        """
-        indexes = self._shard_indexes[shard]
-        index = indexes.buckets.get(cols)
-        if index is None:
-            index = indexes.build(cols, self.shard_rows(shard))
-        return index
 
     # ------------------------------------------------------------------
     # Mutation
@@ -361,7 +257,7 @@ class TableData:
         arity, then a duplicate tid (already stored, or earlier in
         *pairs*) — and both raise :class:`ExecutionError` with the pairs
         before it stored, exactly as a loop of single inserts would
-        leave the table. Equality indexes and shards advance per pair as
+        leave the table. Equality indexes advance per pair as
         well (``index_maintains`` counts the same); what a batch pays
         once is the copy-on-write :meth:`_own` and the memo resets. An
         empty *pairs* copies and resets nothing.
@@ -386,17 +282,9 @@ class TableData:
                 self._values_list = None
                 rows = self._rows
                 indexes = self._indexes if self._indexes.buckets else None
-                shards = self._shards
-                if shards is not None:
-                    column, count = self._partition
             rows[tid] = values
             if indexes is not None:
                 indexes.insert(tid, values)
-            if shards is not None:
-                shard = stable_shard(values[column], count)
-                shards[shard][tid] = values
-                self._shard_rows[shard] = None
-                self._shard_indexes[shard].insert(tid, values)
 
     def delete(self, tid: int) -> tuple:
         if tid not in self._rows:
@@ -407,11 +295,6 @@ class TableData:
         self._values_list = None
         old = self._rows.pop(tid)
         self._indexes.delete(tid, old)
-        if self._shards is not None:
-            shard = stable_shard(old[self._partition[0]], self._partition[1])
-            del self._shards[shard][tid]
-            self._shard_rows[shard] = None
-            self._shard_indexes[shard].delete(tid, old)
         return old
 
     def update(self, tid: int, values: tuple) -> tuple:
@@ -430,21 +313,6 @@ class TableData:
         self._row_list = None
         self._values_list = None
         self._indexes.update(tid, old, values)
-        if self._shards is not None:
-            column, count = self._partition
-            old_shard = stable_shard(old[column], count)
-            new_shard = stable_shard(values[column], count)
-            if old_shard == new_shard:
-                self._shards[old_shard][tid] = values
-                self._shard_rows[old_shard] = None
-                self._shard_indexes[old_shard].update(tid, old, values)
-            else:
-                del self._shards[old_shard][tid]
-                self._shards[new_shard][tid] = values
-                self._shard_rows[old_shard] = None
-                self._shard_rows[new_shard] = None
-                self._shard_indexes[old_shard].delete(tid, old)
-                self._shard_indexes[new_shard].insert(tid, values)
         return old
 
     def get(self, tid: int) -> tuple | None:
@@ -482,13 +350,26 @@ class TableData:
         :meth:`canonical`: it survives copy-on-write :meth:`copy` forks
         and advances incrementally under inserts, deletes *and* updates
         (``PlannerStats.index_maintains``); only the first probe pays
-        the O(rows) build (``index_builds``). Callers must not mutate
-        the returned dict or its buckets.
+        the O(rows) build (``index_builds``), straight from the tid map
+        like :meth:`items` (no :class:`Row` objects). Callers must not
+        mutate the returned dict or its buckets.
         """
         index = self._indexes.buckets.get(cols)
         if index is None:
-            index = self._indexes.build(cols, self.rows())
+            index = self._indexes.build(cols, self.items())
         return index
+
+    def equality_pairs(self, cols: tuple[int, ...], key: tuple) -> list:
+        """The ``(tid, values)`` pairs of :meth:`equality_index`'s bucket
+        *key* on *cols*, in tid order (the bucket zipped with its
+        parallel tid list)."""
+        rows = self.equality_index(cols).get(key, ())
+        return list(zip(self._indexes.tids[cols].get(key, ()), rows))
+
+    def tids(self) -> list[int]:
+        """All tids, in order, straight from the tid map (no
+        :class:`Row` objects)."""
+        return sorted(self._rows)
 
     def items(self) -> list[tuple[int, tuple]]:
         """All (tid, values) pairs in tid order.
@@ -542,8 +423,6 @@ class TableData:
         sides marked shared — O(1), the first write on either side pays
         the O(rows) copy. ``cow=False`` copies eagerly (the seed
         behavior, kept for benchmarking the non-incremental substrate).
-        The partition layout (shards, shard memos, shard index caches)
-        rides along under the same discipline.
         """
         clone = TableData(self.name, self.arity)
         if cow:
@@ -553,18 +432,11 @@ class TableData:
             clone._canonical = self._canonical
             clone._row_list = self._row_list
             clone._values_list = self._values_list
-            # Index/shard cache sharing is safe: the first write on
-            # either side clones (never mutates) the shared structures
-            # via _own.
+            # Index sharing is safe: the first write on either side
+            # clones (never mutates) the shared structures via _own.
             clone._indexes = self._indexes
-            clone._partition = self._partition
-            clone._shards = self._shards
-            clone._shard_rows = self._shard_rows
-            clone._shard_indexes = self._shard_indexes
         else:
             clone._rows = dict(self._rows)
-            if self._partition is not None:
-                clone.shard(*self._partition)
         return clone
 
     def __len__(self) -> int:
@@ -574,7 +446,4 @@ class TableData:
         return tid in self._rows
 
     def __repr__(self) -> str:
-        suffix = ""
-        if self._partition is not None:
-            suffix = f", {self._partition[1]} shards"
-        return f"TableData({self.name}, {len(self._rows)} rows{suffix})"
+        return f"TableData({self.name}, {len(self._rows)} rows)"

@@ -206,11 +206,6 @@ class RuleProcessor:
         self._triggered: set[str] = set()
         self._triggered_at = 0
 
-        #: hash-partition declared tables before the first snapshot so
-        #: every fork and restore carries the shard layout
-        if self.config.partitions > 1:
-            database.apply_partitioning(self.config.partitions)
-
         self._transaction_snapshot = database.snapshot()
         self._rolled_back = False
 

@@ -13,7 +13,7 @@ The design composes three existing substrate pieces:
   an O(tables) copy-on-write fork; a session opens one under the server
   mutex and runs its statements plus its rule cascade to fixpoint on it
   with a completely ordinary :class:`~repro.runtime.processor.RuleProcessor`
-  (any :class:`~repro.config.ExecutionConfig` matching or partitions);
+  (any :class:`~repro.config.ExecutionConfig` matching mode);
 * **epochs from the delta log** — the server appends every *published*
   primitive to one :class:`~repro.transitions.delta.DeltaLog`; a
   session's snapshot epoch is simply the log position at fork time, and

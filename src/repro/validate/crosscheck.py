@@ -7,9 +7,7 @@ can *run* the program lands where the meaning says it should:
 
 * **execution modes** — the cross product of condition matching
   (``naive``/``planned``/``rete``) and persistence (``memory``/
-  ``durable``/``server``) on flat tables, plus ``planned-sharded``
-  (planned matching in memory with every declared partition key
-  sharded four ways), ten configurations in all;
+  ``durable``/``server``), nine configurations in all;
 * **the differential contract** — when the program's unique-final
   guarantee is certified (statically, or by a workload that is
   confluent by construction), the declarative outcome must **equal**
@@ -72,15 +70,11 @@ __all__ = [
     "parse_modes",
 ]
 
-#: every execution mode: (matching, persistence, partitions) — matching ×
-#: persistence on flat tables, plus planned matching on sharded tables
-ALL_MODES: dict[str, tuple[str, str, int]] = {
-    **{
-        f"{matching}-{persistence}": (matching, persistence, 1)
-        for matching in ("naive", "planned", "rete")
-        for persistence in ("memory", "durable", "server")
-    },
-    "planned-sharded": ("planned", "memory", 4),
+#: every execution mode: (matching, persistence) — the full product
+ALL_MODES: dict[str, tuple[str, str]] = {
+    f"{matching}-{persistence}": (matching, persistence)
+    for matching in ("naive", "planned", "rete")
+    for persistence in ("memory", "durable", "server")
 }
 
 #: one representative per axis — the CI-smoke subset
@@ -90,7 +84,6 @@ QUICK_MODES: tuple[str, ...] = (
     "rete-memory",
     "planned-durable",
     "planned-server",
-    "planned-sharded",
 )
 
 
@@ -209,9 +202,9 @@ def _run_mode(
     case: CrosscheckCase, mode: str, wal_dir: str
 ) -> ModeResult:
     """Run one execution mode on a fresh copy of the case's database."""
-    matching, persistence, partitions = ALL_MODES[mode]
+    matching, persistence = ALL_MODES[mode]
     database = case.database.copy()
-    config = ExecutionConfig(matching=matching, partitions=partitions)
+    config = ExecutionConfig(matching=matching)
     before_rete = rete_module.STATS.snapshot()
     started = time.perf_counter()
 

@@ -11,9 +11,10 @@
   determinism experiments;
 * :mod:`repro.workloads.queries` — seeded query workloads for the
   query-engine benchmark gate (join-heavy and selective-filter shapes);
-* :mod:`repro.workloads.partitioned` — the hash-partitionable
-  multi-domain drain workload feeding the partition gate and the
-  flat-vs-sharded equivalence harness;
+* :mod:`repro.workloads.partitioned` — the multi-domain drain
+  workload (four table-disjoint domains, every hot scan keyed on
+  ``region``) behind the probe-vs-reference equivalence tests and the
+  crosscheck's ``partitioned`` case;
 * :mod:`repro.workloads.streaming` — the streaming-ingestion workload
   (many event streams, per-region alert rules, one shared hot counter)
   and the multi-threaded driver behind the concurrent-server gate;

@@ -7,7 +7,7 @@ risk-screening pipeline rather than :mod:`repro.workloads.iot`'s
 monitoring pipeline:
 
 * ``transactions(id, account, region, amount)`` — the 10⁶-row
-  (default) ledger, partition-keyed on ``region``;
+  (default) ledger;
 * ``account_risk(account, region, score, held)`` — one row per
   account;
 * ``region_audit(region, cases, backlog)`` — one row per region.
@@ -148,8 +148,6 @@ def fraud_workload(
         [(a, a % regions, 2, 0) for a in range(accounts)],
     )
     database.load("region_audit", [(r, 0, 0) for r in range(regions)])
-    database.declare_partition_key("transactions", "region")
-    database.declare_partition_key("account_risk", "region")
 
     batch_values = []
     for i in range(batch_rows):

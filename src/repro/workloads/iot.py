@@ -5,7 +5,7 @@ maintain small per-device and per-region state in a strictly layered
 cascade (ROADMAP item 5's "IoT at 10⁶ rows"):
 
 * ``readings(id, device, region, value)`` — the 10⁶-row (default)
-  telemetry firehose, partition-keyed on ``region``;
+  telemetry firehose;
 * ``device_status(device, region, alerts, attention)`` — one row per
   device;
 * ``region_health(region, degraded, severity)`` — one row per region;
@@ -163,8 +163,6 @@ def iot_workload(
     )
     database.load("region_health", [(r, 0, 0) for r in range(regions)])
     database.load("ops_queue", [(r, 0) for r in range(regions)])
-    database.declare_partition_key("readings", "region")
-    database.declare_partition_key("device_status", "region")
 
     batch_values = []
     for i in range(batch_rows):

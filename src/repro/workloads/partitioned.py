@@ -1,11 +1,10 @@
-"""A hash-partitionable multi-domain workload (ROADMAP items 3 and 5).
+"""A multi-domain drain workload (ROADMAP items 3 and 5).
 
 Four independent business domains — inventory, payments, shipping,
 fraud — each with a large fact table distributed over *regions* and a
 tiny per-region control table driving a drain loop:
 
-* ``{domain}(id, region, level)`` — the 10⁵-row (default) fact table,
-  hash-partitioned on ``region``;
+* ``{domain}(id, region, level)`` — the 10⁵-row (default) fact table;
 * ``{domain}_ctl(region, pending)`` — one row per region; ``pending``
   is the number of remaining damping passes for that region.
 
@@ -19,10 +18,10 @@ One rule per (domain, region) pair::
          update {domain}_ctl set pending = pending - 1
          where region = {r} and pending > 0
 
-Every action's hot scan carries a ``region = {r}`` equality conjunct on
-the declared partition key, so a partition-aware executor prunes the
-10⁵-row scans to one shard. The four domains share no tables and no
-priorities, so they fall into four static partitions
+Every action's hot scan carries a ``region = {r}`` equality conjunct,
+so the planned executor probes the fact table's ``region`` index
+instead of scanning every row. The four domains share no tables and no
+priorities, so they fall into four static rule partitions
 (:func:`~repro.analysis.partitioning.partition_rules`); rules *within*
 a domain overlap on write tables. Termination is by monotonic decrease
 of ``sum(pending)``; the drain depths and the hot-row population are
@@ -94,10 +93,7 @@ def partitioned_workload(
 
     Each fact row lands in a seeded region; ``hot_rows_per_region``
     rows per (domain, region) get levels above the damping floor so
-    every drain pass updates a bounded, seeded set. Partition keys are
-    declared on every table (``region``) — a serial session ignores
-    them; a session with ``ExecutionConfig(partitions=P)`` shards on
-    them at construction.
+    every drain pass updates a bounded, seeded set.
     """
     rng = random.Random(seed)
     schema = partitioned_schema(domains)
@@ -125,8 +121,6 @@ def partitioned_workload(
         database.load(
             f"{domain}_ctl", [(region, 0) for region in range(regions)]
         )
-        database.declare_partition_key(domain, "region")
-        database.declare_partition_key(f"{domain}_ctl", "region")
 
     pending = {
         (domain, region): rng.randint(3, 6)

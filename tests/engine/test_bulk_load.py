@@ -132,30 +132,6 @@ def test_load_maintains_a_live_equality_index(case):
 
 
 @pytest.mark.parametrize("case", range(CASES // 2))
-def test_load_into_a_sharded_table(case):
-    schema, preload, rows = random_case(derive_seed("bulk-load-shards", case))
-    databases = fresh(schema, preload), fresh(schema, preload)
-    for database in databases:
-        database.declare_partition_key("r", "c0")
-        database.apply_partitioning(3)
-        for shard in range(3):
-            database.table("r").shard_rows(shard)
-            database.table("r").shard_equality_index(shard, (0,))
-    bulk, reference = databases
-    assert outcome(Database.load, bulk, "r", rows) == outcome(
-        reference_load, reference, "r", rows
-    )
-    assert_same_state(bulk, reference)
-    got, expected = bulk.table("r"), reference.table("r")
-    assert got._shards == expected._shards
-    for shard in range(3):
-        assert got.shard_rows(shard) == expected.shard_rows(shard)
-        assert got.shard_equality_index(
-            shard, (0,)
-        ) == expected.shard_equality_index(shard, (0,))
-
-
-@pytest.mark.parametrize("case", range(CASES // 2))
 def test_load_leaves_a_snapshot_unchanged(case):
     schema, preload, rows = random_case(derive_seed("bulk-load-snapshot", case))
     database = fresh(schema, preload)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine.database import Database
 from repro.errors import SchemaError
-from repro.schema.catalog import schema_from_spec
+from repro.schema.catalog import ColumnType, schema_from_spec
 
 
 @pytest.fixture
@@ -45,6 +45,42 @@ class TestBasics:
         rows = database.rows("t")
         with pytest.raises(SchemaError):
             database.update_row("t", rows[0].tid, (1, "bad"))
+
+
+class TestUpdateTypeChecks:
+    """An update checks only the positions whose value is not the stored
+    object: every stored value passed the check when it was stored."""
+
+    def test_an_ill_typed_set_value_still_raises(self, database):
+        tid = database.table("t").tids()[0]
+        updates = (
+            lambda: database.update_row("t", tid, (1, "bad")),
+            lambda: database.merge_update("t", tid, {1: "bad"}),
+        )
+        for update in updates:
+            with pytest.raises(SchemaError) as raised:
+                update()
+            assert str(raised.value) == (
+                "value 'bad' does not fit column t.v of type int"
+            )
+        assert database.table("t").get(tid) == (1, 10)
+
+    def test_an_unchanged_column_is_not_checked_again(
+        self, database, monkeypatch
+    ):
+        checked = []
+        accepts = ColumnType.accepts
+
+        def counting(kind, value):
+            checked.append(value)
+            return accepts(kind, value)
+
+        monkeypatch.setattr(ColumnType, "accepts", counting)
+        tid = database.table("t").tids()[0]
+        database.update_row("t", tid, (database.table("t").get(tid)[0], 11))
+        database.merge_update("t", tid, {1: 12})
+        assert checked == [11, 12]
+        assert database.table("t").get(tid) == (1, 12)
 
 
 class TestSnapshotRestore:

@@ -192,21 +192,15 @@ class TestTransitionTableProvider:
         assert (2, 20) not in database.table("t").value_tuples()
 
 
-ALIAS_CONFIGS = (
-    ExecutionConfig(),
-    ExecutionConfig(planner=False),
-    ExecutionConfig(partitions=4),
-)
-ALIAS_CONFIG_IDS = ("planned", "reference", "sharded")
+ALIAS_CONFIGS = (ExecutionConfig(), ExecutionConfig(planner=False))
+ALIAS_CONFIG_IDS = ("planned", "reference")
 
 
-def _aliased_database(config):
+def _aliased_database():
     schema = schema_from_spec({"t": ["id", "v"], "u": ["x"]})
     db = Database(schema)
     db.load("t", [(1, 10), (2, 20), (3, 30), (4, 20)])
     db.load("u", [(1,), (3,)])
-    db.declare_partition_key("t", "id")
-    db.apply_partitioning(config.partitions)
     return db
 
 
@@ -240,11 +234,11 @@ class TestAliasedTarget:
         ],
     )
     def test_matches_the_unaliased_statement(self, config, aliased, plain):
-        expected_db = _aliased_database(config)
+        expected_db = _aliased_database()
         expected = execute_statement(
             expected_db, parse_statement(plain), config=config
         )
-        database = _aliased_database(config)
+        database = _aliased_database()
         result = execute_statement(
             database, parse_statement(aliased), config=config
         )
@@ -256,7 +250,7 @@ class TestAliasedTarget:
         from repro.rules.ruleset import RuleSet
         from repro.runtime.processor import RuleProcessor
 
-        database = _aliased_database(ExecutionConfig())
+        database = _aliased_database()
         ruleset = RuleSet.parse(
             "create rule zero on u when inserted "
             "then update t w set v = 0 where id = 1",

@@ -37,29 +37,18 @@ from tests.engine.test_planner_equivalence import (
 from tests.seeding import derive_seed
 
 REFERENCE = ExecutionConfig(matching="naive", planner=False)
-SHARDS = 4
-PLANNED = (ExecutionConfig(), ExecutionConfig(partitions=SHARDS))
+PLANNED = ExecutionConfig()
 
 TABLES = {"r": ["a", "b"], "s": ["c", "d"], "t": ["e", "f"]}
-PARTITION_KEYS = {"r": "a", "s": "c", "t": "e"}
 #: the columns each binding name of the generated queries sees
 SCOPES = {**TABLES, "x": TABLES["r"], "i": ["a", "b"]}
 
 
-def _sharded(database: Database) -> Database:
-    for table, column in PARTITION_KEYS.items():
-        database.declare_partition_key(table, column)
-    database.apply_partitioning(SHARDS)
-    return database
-
-
-def _instances(seed_label, seed):
-    """The same seeded instance twice: flat, and sharded for PLANNED[1]."""
-    flat, sharded = (
-        _random_instance(random.Random(derive_seed(seed_label, seed)), TABLES)
-        for __ in PLANNED
+def _instance(seed_label, seed):
+    """The seeded random instance for *seed_label* and *seed*."""
+    return _random_instance(
+        random.Random(derive_seed(seed_label, seed)), TABLES
     )
-    return flat, _sharded(sharded)
 
 
 def _predicate(rng, *bindings):
@@ -113,31 +102,26 @@ def _subqueries(rng):
     ]
 
 
-def _assert_select_matches(providers, text):
-    """*providers* pairs each PLANNED config with its provider."""
+def _assert_select_matches(provider, text):
     select = parse_statement(text)
-    reference = execute_select(providers[0][1], select, config=REFERENCE)
-    for config, provider in providers:
-        planned = execute_select(provider, select, config=config)
-        assert planned.columns == reference.columns, text
-        assert planned.rows == reference.rows, (config, text)
+    reference = execute_select(provider, select, config=REFERENCE)
+    planned = execute_select(provider, select, config=PLANNED)
+    assert planned.columns == reference.columns, text
+    assert planned.rows == reference.rows, text
 
 
 class TestSelectSweep:
     @pytest.mark.parametrize("seed", range(10))
     def test_where_clause_exists(self, seed):
         rng = random.Random(derive_seed("exists-select", seed))
-        flat, sharded = _instances("exists-select-instance", seed)
-        providers = list(
-            zip(PLANNED, (DatabaseProvider(flat), DatabaseProvider(sharded)))
-        )
+        provider = DatabaseProvider(_instance("exists-select-instance", seed))
         for subquery in _subqueries(rng):
             _assert_select_matches(
-                providers, f"select r.a, r.b from r where {subquery}"
+                provider, f"select r.a, r.b from r where {subquery}"
             )
             # EXISTS as a residual beside an outer filter and under OR
             _assert_select_matches(
-                providers,
+                provider,
                 f"select * from r where r.b is not null and "
                 f"({_predicate(rng, 'r')} or {subquery})",
             )
@@ -147,16 +131,13 @@ class TestSelectSweep:
         """Const probes on a transition-table overlay go through a
         transient index; the overlay also joins a base table."""
         rng = random.Random(derive_seed("exists-overlay", seed))
-        flat, sharded = _instances("exists-overlay-instance", seed)
+        database = _instance("exists-overlay-instance", seed)
         inserted = [
             (rng.randrange(6), rng.randrange(6)) for __ in range(5)
         ] + [(None, rng.randrange(6))]
-        providers = [
-            (config, OverlayProvider(
-                DatabaseProvider(database), {"inserted": (("a", "b"), inserted)}
-            ))
-            for config, database in zip(PLANNED, (flat, sharded))
-        ]
+        provider = OverlayProvider(
+            DatabaseProvider(database), {"inserted": (("a", "b"), inserted)}
+        )
         for __ in range(6):
             for subquery in (
                 f"exists (select * from inserted i where i.a = "
@@ -167,11 +148,11 @@ class TestSelectSweep:
                 f"{_predicate(rng, 'i', 's')})",
             ):
                 _assert_select_matches(
-                    providers, f"select r.a from r where {subquery}"
+                    provider, f"select r.a from r where {subquery}"
                 )
 
 
-def _dml_instance(seed_label, seed, sharded):
+def _dml_instance(seed_label, seed):
     """r gains a boolean column so a SET can take an EXISTS."""
     rng = random.Random(derive_seed(seed_label, seed))
     base = _random_instance(rng, TABLES)
@@ -180,7 +161,7 @@ def _dml_instance(seed_label, seed, sharded):
     database.load("r", [row + (None,) for row in base.table("r").value_tuples()])
     for name in ("s", "t"):
         database.load(name, base.table(name).value_tuples())
-    return _sharded(database) if sharded else database
+    return database
 
 
 class TestDmlSweep:
@@ -195,20 +176,14 @@ class TestDmlSweep:
                 f"update r x set b = x.a where {subquery.replace('r.', 'x.')}",
             ):
                 stmt = parse_statement(statement)
-                reference = _dml_instance("exists-dml-instance", seed, False)
+                reference = _dml_instance("exists-dml-instance", seed)
                 affected = execute_statement(
                     reference, stmt, config=REFERENCE
                 ).affected
-                for config in PLANNED:
-                    database = _dml_instance(
-                        "exists-dml-instance", seed, config.partitions > 1
-                    )
-                    result = execute_statement(database, stmt, config=config)
-                    assert result.affected == affected, (config, statement)
-                    assert database.canonical() == reference.canonical(), (
-                        config,
-                        statement,
-                    )
+                database = _dml_instance("exists-dml-instance", seed)
+                result = execute_statement(database, stmt, config=PLANNED)
+                assert result.affected == affected, statement
+                assert database.canonical() == reference.canonical(), statement
 
 
 class TestRuleConditionSweep:
@@ -235,17 +210,8 @@ class TestRuleConditionSweep:
             f"({rng.randrange(6)}, {rng.randrange(6)})" for __ in range(4)
         )
         runs = []
-        for config in (
-            REFERENCE,
-            *PLANNED,
-            ExecutionConfig(matching="rete"),
-        ):
-            database = _random_instance(
-                random.Random(derive_seed("exists-rules-instance", seed)),
-                TABLES,
-            )
-            for table, column in PARTITION_KEYS.items():
-                database.declare_partition_key(table, column)
+        for config in (REFERENCE, PLANNED, ExecutionConfig(matching="rete")):
+            database = _instance("exists-rules-instance", seed)
             ruleset = RuleSet.parse(rules, database.schema)
             processor = RuleProcessor(ruleset, database, config=config)
             processor.execute_user(f"insert into r values {values}")
@@ -257,9 +223,8 @@ class TestRuleConditionSweep:
                     processor.database.canonical(),
                 )
             )
-        for config, run in zip(PLANNED, runs[1:]):
-            assert run == runs[0], config
-        assert runs[-1] == runs[0], "rete"
+        assert runs[1] == runs[0], "planned"
+        assert runs[2] == runs[0], "rete"
 
 
 ROWS = 1_000
@@ -336,7 +301,7 @@ class TestWorkPins:
             "select * from u where exists (select v from t where v > 0 "
             "group by v having count(*) > 1)"
         )
-        for config in (*PLANNED, REFERENCE):
+        for config in (PLANNED, REFERENCE):
             assert execute_select(
                 provider, parse_statement(text), config=config
             ).rows == ((1,),)
@@ -369,15 +334,11 @@ class TestDivergence:
         database.load("u", [(7,)])
         return database
 
-    @pytest.mark.parametrize("partitions", [1, SHARDS])
-    def test_planned_path_returns_the_row(self, database, partitions):
-        if partitions > 1:
-            database.declare_partition_key("t", "id")
-            database.apply_partitioning(partitions)
+    def test_planned_path_returns_the_row(self, database):
         result = execute_select(
             DatabaseProvider(database),
             parse_statement(self.SOURCE),
-            config=ExecutionConfig(partitions=partitions),
+            config=PLANNED,
         )
         assert result.rows == ((7,),)
 

@@ -7,19 +7,19 @@ resolve to that row compiles to a tuple index, and the loop binds the
 row in a context only when the flag returned beside the closure says a
 node still reads it there (a subquery, or ``q.c`` naming the row with
 a column it lacks). These tests hold the planned loops that use it — a
-SELECT source's pushed filters, the DML target scans (flat and pruned
-to one shard) and UPDATE's SET expressions — to the tree-walking
-reference (``ExecutionConfig(matching="naive", planner=False)``) over
-seeded NULL-bearing instances, flat and sharded, with aliased and
-unaliased targets; pin the errors both paths raise; and pin the memo
-key and the partition pruning of aliased targets.
+SELECT source's pushed filters, the DML target scans (every row, or the
+bucket an equality-index probe returns) and UPDATE's SET expressions —
+to the tree-walking reference
+(``ExecutionConfig(matching="naive", planner=False)``) over seeded
+NULL-bearing instances with aliased and unaliased targets; pin the
+errors both paths raise; and pin the memo key and the index probes of
+aliased targets.
 """
 
 import random
 
 import pytest
 
-from repro.config import ExecutionConfig
 from repro.engine import plan
 from repro.engine.database import Database
 from repro.engine.dml import execute_statement
@@ -32,14 +32,10 @@ from repro.schema.catalog import schema_from_spec
 from tests.engine.test_exists_early_exit import (
     PLANNED,
     REFERENCE,
-    SHARDS,
     TABLES,
-    _instances,
+    _instance,
 )
-from tests.engine.test_planner_equivalence import (
-    _random_instance,
-    _random_predicate,
-)
+from tests.engine.test_planner_equivalence import _random_predicate
 from tests.seeding import derive_seed
 
 
@@ -75,28 +71,24 @@ def _target_names(table, alias):
     return (table,) if alias == table else (alias, table)
 
 
-def _assert_select_matches(providers, text):
+def _assert_select_matches(provider, text):
     select = parse_statement(text)
-    reference = execute_select(providers[0][1], select, config=REFERENCE)
-    for config, provider in providers:
-        planned = execute_select(provider, select, config=config)
-        assert planned.columns == reference.columns, text
-        assert planned.rows == reference.rows, (config, text)
+    reference = execute_select(provider, select, config=REFERENCE)
+    planned = execute_select(provider, select, config=PLANNED)
+    assert planned.columns == reference.columns, text
+    assert planned.rows == reference.rows, text
 
 
 class TestSelectSweep:
     @pytest.mark.parametrize("seed", range(10))
     def test_pushed_filters(self, seed):
         rng = random.Random(derive_seed("layout-select", seed))
-        flat, sharded = _instances("layout-select-instance", seed)
-        providers = list(
-            zip(PLANNED, (DatabaseProvider(flat), DatabaseProvider(sharded)))
-        )
+        provider = DatabaseProvider(_instance("layout-select-instance", seed))
         for table in TABLES:
             alias = rng.choice([table, "x"])
             source = table if alias == table else f"{table} x"
             _assert_select_matches(
-                providers,
+                provider,
                 f"select * from {source} where {_where(rng, table, (alias,))}",
             )
             # a pushed filter of a correlated subquery reads outer
@@ -105,7 +97,7 @@ class TestSelectSweep:
             inner = _where(rng, table, (alias,), outer="o")
             inner = _reference_names(rng, inner, ("o",))
             _assert_select_matches(
-                providers,
+                provider,
                 f"select * from {outer} o where exists "
                 f"(select * from {source} where {inner})",
             )
@@ -118,7 +110,7 @@ class TestSelectSweep:
         database.load("s", [(2, 0), (5, 0)])
         provider = DatabaseProvider(database)
         text = "select r.a from r where exists (select * from s where c < a)"
-        for config in (*PLANNED, REFERENCE):
+        for config in (PLANNED, REFERENCE):
             result = execute_select(
                 provider, parse_statement(text), config=config
             )
@@ -144,7 +136,8 @@ def _dml_statements(rng, table):
             f"update {target} set {other} = {rng.randrange(6)}, "
             f"{key} = {ref(other)}",
             f"delete from {target} where {where}",
-            # a key conjunct, so the sharded side prunes: first, and last
+            # a key conjunct, so the target probes its index: first,
+            # and last
             f"update {target} set {other} = 9 where "
             f"{ref(key)} = {rng.randrange(6)} and {where}",
             f"delete from {target} where {where} and "
@@ -155,15 +148,12 @@ def _dml_statements(rng, table):
 
 def _assert_dml_matches(seed_label, seed, text):
     stmt = parse_statement(text)
-    flat, sharded = _instances(seed_label, seed)
-    reference = _random_instance(
-        random.Random(derive_seed(seed_label, seed)), TABLES
-    )
+    reference = _instance(seed_label, seed)
     affected = execute_statement(reference, stmt, config=REFERENCE).affected
-    for config, database in zip(PLANNED, (flat, sharded)):
-        result = execute_statement(database, stmt, config=config)
-        assert result.affected == affected, (config, text)
-        assert database.canonical() == reference.canonical(), (config, text)
+    database = _instance(seed_label, seed)
+    result = execute_statement(database, stmt, config=PLANNED)
+    assert result.affected == affected, text
+    assert database.canonical() == reference.canonical(), text
 
 
 class TestDmlSweep:
@@ -198,14 +188,10 @@ class TestDmlSweep:
                     )
 
 
-def _table_t(rows, partitions):
-    """``t(a, b)`` holding *rows*, sharded on ``a`` when *partitions*
-    is above 1."""
+def _table_t(rows):
+    """``t(a, b)`` holding *rows*."""
     database = Database(schema_from_spec({"t": ["a", "b"]}))
     database.load("t", rows)
-    if partitions > 1:
-        database.declare_partition_key("t", "a")
-        database.apply_partitioning(partitions)
     return database
 
 
@@ -224,28 +210,23 @@ class TestErrorParity:
     ]
 
     @staticmethod
-    def _database(partitions):
-        return _table_t([(i % 4, i) for i in range(12)], partitions)
+    def _database():
+        return _table_t([(i % 4, i) for i in range(12)])
 
     @pytest.mark.parametrize("text, message", CASES)
     def test_same_error_on_both_paths(self, text, message):
         stmt = parse_statement(text)
-        with pytest.raises(EvaluationError) as reference:
-            execute_statement(self._database(1), stmt, config=REFERENCE)
-        assert str(reference.value) == message
-        for config in PLANNED:
-            with pytest.raises(EvaluationError) as planned:
-                execute_statement(
-                    self._database(config.partitions), stmt, config=config
-                )
-            assert str(planned.value) == message, config
+        for config in (REFERENCE, PLANNED):
+            with pytest.raises(EvaluationError) as raised:
+                execute_statement(self._database(), stmt, config=config)
+            assert str(raised.value) == message, config
 
     def test_ill_typed_comparison_on_a_flat_table(self):
         stmt = parse_statement("update t set b = 1 where a = 'x'")
         message = "cannot compare int with str using '='"
-        for config in (REFERENCE, ExecutionConfig()):
+        for config in (REFERENCE, PLANNED):
             with pytest.raises(EvaluationError) as raised:
-                execute_statement(self._database(1), stmt, config=config)
+                execute_statement(self._database(), stmt, config=config)
             assert str(raised.value) == message, config
 
 
@@ -356,12 +337,33 @@ class TestIdentityFront:
         assert delta["predicate_cache_hits"] == delta["plan_cache_hits"] == 0
 
 
+def _probe(database, stmt, config):
+    """Run *stmt* on *database*; returns (affected or the error's
+    message, the final canonical database, index probes taken)."""
+    before = plan.STATS.snapshot()
+    try:
+        affected = execute_statement(database, stmt, config=config).affected
+    except EvaluationError as error:
+        affected = str(error)
+    probes = plan.STATS.delta_since(before)["index_probes"]
+    return affected, database.canonical(), probes
+
+
 class TestTargetPruning:
-    """An aliased target prunes on every name of its key column."""
+    """A target probes its equality index on every name of its key
+    column, and lands where the reference's full scan lands."""
 
     @staticmethod
-    def _database(partitions):
-        return _table_t([(i % 4, i % 5) for i in range(60)], partitions)
+    def _database():
+        return _table_t([(i % 4, i % 5) for i in range(60)])
+
+    def _both(self, text):
+        """(reference, planned) outcomes of *text* (see :func:`_probe`)."""
+        stmt = parse_statement(text)
+        return (
+            _probe(self._database(), stmt, REFERENCE),
+            _probe(self._database(), stmt, PLANNED),
+        )
 
     @pytest.mark.parametrize(
         "text",
@@ -377,16 +379,11 @@ class TestTargetPruning:
             "delete from t x where t.a = 1",
         ],
     )
-    def test_one_shard_probe_and_the_flat_result(self, text):
-        stmt = parse_statement(text)
-        flat = self._database(1)
-        expected = execute_statement(flat, stmt, config=PLANNED[0]).affected
-        sharded = self._database(SHARDS)
-        before = plan.STATS.snapshot()
-        result = execute_statement(sharded, stmt, config=PLANNED[1])
-        assert plan.STATS.delta_since(before)["shard_probes"] == 1
-        assert result.affected == expected == 15
-        assert sharded.canonical() == flat.canonical()
+    def test_one_probe_and_the_reference_result(self, text):
+        reference, planned = self._both(text)
+        assert planned[2] == 1
+        assert planned[:2] == reference[:2]
+        assert planned[0] == 15
 
     @pytest.mark.parametrize(
         "text",
@@ -397,45 +394,41 @@ class TestTargetPruning:
         ],
     )
     def test_conjuncts_before_the_key_still_filter(self, text):
-        # The key conjunct is elided; every other conjunct, before it
-        # or after it, still decides each row of the probed shard.
-        stmt = parse_statement(text)
-        flat = self._database(1)
-        expected = execute_statement(flat, stmt, config=PLANNED[0]).affected
-        sharded = self._database(SHARDS)
-        result = execute_statement(sharded, stmt, config=PLANNED[1])
-        assert result.affected == expected == 3
-        assert sharded.canonical() == flat.canonical()
+        # The first key conjunct probes and is elided; every other
+        # conjunct, before it or after it, still decides each row of
+        # the probed bucket.
+        reference, planned = self._both(text)
+        assert planned[2] == 1
+        assert planned[:2] == reference[:2]
+        assert planned[0] == 3
 
     def test_a_row_dependent_key_value_does_not_prune(self):
         # ``t.b`` names the target row under an alias: no probe value.
-        stmt = parse_statement("update t x set b = 9 where a = t.b")
-        flat = self._database(1)
-        expected = execute_statement(flat, stmt, config=PLANNED[0]).affected
-        sharded = self._database(SHARDS)
-        before = plan.STATS.snapshot()
-        result = execute_statement(sharded, stmt, config=PLANNED[1])
-        assert plan.STATS.delta_since(before)["shard_probes"] == 0
-        assert result.affected == expected
-        assert sharded.canonical() == flat.canonical()
+        reference, planned = self._both("update t x set b = 9 where a = t.b")
+        assert planned[2] == 0
+        assert planned[:2] == reference[:2]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "update t set b = 9 where a = null",
+            "delete from t x where x.a = null and b > 0",
+        ],
+    )
+    def test_a_null_key_value_matches_nothing(self, text):
+        reference, planned = self._both(text)
+        assert planned[:2] == reference[:2]
+        assert planned[0] == 0
 
 
 class TestIllTypedKeyValues:
-    """A key value the column's type cannot compare with does not prune:
-    the sharded target scan raises what the flat scan raises, and a
-    comparable value of another type still prunes."""
+    """A key value the column's type cannot compare with does not probe:
+    the target scan reads every row and raises what the reference
+    raises, and a comparable value of another type still probes."""
 
     @staticmethod
-    def _database(partitions):
-        return _table_t([(i % 4, i) for i in range(12)], partitions)
-
-    @staticmethod
-    def _outcome(database, stmt, config):
-        try:
-            affected = execute_statement(database, stmt, config=config).affected
-        except EvaluationError as error:
-            affected = str(error)
-        return affected, database.canonical()
+    def _database():
+        return _table_t([(i % 4, i) for i in range(12)])
 
     @pytest.mark.parametrize(
         "text, message",
@@ -447,14 +440,13 @@ class TestIllTypedKeyValues:
             ("update t set b = 1 where b > 3 and a = false", "int with bool"),
         ],
     )
-    def test_sharded_scan_raises_the_flat_scans_error(self, text, message):
+    def test_unprobed_scan_raises_the_reference_error(self, text, message):
         stmt = parse_statement(text)
-        flat = self._outcome(self._database(1), stmt, PLANNED[0])
-        before = plan.STATS.snapshot()
-        sharded = self._outcome(self._database(SHARDS), stmt, PLANNED[1])
-        assert plan.STATS.delta_since(before)["shard_probes"] == 0
-        assert f"cannot compare {message} using '='" in flat[0]
-        assert sharded == flat
+        reference = _probe(self._database(), stmt, REFERENCE)
+        planned = _probe(self._database(), stmt, PLANNED)
+        assert planned[2] == 0
+        assert f"cannot compare {message} using '='" in reference[0]
+        assert planned[:2] == reference[:2]
 
     @pytest.mark.parametrize(
         "text",
@@ -462,9 +454,8 @@ class TestIllTypedKeyValues:
     )
     def test_a_float_key_value_still_prunes(self, text):
         stmt = parse_statement(text)
-        flat = self._outcome(self._database(1), stmt, PLANNED[0])
-        before = plan.STATS.snapshot()
-        sharded = self._outcome(self._database(SHARDS), stmt, PLANNED[1])
-        assert plan.STATS.delta_since(before)["shard_probes"] == 1
-        assert sharded == flat
-        assert flat[0] == 3
+        reference = _probe(self._database(), stmt, REFERENCE)
+        planned = _probe(self._database(), stmt, PLANNED)
+        assert planned[2] == 1
+        assert planned[:2] == reference[:2]
+        assert reference[0] == 3

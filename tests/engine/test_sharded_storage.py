@@ -1,4 +1,13 @@
-"""Sharded table storage: hash partitioning behind the TableData API."""
+"""UPDATE/DELETE target scans against the reference path, error for error.
+
+A planned target scan that no ``col = <constant>`` conjunct narrows
+walks every row in tid order, as the reference path
+(``ExecutionConfig(matching="naive", planner=False)``) does, so it
+returns the same rows and raises the same row's error. A scan such a
+conjunct narrows probes the table's equality index and evaluates its
+WHERE only on the probed bucket: an error that only a row outside the
+bucket would raise surfaces on the reference path alone.
+"""
 
 import pytest
 
@@ -6,200 +15,31 @@ from repro.config import ExecutionConfig
 from repro.engine import plan
 from repro.engine.database import Database
 from repro.engine.dml import execute_statement
-from repro.engine.partition import stable_shard
 from repro.engine.storage import TableData
-from repro.errors import ReproError, SchemaError
+from repro.errors import EvaluationError, ReproError
 from repro.lang.parser import parse_statement
 from repro.schema.catalog import schema_from_spec
 
-
-def make_table(rows):
-    data = TableData("t", 2)
-    for tid, values in rows:
-        data.insert(tid, values)
-    return data
-
-
-@pytest.fixture
-def sharded():
-    data = make_table((tid, (tid % 4, tid * 10)) for tid in range(1, 21))
-    data.shard(0, 4)
-    return data
-
-
-class TestStableShard:
-    def test_count_one_is_flat(self):
-        assert stable_shard(7, 1) == 0
-        assert stable_shard("x", 1) == 0
-
-    def test_null_lands_on_shard_zero(self):
-        assert stable_shard(None, 4) == 0
-
-    def test_equality_consistency_across_numeric_types(self):
-        """1 == 1.0 == True must co-shard, or key probes would miss
-        hash siblings that SQL equality matches."""
-        for count in (2, 3, 4, 7):
-            assert (
-                stable_shard(1, count)
-                == stable_shard(1.0, count)
-                == stable_shard(True, count)
-            )
-            assert stable_shard(2, count) == stable_shard(2.0, count)
-            assert stable_shard(-3, count) == stable_shard(-3.0, count)
-
-    def test_deterministic_and_in_range(self):
-        for value in (0, 17, -5, 2.5, "region-a", "", None, False):
-            first = stable_shard(value, 4)
-            assert 0 <= first < 4
-            assert stable_shard(value, 4) == first
-
-
-class TestSharding:
-    def test_shards_partition_the_rows(self, sharded):
-        seen = []
-        for shard in range(sharded.shard_count):
-            rows = sharded.shard_rows(shard)
-            assert rows == sorted(rows, key=lambda row: row.tid)
-            for row in rows:
-                assert sharded.shard_of_value(row.values[0]) == shard
-            seen.extend(rows)
-        assert sorted(seen, key=lambda row: row.tid) == sharded.rows()
-
-    def test_insert_maintains_the_right_shard(self, sharded):
-        sharded.insert(99, (2, 990))
-        shard = sharded.shard_of_value(2)
-        assert 99 in [row.tid for row in sharded.shard_rows(shard)]
-        assert len(sharded) == 21
-
-    def test_delete_maintains_the_right_shard(self, sharded):
-        shard = sharded.shard_of_value(1)
-        before = len(sharded.shard_rows(shard))
-        sharded.delete(1)
-        assert len(sharded.shard_rows(shard)) == before - 1
-
-    def test_update_within_shard(self, sharded):
-        sharded.update(4, (0, -1))
-        shard = sharded.shard_of_value(0)
-        assert (4, (0, -1)) in [
-            (row.tid, row.values) for row in sharded.shard_rows(shard)
-        ]
-
-    def test_update_moves_rows_across_shards(self, sharded):
-        # tid 4 has key 0; rewriting the key to 3 must migrate the row.
-        old_shard = sharded.shard_of_value(0)
-        new_shard = sharded.shard_of_value(3)
-        sharded.update(4, (3, 40))
-        assert 4 not in [row.tid for row in sharded.shard_rows(old_shard)]
-        assert 4 in [row.tid for row in sharded.shard_rows(new_shard)]
-
-    def test_shard_equality_index_matches_shard_content(self, sharded):
-        for shard in range(sharded.shard_count):
-            index = sharded.shard_equality_index(shard, (1,))
-            indexed = sorted(
-                values for bucket in index.values() for values in bucket
-            )
-            expected = sorted(
-                row.values for row in sharded.shard_rows(shard)
-            )
-            assert indexed == expected
-
-    def test_resharding_rebuilds_layout(self, sharded):
-        sharded.shard(1, 2)
-        assert sharded.shard_count == 2
-        assert sharded.partition_column == 1
-        total = sum(
-            len(sharded.shard_rows(shard))
-            for shard in range(sharded.shard_count)
-        )
-        assert total == len(sharded)
-
-
-class TestShardedCopyOnWrite:
-    def test_copy_is_independent(self, sharded):
-        clone = sharded.copy()
-        sharded.update(4, (3, 40))
-        sharded.insert(99, (0, 990))
-        assert clone.get(4) == (0, 40)
-        assert clone.get(99) is None
-        shard = clone.shard_of_value(0)
-        assert 4 in [row.tid for row in clone.shard_rows(shard)]
-
-    def test_copy_preserves_sharding(self, sharded):
-        for cow in (True, False):
-            clone = sharded.copy(cow=cow)
-            assert clone.shard_count == 4
-            assert clone.partition_column == 0
-            assert clone.rows() == sharded.rows()
-            for shard in range(4):
-                assert clone.shard_rows(shard) == sharded.shard_rows(shard)
-
-    def test_writes_on_the_clone_leave_the_original(self, sharded):
-        clone = sharded.copy()
-        clone.delete(4)
-        assert sharded.get(4) == (0, 40)
-        shard = sharded.shard_of_value(0)
-        assert 4 in [row.tid for row in sharded.shard_rows(shard)]
-
-
-class TestDatabasePartitioning:
-    @pytest.fixture
-    def database(self):
-        schema = schema_from_spec({"t": ["region", "level"], "u": ["x"]})
-        database = Database(schema)
-        database.load("t", [(i % 3, i) for i in range(12)])
-        return database
-
-    def test_declare_unknown_column_rejected(self, database):
-        with pytest.raises(SchemaError):
-            database.declare_partition_key("t", "nope")
-
-    def test_hints_are_inert_until_applied(self, database):
-        database.declare_partition_key("t", "region")
-        assert database.partition_hints == {"t": 0}
-        assert database.table("t").shard_count == 0
-        database.apply_partitioning(3)
-        assert database.table("t").shard_count == 3
-        assert database.table("u").shard_count == 0
-
-    def test_apply_partitioning_of_one_is_flat(self, database):
-        database.declare_partition_key("t", "region")
-        database.apply_partitioning(1)
-        assert database.table("t").shard_count == 0
-
-    def test_copy_carries_hints_and_shards(self, database):
-        database.declare_partition_key("t", "region")
-        database.apply_partitioning(3)
-        clone = database.copy()
-        assert clone.partition_hints == {"t": 0}
-        assert clone.table("t").shard_count == 3
+PLANNED = ExecutionConfig()
+REFERENCE = ExecutionConfig(matching="naive", planner=False)
 
 
 class TestUnprunableShardedScans:
-    """A scan of a sharded table that no key conjunct prunes reads the
-    flat table in tid order, so it matches the flat scan row for row and
+    """A target scan no key conjunct narrows reads every row in tid
+    order, so the planned path matches the reference row for row and
     error for error."""
 
-    # Zero divisors at k = 7 (loaded first, shard 3 of 4) and at k = 4
-    # (a later row, shard 0): a scan in tid order meets k = 7 first.
+    # Zero divisors at k = 7 (loaded first) and at k = 4 (a later row):
+    # a scan in tid order meets k = 7 first.
     FAILING = "1 / (k - 7) + 1 % (k - 4) > 0"
     UNPRUNABLE = "v > 4 and k % 3 <> 1"
 
     @staticmethod
-    def database(partitions):
+    def database():
         database = Database(schema_from_spec({"t": ["k", "v"]}))
         keys = [7] + [k for k in range(300) if k != 7]
         database.load("t", [(k, k * 3 % 11) for k in keys])
-        database.declare_partition_key("t", "k")
-        database.apply_partitioning(partitions)
         return database
-
-    @staticmethod
-    def run(database, source, partitions):
-        return execute_statement(
-            database,
-            parse_statement(source),
-            config=ExecutionConfig(partitions=partitions),
-        )
 
     @pytest.mark.parametrize(
         "source",
@@ -211,13 +51,11 @@ class TestUnprunableShardedScans:
     )
     def test_sharded_scan_raises_the_flat_scans_error(self, source):
         errors = []
-        for partitions in (1, 4):
-            database = self.database(partitions)
-            assert database.table("t").shard_count == (
-                partitions if partitions > 1 else 0
-            )
+        for config in (REFERENCE, PLANNED):
             with pytest.raises(ReproError) as caught:
-                self.run(database, source, partitions)
+                execute_statement(
+                    self.database(), parse_statement(source), config=config
+                )
             errors.append(str(caught.value))
         assert "division by zero" in errors[0]
         assert errors[1] == errors[0]
@@ -232,14 +70,72 @@ class TestUnprunableShardedScans:
     )
     def test_sharded_scan_matches_the_flat_scan(self, source):
         outcomes = []
-        for partitions in (1, 4):
-            database = self.database(partitions)
-            probes = plan.STATS.shard_probes
-            result = self.run(database, source, partitions)
-            # No conjunct pins k, so neither side prunes.
-            assert plan.STATS.shard_probes == probes
+        for config in (REFERENCE, PLANNED):
+            database = self.database()
+            probes = plan.STATS.index_probes
+            result = execute_statement(
+                database, parse_statement(source), config=config
+            )
+            # No conjunct pins a column to a constant: nothing probes.
+            assert plan.STATS.index_probes == probes
             rows = result.query_result.rows if result.query_result else None
             outcomes.append((result.affected, rows, database.canonical()))
-        flat, sharded = outcomes
-        assert flat[0] > 0
-        assert sharded == flat
+        reference, planned = outcomes
+        assert reference[0] > 0
+        assert planned == reference
+
+
+class TestWholeTableTargets:
+    """A WHERE-less UPDATE or DELETE takes its tids from the tid map."""
+
+    @pytest.mark.parametrize(
+        "source", ["delete from t", "update t set v = v + 1", "delete from t x"]
+    )
+    def test_builds_no_row_list(self, source, monkeypatch):
+        def no_rows(table):
+            raise AssertionError(f"{table.name}: Row list built")
+
+        outcomes = []
+        for config in (REFERENCE, PLANNED):
+            database = TestUnprunableShardedScans.database()
+            with monkeypatch.context() as patch:
+                patch.setattr(TableData, "rows", no_rows)
+                result = execute_statement(
+                    database, parse_statement(source), config=config
+                )
+            outcomes.append((result.affected, database.canonical()))
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[0][0] == 300
+
+
+class TestProbedTargetDivergence:
+    """A probed target evaluates its WHERE only on the probed bucket."""
+
+    SOURCE = "update t set b = 0 where 10 / (b - 3) > 0 and a = 1"
+
+    @staticmethod
+    def database():
+        database = Database(schema_from_spec({"t": ["a", "b"]}))
+        database.load("t", [(2, 3), (1, 5), (1, 7)])
+        return database
+
+    def test_planned_path_updates_the_bucket(self):
+        database = self.database()
+        before = plan.STATS.snapshot()
+        result = execute_statement(database, parse_statement(self.SOURCE))
+        assert plan.STATS.delta_since(before)["index_probes"] == 1
+        assert result.affected == 2
+        assert database.table("t").value_tuples() == [(2, 3), (1, 0), (1, 0)]
+
+    @pytest.mark.parametrize(
+        "config",
+        [REFERENCE, ExecutionConfig(planner=False)],
+        ids=["reference", "planner-off"],
+    )
+    def test_reference_path_raises_on_the_row_outside(self, config):
+        database = self.database()
+        with pytest.raises(EvaluationError, match="division by zero"):
+            execute_statement(
+                database, parse_statement(self.SOURCE), config=config
+            )
+        assert database.table("t").value_tuples() == [(2, 3), (1, 5), (1, 7)]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine.storage import Row, TableData
+from repro.engine.values import sort_key
 from repro.errors import ExecutionError
 
 
@@ -95,6 +96,22 @@ class TestEqualityIndex:
         index = data.equality_index((0,))
         [bucket] = [rows for key, rows in index.items() if rows[0][0] == 1]
         assert bucket == [(1, 10), (1, 30)]
+
+    def test_built_from_the_tid_map(self):
+        # The build reads (tid, values) pairs: no Row list is made.
+        data = TableData("t", 2)
+        data.insert(3, (1, 30))
+        data.insert(1, (1, 10))
+        data.insert(2, (None, 20))
+        assert list(data.equality_index((0,))) == [(sort_key(1),)]
+        assert data._row_list is None
+        assert data.equality_pairs((0,), (sort_key(1),)) == [
+            (1, (1, 10)),
+            (3, (1, 30)),
+        ]
+        assert data.equality_pairs((0,), (sort_key(2),)) == []
+        assert data.tids() == [1, 2, 3]
+        assert data._row_list is None
 
     def test_null_keys_excluded(self):
         data = TableData("t", 2)

@@ -11,7 +11,7 @@ TR and ``Choose(TR)`` at every step, the rules considered, the
 observable stream, the final canonical database, and the full
 ``state_key()`` sequence — including across rollback and
 ``begin_transaction`` boundaries, rule deactivation and priority edits
-in mid-session, ``trace_run`` and sharded tables. This
+in mid-session, ``trace_run`` and index-probed UPDATE targets. This
 randomized harness drives seeded sessions both ways over generated
 workloads (the same generation the validation oracle's sampling uses)
 and asserts exact agreement.
@@ -459,7 +459,7 @@ class TestTraceRunEquivalence:
 class TestParallelSchedulerEquivalence:
     @pytest.mark.parametrize("seed", range(4))
     def test_parallel_sessions_agree(self, seed):
-        """On sharded tables the drain's scans prune to one shard; both
+        """The drain's hot UPDATEs probe the ``region`` index; both
         substrates must still consider the same rules and reach the
         same state at every assertion point."""
         before = plan.STATS.snapshot()
@@ -474,9 +474,7 @@ class TestParallelSchedulerEquivalence:
                 workload.database.copy(),
                 strategy=RandomStrategy(site),
                 max_steps=500,
-                config=ExecutionConfig(
-                    incremental=incremental, partitions=2
-                ),
+                config=ExecutionConfig(incremental=incremental),
             )
             record = []
             for __ in range(2):
@@ -496,4 +494,4 @@ class TestParallelSchedulerEquivalence:
             records.append(record)
         assert records[0] == records[1]
         assert records[0][0][0] == "quiescent"
-        assert plan.STATS.delta_since(before)["shard_probes"] > 0
+        assert plan.STATS.delta_since(before)["index_probes"] > 0

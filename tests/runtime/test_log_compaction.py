@@ -21,7 +21,6 @@ from repro.runtime.processor import RuleProcessor
 from repro.schema.catalog import schema_from_spec
 from repro.transitions.delta import DeltaLog
 from repro.workloads.powernet import scaled_power_network_workload
-from tests.runtime.test_parallel_scheduler import keyed
 from tests.seeding import derive_seed
 
 NODES = 30
@@ -30,7 +29,6 @@ CONFIGS = {
     "planned": ExecutionConfig(),
     "rete": ExecutionConfig(matching="rete"),
     "scratch": ExecutionConfig(incremental=False),
-    "sharded": ExecutionConfig(partitions=2),
 }
 
 
@@ -53,9 +51,7 @@ def overload(node: int) -> list[str]:
 
 def powernet(config: ExecutionConfig) -> RuleProcessor:
     workload = scaled_power_network_workload(NODES)
-    return RuleProcessor(
-        workload.ruleset, keyed(workload.database), config=config
-    )
+    return RuleProcessor(workload.ruleset, workload.database, config=config)
 
 
 def drive(processor: RuleProcessor, rng: random.Random, ops: int):

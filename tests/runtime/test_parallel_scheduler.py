@@ -1,13 +1,14 @@
-"""Sharded execution agrees with flat execution.
+"""Planned sessions agree with the reference path end to end.
 
-``ExecutionConfig(partitions=P)`` hash-partitions every table with a
-declared key: a scan carrying an equality conjunct on the key prunes to
-one shard, and every other scan reads the flat table in tid order. Rules
-are still considered one at a time by the same loop, so a sharded
-session must match a flat one exactly — outcome, the rules considered
-in order, the observable stream and the final canonical database — on
-the case studies, the drain workload and randomized generated rule
-sets.
+The planned executor narrows an UPDATE/DELETE target carrying a
+``col = <constant>`` conjunct to the bucket the table's equality index
+returns, and SELECT const probes read the same indexes; the reference
+path (``ExecutionConfig(matching="naive", planner=False)``) evaluates
+every WHERE on every row. Rules are considered one at a time by the
+same loop either way, so a planned session must match a reference one
+exactly — outcome, the rules considered in order, the observable stream
+and the final canonical database — on the case studies, the drain
+workload and randomized generated rule sets.
 """
 
 from __future__ import annotations
@@ -27,17 +28,8 @@ from repro.workloads.partitioned import partitioned_workload
 from repro.workloads.powernet import power_network_workload
 from tests.seeding import derive_seed
 
-FLAT = ExecutionConfig()
-SHARDED = ExecutionConfig(partitions=2)
-
-
-def keyed(database):
-    """*database* with every table's first column declared its
-    partition key, so the sharded side really shards (the flat side
-    ignores the hints)."""
-    for table in database.schema:
-        database.declare_partition_key(table.name, table.column_names[0])
-    return database
+PLANNED = ExecutionConfig()
+REFERENCE = ExecutionConfig(matching="naive", planner=False)
 
 
 def drive(ruleset, database, statements, config, max_steps=200):
@@ -56,41 +48,41 @@ def drive(ruleset, database, statements, config, max_steps=200):
 
 
 def both_ways(ruleset, database, statements, max_steps=200):
-    return (
-        drive(ruleset, database, statements, FLAT, max_steps),
-        drive(ruleset, database, statements, SHARDED, max_steps),
-    )
+    """(planned, reference) runs; the planned one's index probes are
+    counted in ``plan.STATS``."""
+    reference = drive(ruleset, database, statements, REFERENCE, max_steps)
+    return drive(ruleset, database, statements, PLANNED, max_steps), reference
 
 
 class TestEquivalence:
     def test_powernet_agrees(self):
         workload = power_network_workload()
         before = plan.STATS.snapshot()
-        flat, sharded = both_ways(
+        planned, reference = both_ways(
             workload.ruleset,
-            keyed(workload.database),
+            workload.database,
             workload.overload_transition(),
             max_steps=500,
         )
-        assert flat == sharded
-        assert flat["outcome"] == "quiescent"
-        assert plan.STATS.delta_since(before)["shard_probes"] >= 1
+        assert planned == reference
+        assert planned["outcome"] == "quiescent"
+        assert plan.STATS.delta_since(before)["index_probes"] >= 1
 
     def test_drain_workload_agrees_and_merges(self):
-        """The drain's hot scans prune to one shard, and the sharded
-        session still lands where the flat one does."""
+        """The drain's hot UPDATEs probe the ``region`` index, and the
+        planned session still lands where the reference one does."""
         workload = partitioned_workload(
             rows=2000, seed=derive_seed("drain"), hot_rows_per_region=10
         )
         before = plan.STATS.snapshot()
-        flat, sharded = both_ways(
+        planned, reference = both_ways(
             workload.ruleset,
             workload.database,
             workload.drain_transition(),
             max_steps=2000,
         )
-        assert flat == sharded
-        assert plan.STATS.delta_since(before)["shard_probes"] >= 1
+        assert planned == reference
+        assert plan.STATS.delta_since(before)["index_probes"] >= 1
 
     @pytest.mark.parametrize("seed", range(10))
     def test_generated_sessions_agree(self, seed):
@@ -105,15 +97,12 @@ class TestEquivalence:
         site = derive_seed("parallel-sessions", seed)
         ruleset = RandomRuleSetGenerator(config, seed=site).generate()
         instances = RandomInstanceGenerator(config)
-        database = keyed(
-            instances.generate_database(ruleset.schema, seed=site)
-        )
+        database = instances.generate_database(ruleset.schema, seed=site)
         statements = instances.generate_transition(ruleset.schema, seed=site)
         try:
-            flat = drive(ruleset, database, statements, FLAT, 60)
+            reference = drive(ruleset, database, statements, REFERENCE, 60)
         except RuleProcessingLimitExceeded:
             with pytest.raises(RuleProcessingLimitExceeded):
-                drive(ruleset, database, statements, SHARDED, 60)
+                drive(ruleset, database, statements, PLANNED, 60)
             return
-        sharded = drive(ruleset, database, statements, SHARDED, 60)
-        assert flat == sharded
+        assert drive(ruleset, database, statements, PLANNED, 60) == reference

@@ -82,20 +82,23 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_zero_partitions_exits_two_without_traceback(self, files, capsys):
-        code = main(
-            [
-                files("r.txt", CLEAN_RULES),
-                "--schema",
-                files("s.txt", SCHEMA),
-                "--run",
-                "insert into t values (1, 1)",
-                "--partitions",
-                "0",
-            ]
-        )
-        assert code == 2
+        # There is no ``--partitions`` option: argparse refuses it as a
+        # usage error (exit 2), like any unknown option.
+        with pytest.raises(SystemExit) as exited:
+            main(
+                [
+                    files("r.txt", CLEAN_RULES),
+                    "--schema",
+                    files("s.txt", SCHEMA),
+                    "--run",
+                    "insert into t values (1, 1)",
+                    "--partitions",
+                    "0",
+                ]
+            )
+        assert exited.value.code == 2
         err = capsys.readouterr().err
-        assert "error: partitions must be a positive int; got 0" in err
+        assert "error: unrecognized arguments: --partitions 0" in err
         assert "Traceback" not in err
 
 

@@ -108,7 +108,6 @@ class TestConfigIsTheOnlySpelling:
             "planner",
             "incremental",
             "wal",
-            "partitions",
         ]
 
     def test_entry_points_reject_the_old_keywords(self, ruleset, schema):
@@ -123,6 +122,7 @@ class TestConfigIsTheOnlySpelling:
             lambda: execute_statement(database, select, planner=False),
             lambda: ExecutionConfig(durable=True),
             lambda: ExecutionConfig(**{"scheduler": "parallel"}),
+            lambda: ExecutionConfig(**{"partitions": 4}),
         ]
         for call in calls:
             with pytest.raises(TypeError):

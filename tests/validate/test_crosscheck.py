@@ -31,22 +31,21 @@ from tests.semantics.test_declarative import (
 
 class TestModeSpecs:
     def test_all_modes_is_the_full_product(self):
-        # The 3 x 3 matching x persistence product on flat tables, plus
-        # planned matching on sharded tables.
-        assert len(ALL_MODES) == 10
-        flat = [mode for mode, spec in ALL_MODES.items() if spec[2] == 1]
-        assert len(flat) == 9
-        assert ALL_MODES["planned-sharded"] == ("planned", "memory", 4)
+        # The 3 x 3 matching x persistence product.
+        assert len(ALL_MODES) == 9
+        assert set(ALL_MODES.values()) == {
+            (matching, persistence)
+            for matching in ("naive", "planned", "rete")
+            for persistence in ("memory", "durable", "server")
+        }
         assert parse_modes("all") == tuple(ALL_MODES)
         assert parse_modes(None) == tuple(ALL_MODES)
 
     def test_quick_modes_cover_every_axis(self):
         matchings = {ALL_MODES[m][0] for m in QUICK_MODES}
         persistences = {ALL_MODES[m][1] for m in QUICK_MODES}
-        partitions = {ALL_MODES[m][2] for m in QUICK_MODES}
         assert matchings == {"naive", "planned", "rete"}
         assert persistences == {"memory", "durable", "server"}
-        assert partitions == {1, 4}
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -79,16 +78,12 @@ class TestContract:
         assert report.passed
         assert report.modes[0].recovered_matches is True
 
-    def test_sharded_mode_prunes_and_matches_the_oracle(self):
+    def test_probed_targets_match_the_oracle(self):
         case = build_case("partitioned", rows=2_000)
-        probes = {}
-        for mode in ("planned-memory", "planned-sharded"):
-            before = plan.STATS.shard_probes
-            report = crosscheck_case(case, (mode,))
-            assert report.passed, report.divergences
-            probes[mode] = plan.STATS.shard_probes - before
-        assert probes["planned-memory"] == 0
-        assert probes["planned-sharded"] > 0
+        before = plan.STATS.index_probes
+        report = crosscheck_case(case, ("planned-memory",))
+        assert report.passed, report.divergences
+        assert plan.STATS.index_probes > before
 
     def test_report_round_trips_to_dict(self):
         report = crosscheck_case(
@@ -274,7 +269,7 @@ class TestCaseRegistry:
     @pytest.mark.simulation
     def test_million_row_domain_workloads_every_mode(self):
         """The acceptance sweep: both 10⁶-row domain workloads through
-        all ten execution modes."""
+        all nine execution modes."""
         for name in ("iot", "fraud"):
             report = crosscheck_case(build_case(name), tuple(ALL_MODES))
             assert report.passed, (name, report.divergences)

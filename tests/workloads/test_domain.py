@@ -46,12 +46,6 @@ class TestIotWorkload:
         ).value_tuples():
             assert region == device % 4
 
-    def test_partition_hints_cover_the_hot_tables(self):
-        workload = iot_workload(rows=200, regions=2, devices_per_region=4)
-        hints = workload.database.partition_hints
-        assert "readings" in hints
-        assert "device_status" in hints
-
     def test_batch_drives_the_cascade_to_quiescence(self):
         workload = iot_workload(rows=2_000, regions=2, devices_per_region=4)
         database = workload.database.copy()
@@ -91,12 +85,6 @@ class TestFraudWorkload:
             "account_risk"
         ).value_tuples():
             assert region == account % 4
-
-    def test_partition_hints_cover_the_hot_tables(self):
-        workload = fraud_workload(rows=200, regions=2, accounts_per_region=4)
-        hints = workload.database.partition_hints
-        assert "transactions" in hints
-        assert "account_risk" in hints
 
     def test_program_is_stratified(self):
         workload = fraud_workload(rows=100, regions=3, accounts_per_region=4)

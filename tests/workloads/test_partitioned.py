@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.derived import DerivedDefinitions
 from repro.analysis.partitioning import partition_rules
-from repro.config import ExecutionConfig
 from repro.runtime.processor import RuleProcessor
 from repro.workloads.partitioned import (
     DOMAINS,
@@ -34,12 +33,6 @@ class TestStructure:
             for region in range(4)
         }
 
-    def test_partition_keys_declared_on_every_table(self, workload):
-        hints = workload.database.partition_hints
-        for domain in DOMAINS:
-            assert hints[domain] == 1  # region column of (id, region, level)
-            assert hints[f"{domain}_ctl"] == 0
-
     def test_domains_form_static_rule_partitions(self, workload):
         """The four domains share no tables, so partition_rules splits
         the rule set into exactly one group per domain."""
@@ -62,16 +55,13 @@ class TestStructure:
 
 
 class TestTermination:
-    @pytest.mark.parametrize("partitions", [1, 4])
-    def test_drain_reaches_quiescence(self, partitions):
+    @pytest.mark.parametrize("regions", [1, 4])
+    def test_drain_reaches_quiescence(self, regions):
         workload = partitioned_workload(
-            rows=400, regions=2, hot_rows_per_region=5
+            rows=400, regions=regions, hot_rows_per_region=5
         )
         processor = RuleProcessor(
-            workload.ruleset,
-            workload.database.copy(),
-            config=ExecutionConfig(partitions=partitions),
-            max_steps=500,
+            workload.ruleset, workload.database.copy(), max_steps=500
         )
         for statement in workload.drain_transition():
             processor.execute_user(statement)
