@@ -25,7 +25,7 @@ Typical use::
         analyzer.add_priority("deduct", "refill")
         report = analyzer.analyze()
     print(report.to_dict())          # machine-consumable verdicts
-    print(analyzer.engine.stats)     # memo hits / pairs judged / timings
+    print(analyzer.engine.stats.to_dict())  # memo hits, pairs, timings
 """
 
 from __future__ import annotations
@@ -468,7 +468,7 @@ class RuleAnalyzer:
                 lambda g=group_list: self.analyze_partial_confluence(g),
             )
             partial[analysis.tables] = analysis
-        stats = self.engine.stats.snapshot().to_dict()
+        stats = self.engine.stats.to_dict()
         stats["pair_pruning"] = timed(
             "pair_pruning", self.engine.pair_pruning_counts
         )

@@ -405,8 +405,8 @@ class CommutativityAnalyzer:
             for row in action.rows:
                 values = []
                 for expr in row:
-                    value = _literal_value(expr)
-                    if value is _NOT_LITERAL:
+                    value = ast.literal_value(expr)
+                    if value is ast.NOT_LITERAL:
                         return False
                     values.append(value)
                 literal_rows.append(tuple(values))
@@ -504,22 +504,6 @@ class CommutativityAnalyzer:
         return table not in self.definitions.dataflow(rule).row_read_tables
 
 
-_NOT_LITERAL = object()
-
-
-def _literal_value(expr: ast.Expression):
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    if (
-        isinstance(expr, ast.UnaryOp)
-        and expr.op == "-"
-        and isinstance(expr.operand, ast.Literal)
-        and isinstance(expr.operand.value, (int, float))
-    ):
-        return -expr.operand.value
-    return _NOT_LITERAL
-
-
 def _is_closed_predicate(
     predicate: ast.Expression,
     table: str,
@@ -537,14 +521,6 @@ def _is_closed_predicate(
             if node.column.lower() not in columns:
                 return False
     return True
-
-
-def _where_conjuncts(expr: ast.Expression):
-    if isinstance(expr, ast.BinaryOp) and expr.op == "and":
-        yield from _where_conjuncts(expr.left)
-        yield from _where_conjuncts(expr.right)
-    else:
-        yield expr
 
 
 def _update_discriminators(
@@ -574,22 +550,22 @@ def _update_discriminators(
             return None
         assigned = {a.column.lower() for a in action.assignments}
         equalities: dict[str, set] = {}
-        for conjunct in _where_conjuncts(action.where):
+        for conjunct in ast.conjuncts(action.where):
             if not (
                 isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="
             ):
                 continue
             column = None
-            literal = _NOT_LITERAL
+            literal = ast.NOT_LITERAL
             if isinstance(conjunct.left, ast.ColumnRef):
                 column = conjunct.left.column.lower()
-                literal = _literal_value(conjunct.right)
+                literal = ast.literal_value(conjunct.right)
             elif isinstance(conjunct.right, ast.ColumnRef):
                 column = conjunct.right.column.lower()
-                literal = _literal_value(conjunct.left)
+                literal = ast.literal_value(conjunct.left)
             if (
                 column is not None
-                and literal is not _NOT_LITERAL
+                and literal is not ast.NOT_LITERAL
                 and column not in assigned
             ):
                 equalities.setdefault(column, set()).add(literal)

@@ -515,10 +515,10 @@ def _measure(database: Database) -> tuple[int, int]:
     rows_total = 0
     mass = 0
     for table in database.schema:
-        rows = database.rows(table.name)
+        rows = database.table(table.name).value_tuples()
         rows_total += len(rows)
-        for row in rows:
-            for value in row.values:
+        for values in rows:
+            for value in values:
                 if isinstance(value, bool) or not isinstance(
                     value, (int, float)
                 ):

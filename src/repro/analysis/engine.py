@@ -56,7 +56,6 @@ through ``AnalysisReport.stats`` and ``starburst-analyze --stats``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.analysis.commutativity import CommutativityAnalyzer
@@ -70,7 +69,9 @@ from repro.analysis.derived import (
     ObsExtendedDefinitions,
 )
 from repro.analysis.termination import TerminationAnalysis, TerminationAnalyzer
+from repro.errors import AnalysisError
 from repro.rules.ruleset import RuleSet
+from repro.stats import StatsBase
 
 #: The two definition views an engine serves: the paper's base
 #: definitions (Sections 3–7) and the ``Obs``-extended definitions
@@ -87,43 +88,36 @@ PRECISION_TIERS = (
 )
 
 
-@dataclass
-class EngineStats:
+class EngineStats(StatsBase):
     """Counters and per-phase timings for one engine (cumulative).
 
     ``pairs_judged`` counts Definition 6.5 unordered-pair verdicts
     actually computed (fixpoint + Lemma 6.1 checks over R1 × R2);
     ``pair_memo_hits`` counts verdicts served from the memo instead.
     ``lemma_judgments`` / ``lemma_memo_hits`` are the same split for the
-    raw Lemma 6.1 pair reasons underneath.
+    raw Lemma 6.1 pair reasons underneath. ``timings`` maps an analysis
+    phase to its cumulative seconds.
     """
 
-    pairs_judged: int = 0
-    pair_memo_hits: int = 0
-    lemma_judgments: int = 0
-    lemma_memo_hits: int = 0
-    invalidations: int = 0
-    fixpoint_iterations: int = 0
-    confluence_passes: int = 0
-    timings: dict[str, float] = field(default_factory=dict)
+    FIELDS = (
+        "pairs_judged",
+        "pair_memo_hits",
+        "lemma_judgments",
+        "lemma_memo_hits",
+        "invalidations",
+        "fixpoint_iterations",
+        "confluence_passes",
+    )
+
+    def reset(self) -> None:
+        super().reset()
+        self.timings: dict[str, float] = {}
 
     def add_time(self, phase: str, seconds: float) -> None:
         self.timings[phase] = self.timings.get(phase, 0.0) + seconds
 
-    def snapshot(self) -> "EngineStats":
-        clone = EngineStats(**{
-            key: value
-            for key, value in self.__dict__.items()
-            if key != "timings"
-        })
-        clone.timings = dict(self.timings)
-        return clone
-
     def to_dict(self) -> dict:
-        data = {
-            key: value for key, value in self.__dict__.items()
-            if key != "timings"
-        }
+        data = super().to_dict()
         data["timings"] = {
             phase: round(seconds, 6)
             for phase, seconds in sorted(self.timings.items())
@@ -291,7 +285,13 @@ class AnalysisEngine:
     # ------------------------------------------------------------------
 
     def certify_commutes(self, first: str, second: str) -> None:
-        """Certify on every view (the Obs view filters internally)."""
+        """Certify on every view (the Obs view filters internally).
+
+        An unknown rule raises :class:`AnalysisError`, as
+        :meth:`certify_termination` does."""
+        for name in (first, second):
+            if not self.ruleset.has_rule(name):
+                raise AnalysisError(f"unknown rule {name.lower()!r}")
         # Certifying through the base view's analyzer fires the
         # _certification_changed hook, which records the pair, preps the
         # Obs view, and invalidates dependent verdicts.

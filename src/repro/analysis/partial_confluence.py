@@ -122,7 +122,10 @@ class PartialConfluenceAnalyzer:
         self.engine = engine
 
     def analyze(self, tables: Iterable[str]) -> PartialConfluenceAnalysis:
-        wanted = frozenset(table.lower() for table in tables)
+        """Partial confluence with respect to *tables*; an unknown table
+        raises :class:`~repro.errors.SchemaError`."""
+        schema = self.definitions.ruleset.schema
+        wanted = frozenset(schema.table(table).name for table in tables)
         significant = significant_rules(
             self.definitions, self.commutativity, wanted
         )

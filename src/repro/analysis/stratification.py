@@ -59,7 +59,6 @@ __all__ = [
     "StratificationAnalysis",
     "StratificationAnalyzer",
     "substitute_columns",
-    "top_level_conjuncts",
 ]
 
 
@@ -83,15 +82,6 @@ class Discharge:
 # ----------------------------------------------------------------------
 # Symbolic helpers (shared with the critical-instance analyzer)
 # ----------------------------------------------------------------------
-
-
-def top_level_conjuncts(expr):
-    """Yield the top-level conjuncts of *expr* (``and``-flattened)."""
-    if isinstance(expr, ast.BinaryOp) and expr.op == "and":
-        yield from top_level_conjuncts(expr.left)
-        yield from top_level_conjuncts(expr.right)
-    else:
-        yield expr
 
 
 def substitute_columns(expr, values, binding: str | None = None):
@@ -161,7 +151,7 @@ def confined_transition_conjuncts(rule) -> tuple[ConfinedConjunct, ...]:
     if rule.condition is None:
         return ()
     found: list[ConfinedConjunct] = []
-    for conjunct in top_level_conjuncts(rule.condition):
+    for conjunct in ast.conjuncts(rule.condition):
         if not isinstance(conjunct, ast.Exists) or conjunct.negated:
             continue
         select = conjunct.subquery

@@ -382,21 +382,6 @@ class TerminationAnalyzer:
 # ----------------------------------------------------------------------
 
 
-def _literal_int(expr) -> int | None:
-    if isinstance(expr, ast.Literal) and isinstance(expr.value, int) and not (
-        isinstance(expr.value, bool)
-    ):
-        return expr.value
-    if (
-        isinstance(expr, ast.UnaryOp)
-        and expr.op == "-"
-        and isinstance(expr.operand, ast.Literal)
-        and isinstance(expr.operand.value, int)
-    ):
-        return -expr.operand.value
-    return None
-
-
 def _drift_of_assignment(
     table: str, assignment: ast.Assignment
 ) -> tuple[str, str, int] | None:
@@ -418,30 +403,22 @@ def _drift_of_assignment(
 
     if value.op == "+":
         if is_self_ref(value.left):
-            step = _literal_int(value.right)
+            step = ast.literal_value(value.right)
         elif is_self_ref(value.right):
-            step = _literal_int(value.left)
+            step = ast.literal_value(value.left)
         else:
             return None
-        if step is None or step == 0:
+        if type(step) is not int or step == 0:
             return None
         return (table, column, step)
 
     # value.op == "-": only c - k is monotone (k - c is not a drift).
     if not is_self_ref(value.left):
         return None
-    step = _literal_int(value.right)
-    if step is None or step <= 0:
+    step = ast.literal_value(value.right)
+    if type(step) is not int or step <= 0:
         return None
     return (table, column, -step)
-
-
-def _conjuncts(expr):
-    if isinstance(expr, ast.BinaryOp) and expr.op == "and":
-        yield from _conjuncts(expr.left)
-        yield from _conjuncts(expr.right)
-    else:
-        yield expr
 
 
 def _bounds_column(
@@ -463,15 +440,15 @@ def _bounds_column(
             and (expr.table is None or expr.table.lower() == table)
         )
 
-    for conjunct in _conjuncts(where):
+    for conjunct in ast.conjuncts(where):
         if not isinstance(conjunct, ast.BinaryOp):
             continue
         if conjunct.op in wanted_ops and is_column(conjunct.left) and (
-            _literal_int(conjunct.right) is not None
+            type(ast.literal_value(conjunct.right)) is int
         ):
             return True
         if conjunct.op in flipped_ops and is_column(conjunct.right) and (
-            _literal_int(conjunct.left) is not None
+            type(ast.literal_value(conjunct.left)) is int
         ):
             return True
     return False

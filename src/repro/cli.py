@@ -38,7 +38,7 @@ from repro.config import ExecutionConfig, require_positive
 from repro.engine import plan
 from repro.engine import rete
 from repro.engine.database import Database
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.lang.parser import Parser, parse_statement
 from repro.rules.ruleset import RuleSet
 from repro.runtime.exec_graph import explore
@@ -235,54 +235,61 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-
-    profile: dict[str, float] = {}
     try:
-        started = time.perf_counter()
-        schema = load_schema(args.schema)
-        with open(args.rules) as handle:
-            rules_text = handle.read()
-        ruleset = RuleSet.parse(rules_text, schema)
-        profile["parse"] = time.perf_counter() - started
-
-        analyzer = RuleAnalyzer(ruleset, column_dataflow=args.dataflow)
-        for pair in args.certify_commutes:
-            first, __, second = pair.partition(",")
-            analyzer.certify_commutes(first.strip(), second.strip())
-        for rule in args.certify_termination:
-            analyzer.certify_termination(rule.strip())
-        for pair in args.order:
-            higher, __, lower = pair.partition(",")
-            analyzer.add_priority(higher.strip(), lower.strip())
-
-        table_groups = []
-        if args.tables:
-            table_groups.append(
-                [table.strip() for table in args.tables.split(",")]
-            )
-        started = time.perf_counter()
-        report = analyzer.analyze(
-            tables=table_groups,
-            termination_mode=args.termination,
-            rules_source=rules_text,
-        )
-        profile["pair_analysis"] = time.perf_counter() - started
+        return _analyze_command(args)
     except (ReproError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+
+
+def _rule_pair(option: str, text: str) -> tuple[str, str]:
+    """The two rule names of an ``--order``/``--certify-commutes`` value."""
+    first, comma, second = text.partition(",")
+    if not comma:
+        raise ConfigError(f"{option} takes two rule names 'a,b', got {text!r}")
+    return first.strip(), second.strip()
+
+
+def _analyze_command(args) -> int:
+    """``starburst-analyze``; a bad input, name or output path raises
+    (``main`` turns it into ``error: ...`` and exit 2)."""
+    profile: dict[str, float] = {}
+    started = time.perf_counter()
+    schema = load_schema(args.schema)
+    with open(args.rules) as handle:
+        rules_text = handle.read()
+    ruleset = RuleSet.parse(rules_text, schema)
+    profile["parse"] = time.perf_counter() - started
+
+    analyzer = RuleAnalyzer(ruleset, column_dataflow=args.dataflow)
+    for pair in args.certify_commutes:
+        analyzer.certify_commutes(*_rule_pair("--certify-commutes", pair))
+    for rule in args.certify_termination:
+        analyzer.certify_termination(rule.strip())
+    for pair in args.order:
+        analyzer.add_priority(*_rule_pair("--order", pair))
+
+    table_groups = []
+    if args.tables:
+        table_groups.append(
+            [table.strip() for table in args.tables.split(",")]
+        )
+    started = time.perf_counter()
+    report = analyzer.analyze(
+        tables=table_groups,
+        termination_mode=args.termination,
+        rules_source=rules_text,
+    )
+    profile["pair_analysis"] = time.perf_counter() - started
 
     if args.json:
         import json
 
         payload = report.to_dict()
         if args.run:
-            try:
-                sections, __ = _execute_run(
-                    ruleset, schema, args, profile, trace=False
-                )
-            except ReproError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
+            sections, __ = _execute_run(
+                ruleset, schema, args, profile, trace=False
+            )
             payload.update(sections)
         if args.profile:
             payload["profile"] = _profile_section(profile)
@@ -352,14 +359,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.report:
         from repro.analysis.report import render_markdown
 
-        partial = []
-        if args.tables:
-            partial.append(
-                [table.strip() for table in args.tables.split(",")]
-            )
         with open(args.report, "w") as handle:
             handle.write(
-                render_markdown(analyzer, report, partial_tables=partial)
+                render_markdown(analyzer, report, partial_tables=table_groups)
             )
         print(
             f"markdown report written to {args.report}",
@@ -367,13 +369,9 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     if args.run and not args.json:
-        try:
-            sections, events = _execute_run(
-                ruleset, schema, args, profile, trace=True
-            )
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        sections, events = _execute_run(
+            ruleset, schema, args, profile, trace=True
+        )
         _print_run(sections, events)
 
     # After --run, so execution-side counters (planner, rete) reflect
@@ -973,8 +971,12 @@ def _run_lint(args) -> int:
         rendered = json.dumps(payload, indent=2)
 
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(rendered + "\n")
+        try:
+            with open(args.output, "w") as handle:
+                handle.write(rendered + "\n")
+        except OSError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
         print(
             f"lint report ({args.format}) written to {args.output}",
             file=sys.stderr,

@@ -9,7 +9,7 @@ effects are reported as tuple-level deltas (consumed by
 """
 
 from repro.engine.database import Database
-from repro.engine.storage import Row, TableData
+from repro.engine.storage import TableData
 from repro.engine.query import QueryResult, execute_select
 from repro.engine.dml import execute_statement
 from repro.engine.expressions import Evaluator, RowContext
@@ -24,7 +24,6 @@ from repro.engine.wal import (
 
 __all__ = [
     "Database",
-    "Row",
     "TableData",
     "QueryResult",
     "execute_select",

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import islice
 from operator import itemgetter
 
-from repro.engine.storage import Row, TableData
+from repro.engine.storage import TableData
 from repro.errors import SchemaError
 from repro.schema.catalog import Schema
 
@@ -33,9 +33,6 @@ class Database:
             return self._tables[name.lower()]
         except KeyError:
             raise SchemaError(f"unknown table {name!r}") from None
-
-    def rows(self, name: str) -> list[Row]:
-        return self.table(name).rows()
 
     def column_names(self, name: str) -> tuple[str, ...]:
         return self.schema.table(name).column_names

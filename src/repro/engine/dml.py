@@ -196,7 +196,7 @@ def _probed_pairs(
     row).
     """
     scope = dict.fromkeys(layout.names, layout.columns)
-    conjuncts = list(P.split_conjuncts(where))
+    conjuncts = list(ast.conjuncts(where))
     for conjunct in conjuncts:
         probe = P._as_const_probe(conjunct, layout, scope)
         if probe is None:
@@ -258,10 +258,9 @@ def _matching_tids(
 
     The planned scan first tries an equality-index probe (see
     :func:`_probed_pairs`); a scan no conjunct narrows walks every row
-    in tid order. Both walk ``(tid, values)`` pairs (no
-    :class:`~repro.engine.storage.Row` list), read each row's columns
-    by position and bind the row in a context only when *where* reads
-    it there (:func:`repro.engine.plan.compile_row_predicate`).
+    in tid order. Both walk ``(tid, values)`` pairs, read each row's
+    columns by position and bind the row in a context only when *where*
+    reads it there (:func:`repro.engine.plan.compile_row_predicate`).
     """
     if where is None:
         return database.table(table).tids()
@@ -271,13 +270,13 @@ def _matching_tids(
 
     if not config.planner:
         matched = []
-        for row in database.rows(table):
-            context.bind(binding, columns, row.values)
+        for tid, values in database.table(table).items():
+            context.bind(binding, columns, values)
             if table_context is not None:
-                table_context.bind(table, columns, row.values)
+                table_context.bind(table, columns, values)
             keep = evaluator.evaluate(where, context)
             if sql_is_truthy(keep):
-                matched.append(row.tid)
+                matched.append(tid)
         return matched
 
     layout = _target_layout(table, binding, columns)

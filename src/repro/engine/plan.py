@@ -56,6 +56,7 @@ from dataclasses import dataclass
 
 from repro.engine import values as V
 from repro.engine.expressions import Evaluator, RowContext
+from repro.engine.storage import index_key
 from repro.errors import ReproError
 from repro.lang import ast
 from repro.stats import StatsBase
@@ -105,46 +106,6 @@ _PREDICATE_CACHE: dict = {}
 #: ``(expr, compiled)``. An entry holds its node, so the id stays its own
 #: while the entry lives.
 _PREDICATE_BY_ID: dict = {}
-
-
-def _iter_select_expressions(select: ast.Select):
-    for item in select.items:
-        yield item.expr
-    if select.where is not None:
-        yield select.where
-    for key in select.group_by:
-        yield key
-    if select.having is not None:
-        yield select.having
-
-
-def expression_fingerprint(expr: ast.Expression) -> tuple[str, ...]:
-    """The types of every literal in *expr*, in traversal order.
-
-    Two ASTs that compare equal can still differ semantically, because
-    Python value equality conflates ``1 == True == 1.0`` — so
-    ``Literal(1) == Literal(True)`` even though the two compile to
-    closures returning different values. Every memo key pairs the AST
-    with this fingerprint to keep such twins apart.
-    """
-    types: list[str] = []
-    stack = [expr]
-    while stack:
-        for node in ast.walk_expression(stack.pop()):
-            if isinstance(node, ast.Literal):
-                types.append(type(node.value).__name__)
-            elif isinstance(node, _SUBQUERY_NODES):
-                stack.extend(_iter_select_expressions(node.subquery))
-    return tuple(types)
-
-
-def select_fingerprint(select: ast.Select) -> tuple[str, ...]:
-    """:func:`expression_fingerprint` over a whole SELECT."""
-    return tuple(
-        name
-        for expr in _iter_select_expressions(select)
-        for name in expression_fingerprint(expr)
-    )
 
 
 @dataclass(frozen=True)
@@ -197,18 +158,18 @@ def compile_row_predicate(expr: ast.Expression, layout: RowLayout | None):
     The closure is provider-independent — subquery nodes delegate back to
     the passed :class:`Evaluator` (whose ``execute_select`` call is
     itself planned and cached) — so compiled predicates are memoized
-    globally, keyed by the (frozen, value-hashable) AST node, the layout
-    and the AST's literal-type fingerprint. A front memo keyed by the
-    node's identity answers a repeated call with the same node (a rule's
-    condition, a statement's WHERE) without walking it for the
-    fingerprint or hashing it.
+    globally, keyed by the (frozen, value-hashable) AST node and the
+    layout; literals compare by type (:class:`~repro.lang.ast.Literal`),
+    so ``a = 1`` and ``a = true`` are distinct keys. A front memo keyed
+    by the node's identity answers a repeated call with the same node (a
+    rule's condition, a statement's WHERE) without hashing it.
     """
     front = (id(expr), layout)
     entry = _PREDICATE_BY_ID.get(front)
     if entry is not None:
         STATS.predicate_cache_hits += 1
         return entry[1]
-    key = (expr, layout, expression_fingerprint(expr))
+    key = (expr, layout)
     compiled = _PREDICATE_CACHE.get(key)
     if compiled is not None:
         STATS.predicate_cache_hits += 1
@@ -442,15 +403,6 @@ def _compile_negate(operand):
 # ----------------------------------------------------------------------
 
 
-def split_conjuncts(expr: ast.Expression):
-    """Yield the AND-conjuncts of *expr*, in source order."""
-    if isinstance(expr, ast.BinaryOp) and expr.op == "and":
-        yield from split_conjuncts(expr.left)
-        yield from split_conjuncts(expr.right)
-    else:
-        yield expr
-
-
 @dataclass
 class SourcePlan:
     """The per-FROM-table slice of a :class:`Plan`.
@@ -668,7 +620,7 @@ def _closed_in(
         # it then runs per row and raises exactly as it always did.
         return False
     scopes = (*scopes, bindings)
-    for expr in _iter_select_expressions(select):
+    for expr in ast.expressions_of_statement(select):
         for node in ast.walk_expression(expr):
             if isinstance(node, ast.ColumnRef):
                 if not _resolves_within(node, scopes):
@@ -708,9 +660,9 @@ def classify_select(
     """The (cached) per-source conjunct classification for *select*.
 
     Pure AST analysis — nothing is compiled. Keyed like the plan cache
-    (AST + column layouts + literal-type fingerprint).
+    (AST + column layouts).
     """
-    key = (select, source_columns, select_fingerprint(select))
+    key = (select, source_columns)
     classified = _CLASSIFY_CACHE.get(key)
     if classified is not None:
         return classified
@@ -725,9 +677,7 @@ def classify_select(
     residuals: list[list] = [[] for __ in source_columns]
     constant_gates: list = []
 
-    conjuncts = (
-        list(split_conjuncts(select.where)) if select.where is not None else []
-    )
+    conjuncts = ast.conjuncts(select.where) if select.where is not None else ()
     for conjunct in conjuncts:
         try:
             deps = _conjunct_deps(conjunct, binding_columns)
@@ -795,7 +745,7 @@ def plan_select(
     if entry is not None:
         STATS.plan_cache_hits += 1
         return entry[1]
-    key = (select, source_columns, select_fingerprint(select))
+    key = (select, source_columns)
     plan = _PLAN_CACHE.get(key)
     if plan is not None:
         STATS.plan_cache_hits += 1
@@ -855,9 +805,7 @@ def _build_plan(
     )
 
     row_per_match = not select.group_by and not any(
-        isinstance(node, ast.FuncCall) and node.name in ast.AGGREGATE_FUNCTIONS
-        for item in select.items
-        for node in ast.walk_expression(item.expr)
+        ast.contains_aggregate(item.expr) for item in select.items
     )
     items = None
     if select.items and row_per_match:
@@ -934,19 +882,11 @@ def build_equality_index(rows, cols: tuple[int, ...]) -> dict:
     order, which is what keeps planned results byte-identical to the
     naive nested loop.
     """
-    sort_key = V.sort_key
     index: dict = {}
     for row in rows:
-        key = []
-        for col in cols:
-            value = row[col]
-            if value is None:
-                key = None
-                break
-            key.append(sort_key(value))
-        if key is None:
-            continue
-        index.setdefault(tuple(key), []).append(row)
+        key = index_key(row, cols)
+        if key is not None:
+            index.setdefault(key, []).append(row)
     return index
 
 

@@ -122,13 +122,6 @@ class QueryResult:
         return self.rows[0][0]
 
 
-def _contains_aggregate(expr: ast.Expression) -> bool:
-    for node in ast.walk_expression(expr):
-        if isinstance(node, ast.FuncCall) and node.name in ast.AGGREGATE_FUNCTIONS:
-            return True
-    return False
-
-
 def _iter_contexts(
     sources: list[tuple[str, tuple[str, ...], list[tuple]]],
     outer_context: RowContext | None,
@@ -238,7 +231,7 @@ def execute_select(
         ]
     else:
         has_aggregate = any(
-            _contains_aggregate(item.expr) for item in select.items
+            ast.contains_aggregate(item.expr) for item in select.items
         )
         if has_aggregate:
             output_row = tuple(

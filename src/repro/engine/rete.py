@@ -38,7 +38,7 @@ evaluated once at compile time; a gate or probe that raises marks the
 leaf unsupported so the planned path can raise identically at runtime.
 
 Sharing. Node memories are keyed by structural node identity (table,
-binding, conjunct ASTs, literal-type fingerprints), so rules with
+binding, conjunct ASTs, whose literals compare by type), so rules with
 identical alpha/beta prefixes share memories automatically. Instances
 fork under :meth:`~repro.engine.database.Database.copy` with the same
 share/own discipline as
@@ -139,17 +139,10 @@ class _Unsupported(Exception):
 
 
 def _aggregate_in(select: ast.Select) -> bool:
-    """True when *select* itself computes an aggregate."""
-    if select.group_by:
-        return True
-    exprs = list(item.expr for item in select.items)
-    if select.having is not None:
-        exprs.append(select.having)
-    return any(
-        isinstance(node, ast.FuncCall)
-        and node.name in ast.AGGREGATE_FUNCTIONS
-        for expr in exprs
-        for node in ast.walk_expression(expr)
+    """True when *select* itself groups or computes an aggregate (a
+    HAVING clause requires GROUP BY)."""
+    return bool(select.group_by) or any(
+        ast.contains_aggregate(item.expr) for item in select.items
     )
 
 
@@ -393,13 +386,7 @@ class ReteNetwork:
         return ("node", node)
 
     def _alpha(self, table, binding, columns, conjuncts) -> AlphaNode:
-        key = (
-            "alpha",
-            table,
-            binding,
-            conjuncts,
-            tuple(P.expression_fingerprint(c) for c in conjuncts),
-        )
+        key = ("alpha", table, binding, conjuncts)
         alpha = self.alphas.get(key)
         if alpha is not None:
             STATS.nodes_shared += 1
@@ -419,15 +406,7 @@ class ReteNetwork:
     def _beta(self, left, level_alphas, level, source) -> BetaNode:
         joins = tuple(j.conjunct for j in source.joins)
         residuals = tuple(r.conjunct for r in source.residuals)
-        key = (
-            "beta",
-            left.key,
-            level_alphas[-1].key,
-            joins,
-            tuple(P.expression_fingerprint(c) for c in joins),
-            residuals,
-            tuple(P.expression_fingerprint(c) for c in residuals),
-        )
+        key = ("beta", left.key, level_alphas[-1].key, joins, residuals)
         beta = self.betas.get(key)
         if beta is not None:
             STATS.nodes_shared += 1
@@ -603,11 +582,11 @@ class ReteInstance:
             memory = _AlphaMemory()
             self._memories[alpha.key] = memory
             self._owned.add(alpha.key)
-            for row in self._database.table(alpha.table).rows():
+            for tid, values in self._database.table(alpha.table).items():
                 STATS.rows_touched += 1
                 STATS.alpha_tests += 1
-                if self._passes(alpha, row.values):
-                    memory.rows[row.tid] = row.values
+                if self._passes(alpha, values):
+                    memory.rows[tid] = values
         for beta in network.topo_betas:
             memory = _BetaMemory()
             self._memories[beta.key] = memory

@@ -10,10 +10,11 @@ Copy-on-write. :meth:`TableData.copy` aliases the tid map and marks
 both sides shared; the first mutation on either side copies the map
 once. The execution-graph explorer forks the whole database at every
 branch, so snapshots are O(tables) and only tables a branch actually
-writes ever pay the O(rows) copy. The canonical form and the sorted
-row list are memoized with write-invalidated dirty bits — and both
-caches survive a copy, so a fork that never writes a table re-uses its
-parent's sort work.
+writes ever pay the O(rows) copy. A stored row is a ``(tid, values)``
+pair; no per-row object is built. The canonical form and the sorted
+value-tuple list are memoized with write-invalidated dirty bits — and
+both caches survive a copy, so a fork that never writes a table re-uses
+its parent's sort work.
 
 Equality indexes are maintained *incrementally* under all three
 primitive operations: inserts append to their bucket (bisecting only
@@ -50,30 +51,6 @@ def _plan_stats():
 
         _PLAN_STATS = STATS
     return _PLAN_STATS
-
-
-class Row:
-    """A stored tuple: its tid and its column values (schema order)."""
-
-    __slots__ = ("tid", "values")
-
-    def __init__(self, tid: int, values: tuple) -> None:
-        self.tid = tid
-        self.values = values
-
-    def value(self, index: int):
-        return self.values[index]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Row):
-            return NotImplemented
-        return self.tid == other.tid and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash((self.tid, self.values))
-
-    def __repr__(self) -> str:
-        return f"Row(tid={self.tid}, values={self.values!r})"
 
 
 def index_key(values: tuple, cols: tuple[int, ...]) -> tuple | None:
@@ -211,7 +188,6 @@ class TableData:
         "_rows",
         "_shared",
         "_canonical",
-        "_row_list",
         "_values_list",
         "_indexes",
     )
@@ -224,8 +200,6 @@ class TableData:
         self._shared = False
         #: memoized canonical() — None when dirty
         self._canonical: tuple | None = None
-        #: memoized rows() result (tid order) — None when dirty
-        self._row_list: list[Row] | None = None
         #: memoized value_tuples() result (tid order) — None when dirty
         self._values_list: list[tuple] | None = None
         #: equality indexes, maintained incrementally under writes.
@@ -278,7 +252,6 @@ class TableData:
                 # The first pair: own the map and reset the memos once.
                 self._own()
                 self._canonical = None
-                self._row_list = None
                 self._values_list = None
                 rows = self._rows
                 indexes = self._indexes if self._indexes.buckets else None
@@ -291,7 +264,6 @@ class TableData:
             raise ExecutionError(f"no tid {tid} in table {self.name!r}")
         self._own()
         self._canonical = None
-        self._row_list = None
         self._values_list = None
         old = self._rows.pop(tid)
         self._indexes.delete(tid, old)
@@ -310,7 +282,6 @@ class TableData:
         old = self._rows[tid]
         self._rows[tid] = values
         self._canonical = None
-        self._row_list = None
         self._values_list = None
         self._indexes.update(tid, old, values)
         return old
@@ -318,23 +289,11 @@ class TableData:
     def get(self, tid: int) -> tuple | None:
         return self._rows.get(tid)
 
-    def rows(self) -> list[Row]:
-        """All rows, in tid order (deterministic iteration).
-
-        The returned list is cached and shared; callers must not
-        mutate it.
-        """
-        if self._row_list is None:
-            rows = self._rows
-            self._row_list = [Row(tid, rows[tid]) for tid in sorted(rows)]
-        return self._row_list
-
     def value_tuples(self) -> list[tuple]:
         """All value tuples, in tid order.
 
-        The returned list is cached and shared (like :meth:`rows`);
-        callers must not mutate it. It is built from the tid map, so a
-        read after a write builds no :class:`Row` list.
+        The returned list is cached and shared; callers must not
+        mutate it.
         """
         if self._values_list is None:
             rows = self._rows
@@ -351,8 +310,8 @@ class TableData:
         and advances incrementally under inserts, deletes *and* updates
         (``PlannerStats.index_maintains``); only the first probe pays
         the O(rows) build (``index_builds``), straight from the tid map
-        like :meth:`items` (no :class:`Row` objects). Callers must not
-        mutate the returned dict or its buckets.
+        like :meth:`items`. Callers must not mutate the returned dict or
+        its buckets.
         """
         index = self._indexes.buckets.get(cols)
         if index is None:
@@ -367,8 +326,7 @@ class TableData:
         return list(zip(self._indexes.tids[cols].get(key, ()), rows))
 
     def tids(self) -> list[int]:
-        """All tids, in order, straight from the tid map (no
-        :class:`Row` objects)."""
+        """All tids, in order, straight from the tid map."""
         return sorted(self._rows)
 
     def items(self) -> list[tuple[int, tuple]]:
@@ -378,8 +336,7 @@ class TableData:
         included, so a recovered table is identical at tuple-identity
         granularity, not just canonically. The pairs come straight from
         the tid map (tids are unique, so the sort never compares
-        values): no :class:`Row` objects, and the :meth:`rows` memo is
-        neither read nor built.
+        values).
         """
         return sorted(self._rows.items())
 
@@ -430,7 +387,6 @@ class TableData:
             clone._rows = self._rows
             clone._shared = True
             clone._canonical = self._canonical
-            clone._row_list = self._row_list
             clone._values_list = self._values_list
             # Index sharing is safe: the first write on either side
             # clones (never mutates) the shared structures via _own.

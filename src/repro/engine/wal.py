@@ -81,6 +81,7 @@ from dataclasses import dataclass, field
 from repro.engine.database import Database
 from repro.errors import ReproError
 from repro.schema.catalog import Schema, schema_from_spec
+from repro.stats import StatsBase
 from repro.transitions.delta import Primitive
 from repro.transitions.net_effect import NetEffect
 
@@ -247,26 +248,17 @@ def scan_frames(path: str) -> WalScan:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class WalWriterStats:
+class WalWriterStats(StatsBase):
     """Observable work counters (the ``--stats`` / bench surface)."""
 
-    frames_emitted: int = 0
-    primitives_logged: int = 0
-    bytes_written: int = 0
-    flushes: int = 0
-    syncs: int = 0
-    retries: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "frames_emitted": self.frames_emitted,
-            "primitives_logged": self.primitives_logged,
-            "bytes_written": self.bytes_written,
-            "flushes": self.flushes,
-            "syncs": self.syncs,
-            "retries": self.retries,
-        }
+    FIELDS = (
+        "frames_emitted",
+        "primitives_logged",
+        "bytes_written",
+        "flushes",
+        "syncs",
+        "retries",
+    )
 
 
 class WalWriter:
@@ -486,8 +478,7 @@ class WalWriter:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class GroupCommitStats:
+class GroupCommitStats(StatsBase):
     """Coalescer counters (the ``--stats`` / bench surface).
 
     ``batch_sizes`` is a histogram: batch size -> how many batches of
@@ -495,19 +486,19 @@ class GroupCommitStats:
     ``writer.stats.syncs / commits``.
     """
 
-    commits: int = 0
-    batches: int = 0
-    batch_sizes: dict = field(default_factory=dict)
+    FIELDS = ("commits", "batches")
+
+    def reset(self) -> None:
+        super().reset()
+        self.batch_sizes: dict[int, int] = {}
 
     def to_dict(self) -> dict:
-        return {
-            "commits": self.commits,
-            "batches": self.batches,
-            "batch_sizes": {
-                str(size): count
-                for size, count in sorted(self.batch_sizes.items())
-            },
+        data = super().to_dict()
+        data["batch_sizes"] = {
+            str(size): count
+            for size, count in sorted(self.batch_sizes.items())
         }
+        return data
 
 
 class _CommitTicket:

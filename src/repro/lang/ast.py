@@ -31,11 +31,28 @@ class Expression:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Literal(Expression):
-    """A constant: integer, float, string, boolean, or NULL (``value=None``)."""
+    """A constant: integer, float, string, boolean, or NULL (``value=None``).
+
+    Two literals are equal when their values have the same type and
+    compare equal. Python's value equality alone would make
+    ``Literal(1)``, ``Literal(True)`` and ``Literal(1.0)`` one key,
+    although they evaluate differently (``a + true`` raises, ``a + 1``
+    does not); comparing by type keeps every AST-keyed memo — compiled
+    predicates, plans, match-network nodes — exact with the AST alone.
+    """
 
     value: Union[int, float, str, bool, None]
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Literal:
+            return NotImplemented
+        value, other_value = self.value, other.value
+        return (type(value), value) == (type(other_value), other_value)
+
+    def __hash__(self) -> int:
+        return hash((type(self.value), self.value))
 
 
 @dataclass(frozen=True)
@@ -275,6 +292,46 @@ class RuleDefinition(Statement):
             raise ValueError("a rule needs at least one triggering operation")
         if not self.actions:
             raise ValueError("a rule needs at least one action")
+
+
+#: :func:`literal_value`'s answer for an expression that is not a literal
+#: (``None`` is the value of the NULL literal)
+NOT_LITERAL = object()
+
+
+def literal_value(expr: Expression):
+    """The constant *expr* denotes: a literal's value, or the negation
+    of an int or float literal (``-3``, ``-0.5``). Anything else,
+    ``-true`` included (the evaluator refuses to negate a bool), is
+    :data:`NOT_LITERAL`."""
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, UnaryOp) and expr.op == "-" and isinstance(
+        expr.operand, Literal
+    ):
+        value = expr.operand.value
+        if type(value) in (int, float):
+            return -value
+    return NOT_LITERAL
+
+
+def conjuncts(expr: Expression):
+    """Yield the AND-conjuncts of *expr*, in source order (an expression
+    that is not an ``and`` is its own single conjunct)."""
+    if isinstance(expr, BinaryOp) and expr.op == "and":
+        yield from conjuncts(expr.left)
+        yield from conjuncts(expr.right)
+    else:
+        yield expr
+
+
+def contains_aggregate(expr: Expression) -> bool:
+    """Whether *expr* calls an aggregate function outside any subquery
+    (a subquery computes its own aggregates)."""
+    return any(
+        isinstance(node, FuncCall) and node.name in AGGREGATE_FUNCTIONS
+        for node in walk_expression(expr)
+    )
 
 
 def walk_expression(expr: Expression):

@@ -127,19 +127,23 @@ def lint_ruleset(
 
     ``source``/``path`` attach physical locations to the findings.
     ``entry_tables`` declares which tables user transactions may touch
-    (Section 9); without it RPL001 cannot fire. ``only`` restricts the
-    run to a subset of diagnostic codes.
+    (Section 9); without it RPL001 cannot fire, and an unknown table in
+    it raises :class:`~repro.errors.SchemaError`, as an unknown rule in
+    ``certified_termination`` raises :class:`~repro.errors.RuleError`.
+    ``only`` restricts the run to a subset of diagnostic codes.
     """
     context = LintContext(
         ruleset=ruleset,
         definitions=DerivedDefinitions(ruleset),
         entry_tables=(
-            frozenset(table.lower() for table in entry_tables)
+            frozenset(
+                ruleset.schema.table(table).name for table in entry_tables
+            )
             if entry_tables is not None
             else None
         ),
         certified_termination=frozenset(
-            name.lower() for name in certified_termination
+            ruleset.rule(name).name for name in certified_termination
         ),
         lines=rule_source_lines(source) if source else {},
         source=source,

@@ -46,14 +46,6 @@ def is_folded(value) -> bool:
     return value is not _UNFOLDABLE
 
 
-def _conjuncts(expr: ast.Expression):
-    if isinstance(expr, ast.BinaryOp) and expr.op == "and":
-        yield from _conjuncts(expr.left)
-        yield from _conjuncts(expr.right)
-    else:
-        yield expr
-
-
 def _render_value(value) -> str:
     if value is None:
         return "UNKNOWN"
@@ -218,7 +210,7 @@ def unsatisfiable(expr: ast.Expression, _depth: int = 0) -> str | None:
             return None
         return f"both OR branches unsatisfiable ({left}; {right})"
 
-    conjuncts = list(_conjuncts(expr))
+    conjuncts = list(ast.conjuncts(expr))
     for conjunct in conjuncts:
         if conjunct is expr:
             continue

@@ -47,7 +47,7 @@ from repro.engine import rete as rete_module
 from repro.engine.database import Database
 from repro.errors import RuleProcessingLimitExceeded
 from repro.lang.parser import parse_statement
-from repro.runtime.exec_graph import explore
+from repro.runtime.exec_graph import explore_ruleset
 from repro.runtime.processor import RuleProcessor
 from repro.rules.ruleset import RuleSet
 from repro.semantics import (
@@ -264,11 +264,10 @@ def _run_mode(
 def _explore_case(case: CrosscheckCase, declarative: DeclarativeOutcome,
                   max_states: int, max_depth: int, max_paths: int) -> dict:
     """Enumerate reachable finals and test containment/uniqueness."""
-    processor = RuleProcessor(case.ruleset, case.database.copy())
-    for statement in case.statements:
-        processor.execute_user(statement)
-    graph = explore(
-        processor,
+    graph = explore_ruleset(
+        case.ruleset,
+        case.database.copy(),
+        case.statements,
         max_states=max_states,
         max_depth=max_depth,
         max_paths=max_paths,

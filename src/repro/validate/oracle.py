@@ -5,8 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine.database import Database
-from repro.runtime.exec_graph import ExecutionGraph, explore
-from repro.runtime.processor import RuleProcessor
+from repro.runtime.exec_graph import ExecutionGraph, explore_ruleset
 from repro.rules.ruleset import RuleSet
 
 
@@ -43,11 +42,10 @@ def oracle_verdict(
 
     The database is copied; the caller's instance is never mutated.
     """
-    processor = RuleProcessor(ruleset, database.copy())
-    for statement in user_statements:
-        processor.execute_user(statement)
-    graph = explore(
-        processor,
+    graph = explore_ruleset(
+        ruleset,
+        database.copy(),
+        user_statements,
         max_states=max_states,
         max_depth=max_depth,
         max_paths=max_paths,
@@ -71,10 +69,9 @@ def oracle_partial_confluence(
 ) -> bool | None:
     """Ground truth for partial confluence: do all final states agree on
     the projection to *tables*? None if undecidable (truncated/cyclic)."""
-    processor = RuleProcessor(ruleset, database.copy())
-    for statement in user_statements:
-        processor.execute_user(statement)
-    graph = explore(processor, **kwargs)
+    graph = explore_ruleset(
+        ruleset, database.copy(), user_statements, **kwargs
+    )
     if graph.truncated or graph.has_cycle:
         return None
 

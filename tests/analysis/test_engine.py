@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis.analyzer import AnalysisReport, RuleAnalyzer
 from repro.analysis.engine import AnalysisEngine
+from repro.errors import AnalysisError
 from repro.rules.events import TriggerEvent
 from repro.rules.ruleset import RuleSet
 from repro.schema.catalog import schema_from_spec
@@ -205,6 +206,13 @@ class TestCertificationInvalidation:
         engine.certify_commutes("wb", "watch")
         after = engine.analyze_observable_determinism()
         assert after.observably_deterministic
+
+    @pytest.mark.parametrize("pair", [("a", "ghost"), ("Ghost", "b")])
+    def test_an_unknown_rule_is_refused(self, schema, pair):
+        engine = AnalysisEngine(RuleSet.parse(CLUSTERED, schema))
+        with pytest.raises(AnalysisError, match="unknown rule 'ghost'"):
+            engine.certify_commutes(*pair)
+        assert engine.certified_commutes == frozenset()
 
 
 class TestPriorityInvalidation:

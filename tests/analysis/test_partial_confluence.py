@@ -16,6 +16,7 @@ from repro.analysis.partial_confluence import (
     PartialConfluenceAnalyzer,
     significant_rules,
 )
+from repro.errors import SchemaError
 from repro.rules.ruleset import RuleSet
 from repro.schema.catalog import schema_from_spec
 from tests.seeding import derive_seed
@@ -124,6 +125,12 @@ class TestTheorem72:
         analysis = analyzer.analyze(["scratch"])
         assert not analysis.confluent_with_respect_to_tables
         assert not analysis.confluence.requirement_holds
+
+    @pytest.mark.parametrize("tables", [["ghost"], ["data", "Ghost"]])
+    def test_an_unknown_table_is_refused(self, schema, tables):
+        *_, analyzer = setup(SCRATCHY, schema)
+        with pytest.raises(SchemaError, match="unknown table"):
+            analyzer.analyze(tables)
 
     def test_sig_termination_is_required(self, schema):
         source = """

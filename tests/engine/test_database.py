@@ -42,9 +42,9 @@ class TestBasics:
         database.insert_row("t", (None, None))
 
     def test_update_type_checked(self, database):
-        rows = database.rows("t")
+        tids = database.table("t").tids()
         with pytest.raises(SchemaError):
-            database.update_row("t", rows[0].tid, (1, "bad"))
+            database.update_row("t", tids[0], (1, "bad"))
 
 
 class TestUpdateTypeChecks:
@@ -87,7 +87,7 @@ class TestSnapshotRestore:
     def test_restore_undoes_changes(self, database):
         snapshot = database.snapshot()
         database.insert_row("t", (99, 99))
-        database.delete_row("t", database.rows("t")[0].tid)
+        database.delete_row("t", database.table("t").tids()[0])
         database.restore(snapshot)
         assert database.table("t").value_tuples() == [(1, 10), (2, 20)]
 
@@ -96,7 +96,7 @@ class TestSnapshotRestore:
         database.insert_row("t", (99, 99))
         database.restore(snapshot)
         tid = database.insert_row("t", (5, 5))
-        assert tid == database.rows("t")[-1].tid
+        assert tid == database.table("t").tids()[-1]
 
     def test_snapshot_is_immune_to_later_changes(self, database):
         snapshot = database.snapshot()

@@ -259,7 +259,7 @@ class TestCompileCache:
         layout = plan.RowLayout(("t",), ("a",))
         one = ast.BinaryOp("+", ast.ColumnRef(None, "a"), ast.Literal(1))
         true = ast.BinaryOp("+", ast.ColumnRef(None, "a"), ast.Literal(True))
-        assert one == true  # Python equality conflates 1 and True
+        assert one != true  # literals compare by type: 1 is not True
         by_one, __ = plan.compile_row_predicate(one, layout)
         by_true, __ = plan.compile_row_predicate(true, layout)
         assert by_one((1,), None, None) == 2
@@ -295,7 +295,7 @@ class TestIdentityFront:
         for first, second in ((1, True), (True, 1)):
             one = parse_statement(f"select * from t where a = {first}").where
             other = parse_statement(f"select * from t where a = {second}").where
-            assert one == other  # Python equality conflates 1 and True
+            assert one != other  # literals compare by type
             by_one = plan.compile_predicate(one)
             by_other = plan.compile_predicate(other)
             assert by_one is not by_other

@@ -93,13 +93,14 @@ class TestWholeTableTargets:
     )
     def test_builds_no_row_list(self, source, monkeypatch):
         def no_rows(table):
-            raise AssertionError(f"{table.name}: Row list built")
+            raise AssertionError(f"{table.name}: row list built")
 
         outcomes = []
         for config in (REFERENCE, PLANNED):
             database = TestUnprunableShardedScans.database()
             with monkeypatch.context() as patch:
-                patch.setattr(TableData, "rows", no_rows)
+                patch.setattr(TableData, "items", no_rows)
+                patch.setattr(TableData, "value_tuples", no_rows)
                 result = execute_statement(
                     database, parse_statement(source), config=config
                 )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.storage import Row, TableData
+from repro.engine.storage import TableData
 from repro.engine.values import sort_key
 from repro.errors import ExecutionError
 
@@ -48,7 +48,7 @@ class TestTableData:
             table.update(99, (0, 0))
 
     def test_rows_in_tid_order(self, table):
-        assert table.rows() == [Row(1, (1, 10)), Row(2, (2, 20))]
+        assert table.items() == [(1, (1, 10)), (2, (2, 20))]
 
     def test_value_tuples(self, table):
         assert table.value_tuples() == [(1, 10), (2, 20)]
@@ -98,20 +98,20 @@ class TestEqualityIndex:
         assert bucket == [(1, 10), (1, 30)]
 
     def test_built_from_the_tid_map(self):
-        # The build reads (tid, values) pairs: no Row list is made.
+        # The build reads (tid, values) pairs: no value list is made.
         data = TableData("t", 2)
         data.insert(3, (1, 30))
         data.insert(1, (1, 10))
         data.insert(2, (None, 20))
         assert list(data.equality_index((0,))) == [(sort_key(1),)]
-        assert data._row_list is None
+        assert data._values_list is None
         assert data.equality_pairs((0,), (sort_key(1),)) == [
             (1, (1, 10)),
             (3, (1, 30)),
         ]
         assert data.equality_pairs((0,), (sort_key(2),)) == []
         assert data.tids() == [1, 2, 3]
-        assert data._row_list is None
+        assert data._values_list is None
 
     def test_null_keys_excluded(self):
         data = TableData("t", 2)

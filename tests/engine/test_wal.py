@@ -557,8 +557,8 @@ class TestCheckpointBytes:
             "next_tid": database._next_tid,
             "tables": {
                 table.name: [
-                    [row.tid, list(row.values)]
-                    for row in database.table(table.name).rows()
+                    [tid, list(values)]
+                    for tid, values in database.table(table.name).items()
                 ]
                 for table in database.schema
             },

@@ -14,6 +14,7 @@ from repro.lint import (
     lint_ruleset,
     rule_source_lines,
 )
+from repro.errors import RuleError, SchemaError
 from repro.rules.ruleset import RuleSet
 from repro.schema.catalog import schema_from_spec
 
@@ -136,6 +137,16 @@ class TestPassBehavior:
         assert "RPL001" not in codes_of(lint_source(source))
         report = lint_source(source, entry_tables={"u"})
         assert codes_of(report) == {"RPL001"}
+
+    def test_unknown_entry_table_or_certified_rule_is_refused(self):
+        source = """
+            create rule a on t when inserted
+            then insert into u (select id, v from inserted)
+            """
+        with pytest.raises(SchemaError, match="unknown table 'ghost'"):
+            lint_source(source, entry_tables={"t", "ghost"})
+        with pytest.raises(RuleError, match="unknown rule 'ghost'"):
+            lint_source(source, certified_termination=["ghost"])
 
     def test_rpl001_reachable_through_chain(self):
         report = lint_source(

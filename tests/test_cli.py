@@ -804,3 +804,113 @@ class TestCrosscheckMode:
         err = capsys.readouterr().err
         assert f"error: rows must be a positive int; got {value}" in err
         assert "Traceback" not in err
+
+
+class TestUnwritableOutputs:
+    """A path that cannot be written is an ``error:`` and exit 2."""
+
+    @pytest.mark.parametrize(
+        "option, name",
+        [
+            ("--dot", "x.dot"),
+            ("--report", "x.md"),
+            ("--witness-out", "x.json"),
+            ("--durable", "x.wal"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "json_flag", [[], ["--json"]], ids=["text", "json"]
+    )
+    def test_exits_two_without_traceback(
+        self, option, name, json_flag, files, tmp_path, capsys
+    ):
+        missing = str(tmp_path / "missing" / name)
+        code = main(
+            [
+                files("r.txt", RUNNABLE_RULES),
+                "--schema",
+                files("s.txt", SCHEMA),
+                "--run",
+                "insert into t values (1, 1)",
+                option,
+                missing,
+                *json_flag,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: [Errno 2] No such file or directory: {missing!r}" in err
+        assert "Traceback" not in err
+
+    def test_lint_output(self, files, tmp_path, capsys):
+        missing = str(tmp_path / "missing" / "x.txt")
+        code = repro_main(
+            [
+                "lint",
+                files("r.txt", CLEAN_RULES),
+                "--schema",
+                files("s.txt", SCHEMA),
+                "--output",
+                missing,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: [Errno 2] No such file or directory: {missing!r}" in err
+        assert "Traceback" not in err
+
+
+class TestUnknownNames:
+    """Rule and table names on the command line are checked like --order's."""
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--order", "x,b", "unknown rule 'x'"),
+            ("--certify-commutes", "x,y", "unknown rule 'x'"),
+            ("--certify-commutes", "a,y", "unknown rule 'y'"),
+            ("--certify-commutes", "a", "--certify-commutes takes two rule"),
+            ("--order", "a", "--order takes two rule names 'a,b', got 'a'"),
+            ("--certify-termination", "x", "unknown rule 'x'"),
+            ("--tables", "nosuch", "unknown table 'nosuch'"),
+            ("--tables", "t,nosuch", "unknown table 'nosuch'"),
+        ],
+    )
+    def test_analyze_exits_two(self, option, value, message, files, capsys):
+        code = main(
+            [
+                files("r.txt", CONFLICTING_RULES),
+                "--schema",
+                files("s.txt", SCHEMA),
+                option,
+                value,
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert "confluent with respect to" not in captured.out
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--entry", "nosuch", "unknown table 'nosuch'"),
+            ("--certify-termination", "x", "unknown rule 'x'"),
+        ],
+    )
+    def test_lint_exits_two(self, option, value, message, files, capsys):
+        code = repro_main(
+            [
+                "lint",
+                files("r.txt", CLEAN_RULES),
+                "--schema",
+                files("s.txt", SCHEMA),
+                option,
+                value,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err

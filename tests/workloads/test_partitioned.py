@@ -21,8 +21,8 @@ class TestStructure:
     def test_row_counts(self, workload):
         database = workload.database
         for domain in DOMAINS:
-            assert len(database.rows(domain)) == 800 // len(DOMAINS)
-            assert len(database.rows(f"{domain}_ctl")) == 4
+            assert len(database.table(domain)) == 800 // len(DOMAINS)
+            assert len(database.table(f"{domain}_ctl")) == 4
 
     def test_one_rule_per_domain_region(self, workload):
         assert len(list(workload.ruleset)) == len(DOMAINS) * 4
@@ -69,5 +69,6 @@ class TestTermination:
         assert result.outcome == "quiescent"
         # Drained: no control row retains pending work.
         for domain in DOMAINS:
-            for row in processor.database.rows(f"{domain}_ctl"):
-                assert row.values[1] == 0
+            control = processor.database.table(f"{domain}_ctl")
+            for values in control.value_tuples():
+                assert values[1] == 0
