@@ -13,11 +13,18 @@ footprint touches the edited rule are recomputed.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from repro.analysis.analyzer import RuleAnalyzer, _confluence_to_dict
 from repro.analysis.engine import AnalysisEngine
 from repro.rules.ruleset import RuleSet
 from repro.schema.catalog import schema_from_spec
 from repro.workloads.applications import inventory_application
+
+#: the shipped inventory program, found from this file, not the cwd
+INVENTORY_RULES = (
+    Path(__file__).resolve().parents[1] / "examples" / "inventory.rules"
+)
 
 
 def _repair(analyzer: RuleAnalyzer):
@@ -146,8 +153,7 @@ def test_pair_pruning_refinement_reduction(benchmark, report):
         synthetic = RuleAnalyzer(
             RuleSet.parse("\n\n".join(rules), schema)
         ).analyze()
-        with open("examples/inventory.rules") as handle:
-            inventory_source = handle.read()
+        inventory_source = INVENTORY_RULES.read_text()
         inventory_schema = schema_from_spec(
             {
                 "orders": ["id", "item"],

@@ -1,4 +1,4 @@
-"""Substrate microbenchmarks and the incremental-substrate regression gate.
+"""Substrate microbenchmarks and the runtime-substrate regression gate.
 
 Not a paper experiment — these keep the performance of the layers the
 experiments stand on visible (a regression here silently inflates every
@@ -6,20 +6,22 @@ E-number's wall time). Reported: DML and query throughput, rule
 processing steps, and execution-graph exploration rate.
 
 Gate mode (``python benchmarks/bench_substrate.py --gate``, also run as
-pytest tests) pits the incremental substrate (cached per-rule net
-effects, per-table touch index, COW snapshots, chunk-shared logs)
-against the from-scratch path (``incremental=False``) on fixed seeded
-workloads and asserts:
+pytest tests) holds the processor's maintained state (TR kept by Lemma
+4.1, one pending slice per table and marker, copy-on-write forks,
+chunk-shared logs) to the log refold
+(:meth:`RuleProcessor.pending_net_effect`) on fixed seeded workloads
+and asserts:
 
-* **equivalence** — byte-identical ``ProcessingResult``s, observable
-  streams, final canonical databases, ``state_key()``s, and explored
-  graphs (edges, final states, streams) between the two modes;
-* **triggering work** — the from-scratch path rescans at least
-  ``--min-trigger-ratio`` (default 5) times as many primitives as the
-  incremental path folds, on a 50-rule / 1k-op workload;
-* **exploration wall-clock** — ``explore()`` on the scalability
-  scenario is at least ``--min-explore-speedup`` (default 3) times
-  faster incrementally.
+* **equivalence** — at every step, TR is exactly the active rules whose
+  refolded pending transition meets ``Triggered-By``, and the pending
+  transition the considered rule reads on its table is its refold;
+* **triggering work** — refolding every active rule at every step, plus
+  the considered rule, rescans at least ``--min-trigger-ratio``
+  (default 5) times as many primitives as the slices fold on the same
+  run, a 50-rule / 1k-op workload;
+* **copy-on-write forks** — exploring the scalability scenario copies
+  only ``stock``, the table its rules write, and never the 2,000-row
+  ``ballast`` or ``orders``.
 
 The metrics are written to ``BENCH_substrate.json`` (``--out``) for CI
 artifact upload.
@@ -29,12 +31,13 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 
 import pytest
 
-from repro.config import ExecutionConfig
 from repro.engine.database import Database
 from repro.engine.dml import execute_statement
+from repro.engine.storage import TableData
 from repro.lang.parser import parse_rules, parse_statement
 from repro.rules.ruleset import RuleSet
 from repro.runtime.exec_graph import explore
@@ -42,7 +45,7 @@ from repro.runtime.processor import RuleProcessor
 from repro.runtime.strategies import RandomStrategy
 from repro.schema.catalog import schema_from_spec
 
-GATE_SCHEMA_VERSION = 1
+GATE_SCHEMA_VERSION = 2
 
 
 @pytest.fixture
@@ -152,7 +155,7 @@ def test_substrate_exploration_rate(benchmark, schema):
 
 
 # ======================================================================
-# Gate mode: incremental vs. from-scratch substrate
+# Gate mode: the maintained substrate against the log refold
 # ======================================================================
 
 
@@ -161,9 +164,9 @@ def _triggering_workload(n_rules: int = 50):
 
     ``feed`` takes the bulk user transition; most rules are *spectators*
     on feed-family tables (``when deleted`` — never actually triggered,
-    but the from-scratch path refolds the full log suffix for each of
-    them on every loop iteration to find that out). A small countdown
-    cascade on ``work`` keeps the processing loop iterating.
+    but a refold rescans the full log suffix for each of them on every
+    loop iteration to find that out). A small countdown cascade on
+    ``work`` keeps the processing loop iterating.
     """
     spec = {
         "feed": ["id", "v"],
@@ -192,72 +195,104 @@ def _triggering_workload(n_rules: int = 50):
     return schema, ruleset
 
 
-def run_triggering_gate(n_rules: int = 50, n_ops: int = 1000) -> dict:
-    """Run the triggering workload in both modes; assert equivalence and
-    return the work counters."""
-    schema, ruleset = _triggering_workload(n_rules)
+def run_checked(processor: RuleProcessor) -> dict:
+    """Process rules to quiescence as :meth:`RuleProcessor.run` does,
+    holding the maintained state to the log refold at every step.
 
-    outcomes = {}
-    for incremental in (False, True):
-        database = Database(schema)
-        database.load("work", [(1, 30)])
-        processor = RuleProcessor(
-            ruleset,
-            database,
-            max_steps=50_000,
-            config=ExecutionConfig(incremental=incremental),
-        )
-        for op in range(n_ops - 1):
-            processor.execute_user(f"insert into feed values ({op}, {op % 7})")
-        processor.execute_user("insert into work values (2, 30)")
+    Before each step every active rule's pending transition is refolded
+    and TR must be exactly the rules whose refold meets
+    ``Triggered-By``; the considered rule is refolded once more, and the
+    slice it reads on its table must equal that refold. Returns the
+    steps, the refold checks made and the seconds spent in the
+    processor's own calls, which exclude the refolds.
+    """
+    ruleset = processor.ruleset
+    columns = {table.name: table.column_names for table in ruleset.schema}
+    steps = []
+    refold_checks = 0
+    seconds = 0.0
+    while True:
         started = time.perf_counter()
-        result = processor.run()
-        elapsed = time.perf_counter() - started
-        outcomes[incremental] = {
-            "result": result,
-            "result_repr": repr((result.outcome, result.steps, result.observables)),
-            "final_database": processor.database.canonical(),
-            "state_key": processor.state_key(),
-            "stats": processor.stats,
-            "seconds": elapsed,
-        }
+        triggered = processor.triggered_rules()
+        eligible = ruleset.choose(triggered)
+        seconds += time.perf_counter() - started
+        refolded = tuple(
+            rule.name
+            for rule in ruleset
+            if ruleset.is_active(rule.name)
+            and processor.pending_net_effect(rule.name).operations(columns)
+            & rule.triggered_by
+        )
+        refold_checks += len(ruleset.active_names)
+        assert triggered == refolded, (
+            f"TR {triggered} diverges from the refold {refolded}"
+        )
+        if not eligible:
+            processor.mark_assertion_point()
+            return {
+                "steps": steps,
+                "refold_checks": refold_checks,
+                "seconds": seconds,
+            }
+        assert len(steps) < processor.max_steps
+        chosen = processor.strategy.choose(eligible)
+        rule = ruleset.rule(chosen)
+        refold = processor.pending_net_effect(chosen).table(rule.table)
+        # the slice consider() reads: (rule table, marker)
+        pending = processor._slices[rule.table, processor.markers[chosen]]
+        assert pending.net.table(rule.table) == refold, (
+            f"{chosen}'s pending slice diverges from its refold"
+        )
+        started = time.perf_counter()
+        steps.append(processor.consider(chosen, eligible=eligible))
+        seconds += time.perf_counter() - started
 
-    scratch, incremental = outcomes[False], outcomes[True]
-    assert scratch["result_repr"] == incremental["result_repr"], (
-        "ProcessingResults diverge between substrate modes"
-    )
-    assert scratch["final_database"] == incremental["final_database"]
-    assert scratch["state_key"] == incremental["state_key"]
 
-    scanned = scratch["stats"].primitives_scanned
-    folded = incremental["stats"].primitives_folded
-    ratio = scanned / max(1, folded)
+def run_triggering_gate(n_rules: int = 50, n_ops: int = 1000) -> dict:
+    """Run the triggering workload checked against the refold and return
+    the work counters: primitives the refold rescans against the
+    primitives the slices fold, on the same run."""
+    schema, ruleset = _triggering_workload(n_rules)
+    database = Database(schema)
+    database.load("work", [(1, 30)])
+    processor = RuleProcessor(ruleset, database, max_steps=50_000)
+    for op in range(n_ops - 1):
+        processor.execute_user(f"insert into feed values ({op}, {op % 7})")
+    processor.execute_user("insert into work values (2, 30)")
+    started = time.perf_counter()
+    run = run_checked(processor)
+    elapsed = time.perf_counter() - started
+
+    stats = processor.stats
+    scanned = stats.primitives_scanned
+    folded = stats.primitives_folded
+    steps = len(run["steps"])
     return {
         "n_rules": n_rules,
         "n_ops": n_ops,
-        "steps": len(scratch["result"].steps),
-        "primitives_rescanned_cold": scanned,
-        "primitives_folded_incremental": folded,
-        "triggering_work_ratio": round(ratio, 2),
-        "trigger_checks_cold": scratch["stats"].trigger_checks,
-        "trigger_checks_incremental": incremental["stats"].trigger_checks,
-        "touch_skips": incremental["stats"].touch_skips,
-        "cold_seconds": round(scratch["seconds"], 4),
-        "incremental_seconds": round(incremental["seconds"], 4),
+        "steps": steps,
+        "primitives_rescanned_by_refold": scanned,
+        "primitives_folded": folded,
+        "triggering_work_ratio": round(scanned / max(1, folded), 2),
+        "refold_checks": run["refold_checks"],
+        "trigger_checks": stats.trigger_checks,
+        "touch_skips": stats.touch_skips,
+        "processor_seconds": round(run["seconds"], 4),
+        "refold_seconds": round(elapsed - run["seconds"], 4),
         "processor_steps_per_second": round(
-            len(scratch["result"].steps) / max(1e-9, incremental["seconds"]), 1
+            steps / max(1e-9, run["seconds"]), 1
         ),
         "equivalent": True,
     }
 
 
-def _exploration_scenario():
+def _exploration_scenario() -> RuleProcessor:
     """The E10-style scalability scenario for ``explore()``.
 
-    Branching comes from four independent unordered rules; fork cost in
-    the from-scratch substrate comes from a 2000-row ballast table no
-    rule touches and a long user-transition prefix in the log, both
-    recopied per fork without COW/chunk sharing.
+    Branching comes from four independent unordered rules, which write
+    only ``stock``; a 2000-row ``ballast`` table no rule touches and a
+    long user-transition prefix in the log are what an eager fork would
+    recopy.
     """
     schema = schema_from_spec(
         {
@@ -273,104 +308,79 @@ def _exploration_scenario():
     create rule d on orders when inserted then update stock set on_hand = 4 where item = 3
     """
     ruleset = RuleSet.parse(source, schema)
-
-    def build(incremental: bool) -> RuleProcessor:
-        database = Database(schema)
-        database.load("stock", [(item, 0) for item in range(8)])
-        database.load("ballast", [(i, i % 13) for i in range(2000)])
-        processor = RuleProcessor(
-            ruleset, database, config=ExecutionConfig(incremental=incremental)
+    database = Database(schema)
+    database.load("stock", [(item, 0) for item in range(8)])
+    database.load("ballast", [(i, i % 13) for i in range(2000)])
+    processor = RuleProcessor(ruleset, database)
+    for op in range(200):
+        processor.execute_user(
+            f"insert into ballast values ({10_000 + op}, {op % 13})"
         )
-        for op in range(200):
-            processor.execute_user(
-                f"insert into ballast values ({10_000 + op}, {op % 13})"
-            )
-        processor.run()  # quiesce the prefix: ballast writes trigger nothing
-        processor.execute_user("insert into orders values (1, 0, 1)")
-        return processor
-
-    return build
+    processor.run()  # quiesce the prefix: ballast writes trigger nothing
+    processor.execute_user("insert into orders values (1, 0, 1)")
+    return processor
 
 
 def run_explore_gate() -> dict:
-    """Explore the scalability scenario in both modes; assert identical
-    graphs and return wall-clock numbers."""
-    build = _exploration_scenario()
+    """Explore the scalability scenario, counting the table copies its
+    forks make (a copy is the first write to a table still shared with
+    the fork's parent, :meth:`TableData._own`)."""
+    processor = _exploration_scenario()
+    copies: Counter = Counter()
+    own = TableData._own
 
-    graphs = {}
-    for incremental in (False, True):
-        processor = build(incremental)
+    def counting_own(table: TableData) -> None:
+        if table._shared:
+            copies[table.name] += 1
+        own(table)
+
+    forks_before = processor.stats.forks
+    TableData._own = counting_own
+    try:
         started = time.perf_counter()
         graph = explore(processor)
         elapsed = time.perf_counter() - started
-        graphs[incremental] = (graph, elapsed, processor.stats)
+    finally:
+        TableData._own = own
+    forks = processor.stats.forks - forks_before
 
-    scratch, cold_seconds, __ = graphs[False]
-    incremental, warm_seconds, stats = graphs[True]
-
-    assert scratch.initial == incremental.initial
-    assert scratch.edges == incremental.edges, (
-        "explored edge sets diverge between substrate modes"
+    assert not graph.truncated
+    assert set(copies) == {"stock"}, (
+        f"explore() copied {dict(copies)}; only stock is written"
     )
-    assert scratch.final_states == incremental.final_states
-    assert scratch.final_databases == incremental.final_databases
-    assert scratch.observable_streams == incremental.observable_streams
-    assert scratch.paths_to_final() == incremental.paths_to_final()
-    assert not scratch.truncated and not incremental.truncated
-
-    speedup = cold_seconds / max(1e-9, warm_seconds)
+    assert copies["stock"] <= forks, "a fork copied stock more than once"
     return {
-        "states": incremental.state_count,
-        "paths_to_final": incremental.paths_to_final(),
-        "forks": stats.forks,
-        "cold_seconds": round(cold_seconds, 4),
-        "incremental_seconds": round(warm_seconds, 4),
-        "explore_speedup": round(speedup, 2),
-        "forks_per_second": round(stats.forks / max(1e-9, warm_seconds), 1),
+        "states": graph.state_count,
+        "paths_to_final": graph.paths_to_final(),
+        "forks": forks,
+        "table_copies": dict(copies),
+        "explore_seconds": round(elapsed, 4),
+        "forks_per_second": round(forks / max(1e-9, elapsed), 1),
         "states_per_second": round(
-            incremental.state_count / max(1e-9, warm_seconds), 1
+            graph.state_count / max(1e-9, elapsed), 1
         ),
-        "equivalent": True,
     }
 
 
 def run_sampled_equivalence_gate(runs: int = 8) -> dict:
-    """Random-order runs of the triggering workload agree mode-for-mode."""
+    """Random-order runs of the triggering workload, each checked
+    against the refold at every step."""
     schema, ruleset = _triggering_workload(n_rules=12)
-    checked = 0
     for seed in range(runs):
-        records = []
-        for incremental in (False, True):
-            database = Database(schema)
-            database.load("work", [(1, 6)])
-            processor = RuleProcessor(
-                ruleset,
-                database,
-                strategy=RandomStrategy(seed),
-                config=ExecutionConfig(incremental=incremental),
-            )
-            for op in range(40):
-                processor.execute_user(
-                    f"insert into feed values ({op}, {op % 5})"
-                )
-            processor.execute_user("delete from feed where v = 3")
-            result = processor.run()
-            records.append(
-                (
-                    repr((result.outcome, result.steps, result.observables)),
-                    processor.database.canonical(),
-                    processor.state_key(),
-                )
-            )
-        assert records[0] == records[1], f"divergence at seed {seed}"
-        checked += 1
-    return {"sampled_runs": checked, "equivalent": True}
+        database = Database(schema)
+        database.load("work", [(1, 6)])
+        processor = RuleProcessor(
+            ruleset, database, strategy=RandomStrategy(seed)
+        )
+        for op in range(40):
+            processor.execute_user(f"insert into feed values ({op}, {op % 5})")
+        processor.execute_user("delete from feed where v = 3")
+        run_checked(processor)
+    return {"sampled_runs": runs, "equivalent": True}
 
 
 def run_gate(
-    min_trigger_ratio: float = 5.0,
-    min_explore_speedup: float = 3.0,
-    out_path: str | None = None,
+    min_trigger_ratio: float = 5.0, out_path: str | None = None
 ) -> dict:
     """The full substrate gate; raises AssertionError on any regression."""
     triggering = run_triggering_gate()
@@ -381,7 +391,7 @@ def run_gate(
         "schema_version": GATE_SCHEMA_VERSION,
         "gate": {
             "min_trigger_ratio": min_trigger_ratio,
-            "min_explore_speedup": min_explore_speedup,
+            "explore_copies_only": ["stock"],
         },
         "triggering": triggering,
         "exploration": exploration,
@@ -396,10 +406,6 @@ def run_gate(
         f"triggering work ratio {triggering['triggering_work_ratio']} "
         f"below gate minimum {min_trigger_ratio}"
     )
-    assert exploration["explore_speedup"] >= min_explore_speedup, (
-        f"explore() speedup {exploration['explore_speedup']} "
-        f"below gate minimum {min_explore_speedup}"
-    )
     return payload
 
 
@@ -409,9 +415,8 @@ def test_gate_triggering_equivalence_and_work_ratio():
     assert metrics["triggering_work_ratio"] >= 5.0
 
 
-def test_gate_exploration_equivalence():
-    metrics = run_explore_gate()
-    assert metrics["equivalent"]
+def test_gate_exploration_copies_only_the_written_table():
+    assert set(run_explore_gate()["table_copies"]) == {"stock"}
 
 
 def test_gate_sampled_equivalence():
@@ -422,7 +427,7 @@ def main(argv=None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="Incremental-substrate regression gate"
+        description="Runtime-substrate regression gate"
     )
     parser.add_argument("--gate", action="store_true", help="run the gate")
     parser.add_argument(
@@ -431,13 +436,10 @@ def main(argv=None) -> int:
         help="where to write the metrics JSON (default: BENCH_substrate.json)",
     )
     parser.add_argument("--min-trigger-ratio", type=float, default=5.0)
-    parser.add_argument("--min-explore-speedup", type=float, default=3.0)
     args = parser.parse_args(argv)
 
     payload = run_gate(
-        min_trigger_ratio=args.min_trigger_ratio,
-        min_explore_speedup=args.min_explore_speedup,
-        out_path=args.out,
+        min_trigger_ratio=args.min_trigger_ratio, out_path=args.out
     )
     print(json.dumps(payload, indent=2))
     print(f"\ngate passed; metrics written to {args.out}")

@@ -42,7 +42,7 @@ from repro.analysis.engine import AnalysisEngine
 from repro.analysis.observable import ObservableDeterminismAnalysis
 from repro.analysis.partitioning import partition_rules
 from repro.analysis.termination import TerminationAnalysis
-from repro.errors import RuleError
+from repro.errors import AnalysisError, RuleError
 from repro.lang.parser import parse_rule
 from repro.lang.pretty import format_rule
 from repro.rules.rule import Rule
@@ -123,13 +123,29 @@ class IncrementalAnalyzer:
         }
 
     def certify_commutes(self, first: str, second: str) -> None:
-        self._certified_commutes.add(frozenset({first.lower(), second.lower()}))
+        """An unknown rule raises :class:`AnalysisError`, as
+        :meth:`AnalysisEngine.certify_commutes` does."""
+        self._certified_commutes.add(
+            frozenset({self._known(first), self._known(second)})
+        )
 
     def certify_termination(self, rule: str) -> None:
-        self._certified_termination.add(rule.lower())
+        """An unknown rule raises :class:`AnalysisError`."""
+        self._certified_termination.add(self._known(rule))
 
     def add_priority(self, higher: str, lower: str) -> None:
+        """Add ``higher > lower``; an unknown rule or an ordering that
+        closes a cycle raises what :meth:`RuleSet.add_priority` raises
+        (:class:`RuleError`, :class:`PriorityCycleError`) and records
+        nothing."""
+        self.build_ruleset().add_priority(higher, lower)
         self._extra_priorities.add((higher.lower(), lower.lower()))
+
+    def _known(self, rule: str) -> str:
+        name = rule.lower()
+        if name not in self._sources:
+            raise AnalysisError(f"unknown rule {name!r}")
+        return name
 
     @property
     def rule_names(self) -> tuple[str, ...]:

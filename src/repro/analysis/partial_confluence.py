@@ -153,54 +153,14 @@ class PartialConfluenceAnalyzer:
         the triggering graph restricted to the significant rules, with
         the certifications already granted to the full-set analyzer."""
         full = self.termination_analyzer
-        cyclic = [
-            component
-            for component in full.graph.cyclic_components()
-            if component <= significant
-        ]
-        # Restrict the graph to significant rules and recompute.
-        from repro.analysis.termination import TriggeringGraph
-
-        reduced = TriggeringGraph.__new__(TriggeringGraph)
-        reduced.definitions = self.definitions
-        reduced.nodes = tuple(
-            name for name in self.definitions.rule_names if name in significant
-        )
-        reduced.successors = {
-            name: frozenset(
-                successor
-                for successor in self.definitions.triggers(name)
-                if successor in significant
-            )
-            for name in reduced.nodes
-        }
-        cyclic = reduced.cyclic_components()
         certified = full.certified_rules
-        uncertified = _components_minus_certified(reduced, certified)
+        reduced = full.graph.restricted_to(significant)
+        uncertified = reduced.restricted_to(significant - certified)
+        uncertified_components = uncertified.cyclic_components()
         return TerminationAnalysis(
-            guaranteed=not uncertified,
-            cyclic_components=cyclic,
-            uncertified_components=uncertified,
+            guaranteed=not uncertified_components,
+            cyclic_components=reduced.cyclic_components(),
+            uncertified_components=uncertified_components,
             certified_rules=certified,
             graph=reduced,
         )
-
-
-def _components_minus_certified(graph, certified: frozenset[str]):
-    from repro.analysis.termination import TriggeringGraph
-
-    if not certified:
-        return graph.cyclic_components()
-    keep = tuple(node for node in graph.nodes if node not in certified)
-    reduced = TriggeringGraph.__new__(TriggeringGraph)
-    reduced.definitions = graph.definitions
-    reduced.nodes = keep
-    reduced.successors = {
-        node: frozenset(
-            successor
-            for successor in graph.successors[node]
-            if successor not in certified
-        )
-        for node in keep
-    }
-    return reduced.cyclic_components()

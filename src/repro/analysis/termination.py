@@ -355,26 +355,8 @@ class TerminationAnalyzer:
         through it is broken because the rule stops propagating once its
         condition goes false or its action stops having effect.
         """
-        if not self._certified_rules:
-            return self.graph.cyclic_components()
-        keep = [
-            node
-            for node in self.graph.nodes
-            if node not in self._certified_rules
-        ]
-        reduced_successors = {
-            node: frozenset(
-                successor
-                for successor in self.graph.successors[node]
-                if successor not in self._certified_rules
-            )
-            for node in keep
-        }
-        reduced = TriggeringGraph.__new__(TriggeringGraph)
-        reduced.definitions = self.definitions
-        reduced.nodes = tuple(keep)
-        reduced.successors = reduced_successors
-        return reduced.cyclic_components()
+        uncertified = frozenset(self.graph.nodes) - self._certified_rules
+        return self.graph.restricted_to(uncertified).cyclic_components()
 
 
 # ----------------------------------------------------------------------

@@ -20,8 +20,6 @@ Fields:
   executor (:mod:`repro.engine.plan`) rather than the naive
   cross-product reference path (``matching="naive", planner=False`` is
   the naive path throughout);
-* ``incremental`` — the processor's incremental triggering substrate
-  (cached net effects, touch index, COW snapshots);
 * ``wal`` — write-ahead logging: a path string or an open
   ``WalWriter``; ``None`` (the default) runs in memory only.
 
@@ -44,7 +42,6 @@ class ExecutionConfig:
 
     matching: str = "planned"
     planner: bool = True
-    incremental: bool = True
     #: WAL path (str) or an open WalWriter; None runs in memory only
     wal: object = None
 

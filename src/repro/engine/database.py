@@ -236,14 +236,13 @@ class Database:
             for name in sorted(set(t.lower() for t in tables))
         )
 
-    def copy(self, cow: bool = True) -> "Database":
-        """An independent copy — O(tables) with ``cow`` (the default),
-        O(rows) eager otherwise (kept for benchmarking the
-        non-incremental substrate)."""
+    def copy(self) -> "Database":
+        """An independent copy in O(tables): each table is shared
+        copy-on-write (:meth:`TableData.copy`)."""
         clone = Database.__new__(Database)
         clone.schema = self.schema
         clone._tables = {
-            name: data.copy(cow=cow) for name, data in self._tables.items()
+            name: data.copy() for name, data in self._tables.items()
         }
         clone._next_tid = self._next_tid
         return clone

@@ -373,26 +373,21 @@ class TableData:
             self._canonical = CanonicalFragment(sorted_rows(self._rows.values()))
         return self._canonical
 
-    def copy(self, cow: bool = True) -> "TableData":
-        """A copy of this table's extension.
+    def copy(self) -> "TableData":
+        """A copy of this table's extension, copy-on-write.
 
-        With ``cow`` (the default) the tid map is aliased and both
-        sides marked shared — O(1), the first write on either side pays
-        the O(rows) copy. ``cow=False`` copies eagerly (the seed
-        behavior, kept for benchmarking the non-incremental substrate).
+        The tid map is aliased and both sides marked shared — O(1); the
+        first write on either side pays the O(rows) copy (:meth:`_own`).
         """
         clone = TableData(self.name, self.arity)
-        if cow:
-            self._shared = True
-            clone._rows = self._rows
-            clone._shared = True
-            clone._canonical = self._canonical
-            clone._values_list = self._values_list
-            # Index sharing is safe: the first write on either side
-            # clones (never mutates) the shared structures via _own.
-            clone._indexes = self._indexes
-        else:
-            clone._rows = dict(self._rows)
+        self._shared = True
+        clone._rows = self._rows
+        clone._shared = True
+        clone._canonical = self._canonical
+        clone._values_list = self._values_list
+        # Index sharing is safe: the first write on either side clones
+        # (never mutates) the shared structures via _own.
+        clone._indexes = self._indexes
         return clone
 
     def __len__(self) -> int:

@@ -266,10 +266,9 @@ class WalWriter:
 
     ``sync`` is ``"commit"`` (fsync only at commit markers — the
     default, and the weakest setting that keeps the commit protocol
-    sound), ``"always"`` (fsync every flush), or ``"never"`` (flushes
-    reach the OS but durability is left to the kernel — benchmarking
-    only). ``batch_frames`` bounds how many frames buffer in-process
-    before a physical write.
+    sound) or ``"never"`` (flushes reach the OS but durability is left
+    to the kernel — benchmarking only). ``batch_frames`` bounds how many
+    frames buffer in-process before a physical write.
 
     Transient ``OSError`` from the underlying file (real, or injected
     by a fault plan) is retried up to ``max_retries`` times with
@@ -289,7 +288,7 @@ class WalWriter:
         sleep=time.sleep,
         fault_plan=None,
     ) -> None:
-        if sync not in ("commit", "always", "never"):
+        if sync not in ("commit", "never"):
             raise ValueError(f"bad sync policy {sync!r}")
         self.path = path
         self.sync = sync
@@ -324,8 +323,6 @@ class WalWriter:
         self.stats.frames_emitted += 1
         if self._buffered_frames >= self.batch_frames:
             self.flush()
-            if self.sync == "always":
-                self._sync()
 
     def checkpoint(self, database: Database) -> None:
         """Write a full-state checkpoint frame (open-time base state).

@@ -19,12 +19,11 @@ paper: "a given rule is triggered if its transition predicate holds with
 respect to the (composite) transition since the last time it was
 considered."
 
-Incremental substrate. With ``incremental=True`` (the default) the
-processor keeps the paper's state ``S = (D, TR)`` across steps instead
-of recomputing TR: the triggered set is held as of a log position, and
-Lemma 4.1 bounds what a step can change — a rule enters or leaves TR
-only through operations on its own table, or leaves it by being
-considered. So bringing TR up to date rechecks only the rules on
+The processor keeps the paper's state ``S = (D, TR)`` across steps
+instead of recomputing TR: the triggered set is held as of a log
+position, and Lemma 4.1 bounds what a step can change — a rule enters
+or leaves TR only through operations on its own table, or leaves it by
+being considered. So bringing TR up to date rechecks only the rules on
 tables the log's per-table touch index shows were written since, and
 :meth:`mark_considered` / :meth:`mark_assertion_point`, the only
 writers of ``markers``, keep TR in step with them. A recheck stops at
@@ -37,10 +36,10 @@ appended since it was last examined — each primitive is folded at
 most once per slice, however many rules on the table hold the marker.
 Until its next fold a slice also keeps the transition tables built
 from it and the equality indexes over them, so rules that share a
-slice share ``inserted`` and its index. ``incremental=False`` checks
-every rule at every step from scratch (the seed behavior); the
-equivalence harness and the substrate benchmark gate assert both modes
-produce identical results.
+slice share ``inserted`` and its index. :meth:`pending_net_effect`
+refolds a rule's pending transition from the log instead; the
+equivalence harness and the substrate benchmark gate hold TR, the
+state key and the slices to that refold at every step.
 """
 
 from __future__ import annotations
@@ -99,19 +98,16 @@ class ProcessorStats(StatsBase):
     """Work counters for the runtime substrate (benchmark gate input).
 
     ``primitives_folded`` counts the primitives folded into pending
-    slices, at most once per slice (incremental path);
-    ``primitives_scanned`` counts from-scratch suffix refolds (the
-    non-incremental path's triggering checks, and
-    :meth:`RuleProcessor.pending_net_effect` on either path). The
-    substrate gate's triggering-work ratio is
-    ``scanned(incremental=False) / folded(incremental=True)`` over the
-    same workload. ``trigger_checks`` counts triggering checks: on
-    the incremental path only the rechecks of rules on tables written
-    since TR was last brought up to date, on the from-scratch path
-    every active rule at every step. ``touch_skips`` counts rechecks
-    answered by the per-table touch index alone (the rule's table was
-    not written since its marker); ``trigger_seconds`` is wall time
-    spent in triggered_rules() (the --profile surface).
+    slices, at most once per slice; ``primitives_scanned`` counts the
+    primitives :meth:`RuleProcessor.pending_net_effect` refolds. The
+    substrate gate's triggering-work ratio is ``scanned / folded`` on
+    one run that refolds every active rule at every step beside the
+    maintained TR. ``trigger_checks`` counts the rechecks of rules on
+    tables written since TR was last brought up to date;
+    ``touch_skips`` counts rechecks answered by the per-table touch
+    index alone (the rule's table was not written since its marker);
+    ``trigger_seconds`` is wall time spent in triggered_rules() (the
+    --profile surface).
     """
 
     FIELDS = (
@@ -184,11 +180,6 @@ class RuleProcessor:
         self.max_steps = max_steps
         #: the session's execution options
         self.config = config if config is not None else DEFAULT_CONFIG
-        self.incremental = self.config.incremental
-        #: route condition/action SELECTs through the planned executor
-        #: (plans and compiled predicates are cached per rule AST, so
-        #: every processor step and every explore() fork reuses them)
-        self.planner = self.config.planner
 
         self.log = DeltaLog()
         self.markers: dict[str, int] = {rule.name: 0 for rule in ruleset}
@@ -198,11 +189,11 @@ class RuleProcessor:
             table.name: table.column_names for table in ruleset.schema
         }
         #: the pending transitions, one slice per (rule table, marker)
-        #: some rule holds (incremental path only)
+        #: some rule holds
         self._slices: dict[tuple[str, int], _Slice] = {}
         #: the paper's TR as of log position ``_triggered_at``: the rules
         #: whose pending transition holds a Triggered-By event, before
-        #: the activation filter (incremental path only)
+        #: the activation filter
         self._triggered: set[str] = set()
         self._triggered_at = 0
 
@@ -349,19 +340,10 @@ class RuleProcessor:
         self.stats.primitives_scanned += len(suffix)
         return NetEffect.from_primitives(suffix)
 
-    def _is_triggered(self, rule) -> bool:
-        """The from-scratch triggering check: the operation set of the
-        refolded pending transition meets ``Triggered-By``."""
-        self.stats.trigger_checks += 1
-        net = self.pending_net_effect(rule.name)
-        if net.is_empty():
-            return False
-        return bool(net.operations(self._column_names) & rule.triggered_by)
-
     def _recheck(self, rule) -> bool:
-        """The incremental triggering check of one rule: does its pending
-        transition hold a Triggered-By event? Stops at the first pending
-        insert, delete or subscribed-column update that does."""
+        """The triggering check of one rule: does its pending transition
+        hold a Triggered-By event? Stops at the first pending insert,
+        delete or subscribed-column update that does."""
         self.stats.trigger_checks += 1
         if not self.log.written_since(rule.table, self.markers[rule.name]):
             # Touch index: the rule's table was not written since its
@@ -406,20 +388,12 @@ class RuleProcessor:
         if self._rolled_back:
             return ()
         started = time.perf_counter()
-        if self.incremental:
-            self._refresh_triggered()
-            triggered = tuple(
-                name
-                for name in self.ruleset.active_names
-                if name in self._triggered
-            )
-        else:
-            triggered = tuple(
-                rule.name
-                for rule in self.ruleset
-                if self.ruleset.is_active(rule.name)
-                and self._is_triggered(rule)
-            )
+        self._refresh_triggered()
+        triggered = tuple(
+            name
+            for name in self.ruleset.active_names
+            if name in self._triggered
+        )
         self.stats.trigger_seconds += time.perf_counter() - started
         return triggered
 
@@ -451,21 +425,13 @@ class RuleProcessor:
         rule = self.ruleset.rule(rule_name)
         self.stats.considerations += 1
 
-        columns = self._column_names[rule.table]
-        if self.incremental:
-            pending = self._slice_for(rule)
-            if pending.overlays is None:
-                pending.overlays = transition_table_overlays(
-                    pending.net, rule.table, columns
-                )
-            overlays, indexes = pending.overlays, pending.indexes
-        else:
-            overlays = transition_table_overlays(
-                self.pending_net_effect(rule_name), rule.table, columns
+        pending = self._slice_for(rule)
+        if pending.overlays is None:
+            pending.overlays = transition_table_overlays(
+                pending.net, rule.table, self._column_names[rule.table]
             )
-            indexes = None
         provider = OverlayProvider(
-            DatabaseProvider(self.database), overlays, indexes
+            DatabaseProvider(self.database), pending.overlays, pending.indexes
         )
 
         # Mark the rule considered *before* running its action: the rule
@@ -639,9 +605,6 @@ class RuleProcessor:
         behavior and must not block state merging.
         """
         rule = self.ruleset.rule(rule_name)
-        if not self.incremental:
-            effect = self.pending_net_effect(rule_name).table(rule.table)
-            return effect.canonical()
         pending = self._slice_for(rule)
         if pending.canonical is None:
             pending.canonical = pending.net.table(rule.table).canonical()
@@ -693,12 +656,11 @@ class RuleProcessor:
         """An independent copy sharing the rule set (which is immutable
         during processing).
 
-        With the incremental substrate this is O(tables + chunks +
-        rules): the database copy is copy-on-write, the log aliases its
-        sealed chunks, and the pending slices (net effects, transition
-        tables, their indexes, canonical fragments) are shared with the
-        child, diverging copy-on-write at the first fold that adds to
-        them. ``incremental=False`` performs the original deep copies.
+        O(tables + chunks + rules): the database copy is copy-on-write,
+        the log aliases its sealed chunks, and the pending slices (net
+        effects, transition tables, their indexes, canonical fragments)
+        are shared with the child, diverging copy-on-write at the first
+        fold that adds to them.
         """
         self.stats.forks += 1
         clone = RuleProcessor.__new__(RuleProcessor)
@@ -706,8 +668,11 @@ class RuleProcessor:
         clone.strategy = self.strategy
         clone.max_steps = self.max_steps
         clone.config = self.config
-        clone.incremental = self.incremental
-        clone.planner = self.planner
+        clone.database = self.database.copy()
+        clone.log = self.log.fork()
+        clone._slices = {
+            key: pending.fork() for key, pending in self._slices.items()
+        }
         clone.markers = dict(self.markers)
         clone._triggered = set(self._triggered)
         clone._triggered_at = self._triggered_at
@@ -720,16 +685,6 @@ class RuleProcessor:
         # (DeltaLog.fork() likewise drops the WAL sink).
         clone.wal = None
         clone._txn_id = self._txn_id
-        if self.incremental:
-            clone.database = self.database.copy()
-            clone.log = self.log.fork()
-            clone._slices = {
-                key: pending.fork() for key, pending in self._slices.items()
-            }
-        else:
-            clone.database = self.database.copy(cow=False)
-            clone.log = self.log.fork(share=False)
-            clone._slices = {}
         clone._rete = (
             None
             if self._rete is None

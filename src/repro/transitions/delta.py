@@ -174,22 +174,16 @@ class DeltaLog:
             self._base += len(self._tail)
             self._tail = []
 
-    def fork(self, share: bool = True) -> "DeltaLog":
+    def fork(self) -> "DeltaLog":
         """An independent log holding the same primitives.
 
-        With ``share`` (the default) the prefix is aliased in O(chunks);
-        appends on either side stay private. ``share=False`` performs
-        the flat O(n) copy of the pre-chunked representation (kept for
-        benchmarking the non-incremental substrate).
+        The prefix is aliased in O(chunks); appends on either side stay
+        private.
         """
         clone = DeltaLog()
-        if share:
-            self.seal()
-            clone._chunks = list(self._chunks)
-            clone._base = self._base
-        else:
-            clone._chunks = [tuple(self._iter_all())] if self.position else []
-            clone._base = self.position
+        self.seal()
+        clone._chunks = list(self._chunks)
+        clone._base = self._base
         clone._floor = self._floor
         clone._last_write = dict(self._last_write)
         return clone

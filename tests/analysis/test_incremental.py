@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.analyzer import RuleAnalyzer
 from repro.analysis.incremental import IncrementalAnalyzer
-from repro.errors import RuleError
+from repro.errors import AnalysisError, PriorityCycleError, RuleError
 from repro.schema.catalog import schema_from_spec
 
 
@@ -65,6 +65,36 @@ class TestEditing:
         assert set(analyzer.rule_names) == {"a", "b"}
         with pytest.raises(RuleError):
             analyzer.remove_rule("c")
+
+
+class TestEditsRefusedAtTheCall:
+    """A name or ordering the analysis cannot use raises when it is
+    given, as AnalysisEngine and RuleSet.add_priority raise for it, and
+    leaves nothing behind for the next analyze()."""
+
+    def test_certify_commutes_with_an_unknown_rule(self, analyzer):
+        before = analyzer.analyze()
+        with pytest.raises(AnalysisError, match="unknown rule 'ghost'"):
+            analyzer.certify_commutes("a", "ghost")
+        after = analyzer.analyze()
+        assert after.partitions_reused == len(before.partitions)
+
+    def test_certify_termination_of_an_unknown_rule(self, analyzer):
+        with pytest.raises(AnalysisError, match="unknown rule 'ghost'"):
+            analyzer.certify_termination("Ghost")
+        assert analyzer.analyze().terminates
+
+    def test_priority_on_an_unknown_rule(self, analyzer):
+        with pytest.raises(RuleError, match="unknown rule 'ghost'"):
+            analyzer.add_priority("a", "ghost")
+        assert analyzer.analyze().terminates
+
+    def test_priority_that_closes_a_cycle(self, analyzer):
+        # a precedes b in the rule text, so b > a would close b > a > b
+        with pytest.raises(PriorityCycleError):
+            analyzer.add_priority("b", "a")
+        analyzer.add_priority("c", "a")  # still accepted after the refusal
+        assert analyzer.analyze().terminates
 
 
 class TestCaching:

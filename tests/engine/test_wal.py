@@ -281,8 +281,11 @@ class TestWriter:
             writer.commit(1)
             assert (writer.stats.syncs > 0) is expect_syncs
             writer.close()
-        with pytest.raises(ValueError):
-            WalWriter(str(tmp_path / "bad.wal"), schema=schema, sync="wrong")
+        for bad in ("wrong", "always"):
+            with pytest.raises(ValueError):
+                WalWriter(
+                    str(tmp_path / f"{bad}.wal"), schema=schema, sync=bad
+                )
 
     def test_stats_counters(self, schema, tmp_path):
         writer = WalWriter(wal_path(tmp_path), schema=schema)

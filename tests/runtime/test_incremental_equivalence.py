@@ -1,27 +1,34 @@
-"""Incremental vs. from-scratch triggering equivalence.
+"""The maintained substrate against the log refold.
 
-The incremental substrate (the maintained triggered set TR rechecked
-only for rules on written tables, cached per-rule net effects advanced
-by :meth:`NetEffect.fold`, the per-table touch index, copy-on-write
-snapshots) must be semantics-preserving by construction: for any
-workload, a processor with ``incremental=True`` and one with
-``incremental=False`` (the seed's from-scratch path, which checks
-every rule at every step) must agree on every observable of a run —
-TR and ``Choose(TR)`` at every step, the rules considered, the
-observable stream, the final canonical database, and the full
-``state_key()`` sequence — including across rollback and
-``begin_transaction`` boundaries, rule deactivation and priority edits
-in mid-session, ``trace_run`` and index-probed UPDATE targets. This
-randomized harness drives seeded sessions both ways over generated
-workloads (the same generation the validation oracle's sampling uses)
-and asserts exact agreement.
+The processor keeps the paper's state ``(D, TR)`` across steps: TR
+rechecked only for rules on written tables (Lemma 4.1), one pending
+transition per (table, marker) slice advanced by
+:meth:`NetEffect.fold`, the transition tables and indexes built from
+each slice, the per-table touch index and copy-on-write forks.
+:meth:`RuleProcessor.pending_net_effect` refolds a rule's pending
+transition from the log suffix past its marker, and that refold is the
+reference. At every step of a session this harness asserts:
+
+(a) ``triggered_rules()`` are the active rules whose refold meets
+    ``Triggered-By``, in definition order, and none after a rollback;
+(b) ``state_key()`` is the key rebuilt from every rule's refold on its
+    own table;
+(c) the pending transition the considered rule reads on its own table
+    equals its refold, tid for tid, and so do its transition tables
+    once they are built.
+
+The sessions are generated (the same generation the validation
+oracle's sampling uses) and cross rollback and ``begin_transaction``
+boundaries, rule deactivation and priority edits in mid-session,
+``trace_run``, ``explore()`` and index-probed UPDATE targets.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
-from repro.config import ExecutionConfig
 from repro.engine import plan
 from repro.engine.database import Database
 from repro.errors import RuleProcessingLimitExceeded
@@ -31,6 +38,8 @@ from repro.runtime.strategies import RandomStrategy
 from repro.runtime.trace import trace_run
 from repro.rules.ruleset import RuleSet
 from repro.schema.catalog import schema_from_spec
+from repro.transitions.net_effect import NetEffect
+from repro.transitions.transition_tables import transition_table_overlays
 from repro.workloads.generator import (
     GeneratorConfig,
     RandomInstanceGenerator,
@@ -40,14 +49,99 @@ from repro.workloads.partitioned import partitioned_workload
 from tests.seeding import derive_seed
 
 
+def refold_triggered(processor: RuleProcessor) -> tuple[str, ...]:
+    """(a)'s reference: the active rules, in definition order, whose
+    refolded pending transition holds a ``Triggered-By`` operation."""
+    schema = processor.ruleset.schema
+    columns = {table.name: table.column_names for table in schema}
+    return tuple(
+        rule.name
+        for rule in processor.ruleset
+        if processor.ruleset.is_active(rule.name)
+        and processor.pending_net_effect(rule.name).operations(columns)
+        & rule.triggered_by
+    )
+
+
+def refold_state_key(processor: RuleProcessor) -> tuple:
+    """(b)'s reference: ``state_key()`` rebuilt from every rule's
+    refold on its own table."""
+    pending = tuple(
+        (
+            rule.name,
+            processor.pending_net_effect(rule.name)
+            .table(rule.table)
+            .canonical(),
+        )
+        for rule in processor.ruleset
+    )
+    return (processor.rolled_back, processor.database.canonical(), pending)
+
+
+_TRIGGERED_RULES = RuleProcessor.triggered_rules
+_STATE_KEY = RuleProcessor.state_key
+_CONSIDER = RuleProcessor.consider
+
+
+def _checked_triggered_rules(processor: RuleProcessor) -> tuple[str, ...]:
+    triggered = _TRIGGERED_RULES(processor)
+    assert triggered == refold_triggered(processor)
+    assert not (processor.rolled_back and triggered)
+    return triggered
+
+
+def _checked_state_key(processor: RuleProcessor) -> tuple:
+    key = _STATE_KEY(processor)
+    assert key == refold_state_key(processor)
+    return key
+
+
+def _checked_consider(processor, rule_name: str, *, eligible=None):
+    if eligible is None:
+        eligible = processor.eligible_rules()
+    if rule_name.lower() not in eligible:
+        return _CONSIDER(processor, rule_name, eligible=eligible)  # raises
+    rule = processor.ruleset.rule(rule_name)
+    refold = processor.pending_net_effect(rule.name)
+    pending = processor._slices[rule.table, processor.markers[rule.name]]
+    assert pending.net.table(rule.table) == refold.table(rule.table)
+    outcome = _CONSIDER(processor, rule_name, eligible=eligible)
+    columns = processor.ruleset.schema.table(rule.table).column_names
+    assert pending.overlays == transition_table_overlays(
+        refold, rule.table, columns
+    )
+    return outcome
+
+
+@contextlib.contextmanager
+def checked_against_refold():
+    """Within the block every processor checks (a) at each
+    ``triggered_rules()``, (b) at each ``state_key()`` and (c) at each
+    ``consider()`` — so ``run()``, ``trace_run``, ``explore()`` and
+    forks are checked at every step and every state they reach.
+    Re-entrant: a nested block checks once."""
+    if RuleProcessor.consider is _checked_consider:
+        yield
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        for name, checked in (
+            ("triggered_rules", _checked_triggered_rules),
+            ("state_key", _checked_state_key),
+            ("consider", _checked_consider),
+        ):
+            patch.setattr(RuleProcessor, name, checked)
+        yield
+
+
 def drive(
     processor: RuleProcessor, statements, max_steps: int = 40, edits=None
 ) -> dict:
-    """Run one session manually, recording everything comparable.
+    """Run one session step by step, checked against the refold.
 
-    Uses the step-by-step API (not :meth:`run`) so TR and ``Choose(TR)``
-    at every step and the ``state_key()`` after every consideration are
-    captured too. *edits* maps a step number to a callable applied to
+    Uses the step-by-step API (not :meth:`run`) and asserts (a) at
+    every step, (b) after every consideration and (c) at every
+    consideration, recording TR, ``Choose(TR)``, the rules considered
+    and the keys. *edits* maps a step number to a callable applied to
     the processor just before that step's eligibility is computed;
     edits still due when nothing is eligible are applied then, one at a
     time, and the session goes on.
@@ -59,54 +153,53 @@ def drive(
         "considered": [],
         "exhausted": False,
     }
-    pending = sorted((edits or {}).items())
-    for statement in statements:
-        processor.execute_user(statement)
-    record["keys"].append(processor.state_key())
-    steps = 0
-    while True:
-        while pending and pending[0][0] <= steps:
-            pending.pop(0)[1](processor)
-        record["triggered"].append(processor.triggered_rules())
-        eligible = processor.eligible_rules()
-        record["eligible"].append(eligible)
-        if not eligible and pending and not processor.rolled_back:
-            pending.pop(0)[1](processor)
-            continue
-        if not eligible:
-            break
-        if steps >= max_steps:
-            record["exhausted"] = True
-            break
-        chosen = processor.strategy.choose(eligible)
-        outcome = processor.consider(chosen, eligible=eligible)
-        record["considered"].append(
-            (outcome.rule, outcome.condition_was_true, outcome.rolled_back)
-        )
+    due = sorted((edits or {}).items())
+    with checked_against_refold():
+        for statement in statements:
+            processor.execute_user(statement)
         record["keys"].append(processor.state_key())
-        steps += 1
+        steps = 0
+        while True:
+            while due and due[0][0] <= steps:
+                due.pop(0)[1](processor)
+            triggered = processor.triggered_rules()
+            eligible = processor.eligible_rules()
+            assert eligible == processor.ruleset.choose(triggered)
+            record["triggered"].append(triggered)
+            record["eligible"].append(eligible)
+            if not eligible and due and not processor.rolled_back:
+                due.pop(0)[1](processor)
+                continue
+            if not eligible:
+                break
+            if steps >= max_steps:
+                record["exhausted"] = True
+                break
+            chosen = processor.strategy.choose(eligible)
+            outcome = processor.consider(chosen, eligible=eligible)
+            record["considered"].append(
+                (outcome.rule, outcome.condition_was_true, outcome.rolled_back)
+            )
+            record["keys"].append(processor.state_key())
+            steps += 1
     record["observables"] = tuple(processor.observables)
     record["final_database"] = processor.database.canonical()
     record["rolled_back"] = processor.rolled_back
     return record
 
 
-def both_ways(ruleset, database, statements, seed, max_steps=40, edits=None):
-    """Drive the session with each substrate. Each side gets its own
-    parse of the rule set, so edits made in one session cannot leak
-    into the other."""
-    records = []
-    for incremental in (False, True):
-        processor = RuleProcessor(
-            RuleSet.parse(ruleset.source(), ruleset.schema),
-            database.copy(),
-            strategy=RandomStrategy(seed),
-            config=ExecutionConfig(incremental=incremental),
-        )
-        records.append(
-            drive(processor, statements, max_steps=max_steps, edits=edits)
-        )
-    return records
+def checked_run(
+    ruleset, database, statements, seed, max_steps=40, edits=None
+):
+    """One session driven and checked against the refold, on its own
+    parse of the rule set (so edits stay inside the session) and its
+    own copy of the database."""
+    processor = RuleProcessor(
+        RuleSet.parse(ruleset.source(), ruleset.schema),
+        database.copy(),
+        strategy=RandomStrategy(seed),
+    )
+    return drive(processor, statements, max_steps=max_steps, edits=edits)
 
 
 #: the generated sessions' shape: cross-table cascades, some observables
@@ -144,12 +237,10 @@ class TestMaintainedTriggeredSet:
         )
         return RuleSet.parse(self.SOURCE, schema)
 
-    def processor(self, ruleset, incremental=True):
+    def processor(self, ruleset):
         database = Database(ruleset.schema)
         database.load("t", [(1, 1), (2, 2)])
-        return RuleProcessor(
-            ruleset, database, config=ExecutionConfig(incremental=incremental)
-        )
+        return RuleProcessor(ruleset, database)
 
     def test_only_rules_on_written_tables_are_rechecked(self, ruleset):
         processor = self.processor(ruleset)
@@ -164,13 +255,13 @@ class TestMaintainedTriggeredSet:
 
     def test_a_value_of_another_type_is_a_changed_column(self, ruleset):
         """``(1, 1) -> (11, 1.0)``: v compares equal but changes type,
-        which the operation set counts as an update of v; the early-exit
-        recheck must agree."""
-        for incremental in (False, True):
-            processor = self.processor(ruleset, incremental)
-            processor.execute_user(
-                "update t set id = id + 10, v = 1.0 where id = 1"
-            )
+        which the refold's operation set counts as an update of v; the
+        early-exit recheck must agree."""
+        processor = self.processor(ruleset)
+        processor.execute_user(
+            "update t set id = id + 10, v = 1.0 where id = 1"
+        )
+        with checked_against_refold():
             assert processor.triggered_rules() == ("on_v", "on_id")
 
 
@@ -180,13 +271,12 @@ class TestRandomizedEquivalence:
         site, ruleset, database, statements = generated_session(
             "incremental-sessions", seed
         )
-        scratch, incremental = both_ways(ruleset, database, statements, site)
-        assert scratch == incremental
+        checked_run(ruleset, database, statements, site)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_two_assertion_points_agree(self, seed):
         """Quiescence advances every marker; the next assertion point's
-        transitions must compose identically in both modes."""
+        transitions must compose from its own operations only."""
         config = GeneratorConfig(n_tables=3, n_rules=5, rows_per_table=3)
         site = derive_seed("incremental-two-points", seed)
         ruleset = RandomRuleSetGenerator(config, seed=100 + site).generate()
@@ -195,16 +285,13 @@ class TestRandomizedEquivalence:
         first = instances.generate_transition(ruleset.schema, seed=site)
         second = instances.generate_transition(ruleset.schema, seed=site + 77)
 
-        results = []
-        for incremental in (False, True):
-            processor = RuleProcessor(
-                ruleset,
-                database.copy(),
-                strategy=RandomStrategy(site),
-                max_steps=40,
-                config=ExecutionConfig(incremental=incremental),
-            )
-            outcome = {"keys": []}
+        processor = RuleProcessor(
+            ruleset,
+            database.copy(),
+            strategy=RandomStrategy(site),
+            max_steps=40,
+        )
+        with checked_against_refold():
             try:
                 for statement in first:
                     processor.execute_user(statement)
@@ -212,18 +299,10 @@ class TestRandomizedEquivalence:
                 processor.begin_transaction()
                 for statement in second:
                     processor.execute_user(statement)
-                result = processor.run()
-                outcome["second"] = (
-                    result.outcome,
-                    result.rules_considered,
-                    tuple(result.observables),
-                )
+                processor.run()
             except RuleProcessingLimitExceeded:
-                outcome["second"] = "exhausted"
-            outcome["keys"].append(processor.state_key())
-            outcome["final"] = processor.database.canonical()
-            results.append(outcome)
-        assert results[0] == results[1]
+                pass
+            processor.state_key()
 
 
 class TestRollbackEquivalence:
@@ -242,38 +321,32 @@ class TestRollbackEquivalence:
         precedes guard
         """
         ruleset = RuleSet.parse(source, schema)
-
-        records = []
-        for incremental in (False, True):
-            processor = RuleProcessor(
-                ruleset,
-                Database(schema),
-                config=ExecutionConfig(incremental=incremental),
-            )
-            keys = []
+        processor = RuleProcessor(ruleset, Database(schema))
+        with checked_against_refold():
             # First transaction: triggers the rollback path.
             processor.execute_user("insert into t values (1, 99)")
-            keys.append(processor.state_key())
+            processor.state_key()
             first = processor.run()
-            keys.append(processor.state_key())
+            processor.state_key()
+            assert processor.triggered_rules() == ()
             # Second transaction across the rolled-back boundary.
             processor.begin_transaction()
             processor.execute_user("insert into t values (2, 3)")
-            keys.append(processor.state_key())
+            processor.state_key()
             second = processor.run()
-            keys.append(processor.state_key())
-            records.append(
-                {
-                    "first": (first.outcome, first.rules_considered),
-                    "second": (second.outcome, second.rules_considered),
-                    "observables": tuple(processor.observables),
-                    "final": processor.database.canonical(),
-                    "keys": keys,
-                }
-            )
-        assert records[0] == records[1]
-        assert records[0]["first"][0] == "rolled_back"
-        assert records[0]["second"][0] == "quiescent"
+            processor.state_key()
+        assert (first.outcome, first.rules_considered) == (
+            "rolled_back",
+            ["note", "guard"],
+        )
+        assert (second.outcome, second.rules_considered) == (
+            "quiescent",
+            ["note", "guard"],
+        )
+        assert dict(processor.database.canonical()) == {
+            "audit": ((2, 1),),
+            "t": ((2, 3),),
+        }
 
 
 class TestExplorationEquivalence:
@@ -290,32 +363,31 @@ class TestExplorationEquivalence:
         then delete from orders where id = 1
         """
         ruleset = RuleSet.parse(source, schema)
-
-        graphs = []
-        for incremental in (False, True):
-            database = Database(schema)
-            database.load("stock", [(0, 0), (1, 5)])
-            processor = RuleProcessor(
-                ruleset,
-                database,
-                config=ExecutionConfig(incremental=incremental),
-            )
-            processor.execute_user("insert into orders values (1, 0)")
-            graphs.append(explore(processor))
-
-        scratch, incremental = graphs
-        assert scratch.initial == incremental.initial
-        assert scratch.edges == incremental.edges
-        assert scratch.final_states == incremental.final_states
-        assert scratch.final_databases == incremental.final_databases
-        assert scratch.observable_streams == incremental.observable_streams
-        assert scratch.paths_to_final() == incremental.paths_to_final()
+        database = Database(schema)
+        database.load("stock", [(0, 0), (1, 5)])
+        processor = RuleProcessor(ruleset, database)
+        processor.execute_user("insert into orders values (1, 0)")
+        with checked_against_refold():
+            graph = explore(processor)
+        # c untriggers whatever has not run yet (the insert and its
+        # delete cancel); a and b do not commute
+        assert sorted(
+            dict(final)["stock"] for final in graph.final_databases.values()
+        ) == [
+            ((0, 0), (1, 5)),  # c
+            ((0, 1), (1, 6)),  # a, c
+            ((0, 2), (1, 2)),  # a, b, c
+            ((0, 2), (1, 2)),  # b, c: a's pending transition stays empty
+            ((0, 3), (1, 3)),  # b, a, c
+        ]
+        assert graph.paths_to_final() == 5
+        assert not graph.truncated
 
 
 class TestMidSessionEdits:
     """Activation and priority edits between steps change what TR
     yields and what Choose returns without any write to the log; the
-    maintained TR must answer exactly as the full scan does."""
+    maintained TR must answer exactly as the refold does."""
 
     def test_deactivate_and_reactivate_mid_session(self):
         edited_while_triggered = 0
@@ -336,14 +408,13 @@ class TestMidSessionEdits:
             def reactivate(processor):
                 processor.ruleset.activate(target["rule"])
 
-            scratch, incremental = both_ways(
+            checked_run(
                 ruleset,
                 database,
                 statements,
                 site,
                 edits={1: deactivate, 3: reactivate},
             )
-            assert scratch == incremental, f"seed {seed}"
             edited_while_triggered += target["triggered"]
         assert edited_while_triggered >= 3
 
@@ -363,14 +434,13 @@ class TestMidSessionEdits:
             if direct:
                 removed = direct[seed % len(direct)]
                 edits[2] = lambda p: p.ruleset.remove_priority(*removed)
-            scratch, incremental = both_ways(
+            record = checked_run(
                 ruleset, database, statements, site, edits=edits
             )
-            assert scratch == incremental, f"seed {seed}"
             reordered += any(
                 set(eligible) != set(triggered)
                 for triggered, eligible in zip(
-                    scratch["triggered"], scratch["eligible"]
+                    record["triggered"], record["eligible"]
                 )
             )
         assert reordered >= 3
@@ -394,19 +464,12 @@ class TestMidSessionEdits:
             second = RandomInstanceGenerator(
                 SESSION_CONFIG
             ).generate_transition(ruleset.schema, seed=site + 77)
-            records = []
-            for incremental in (False, True):
-                processor = RuleProcessor(
-                    RuleSet.parse(ruleset.source(), ruleset.schema),
-                    database.copy(),
-                    strategy=RandomStrategy(site),
-                    config=ExecutionConfig(incremental=incremental),
-                )
-                first = drive(processor, statements)
-                processor.begin_transaction()
-                records.append((first, drive(processor, second)))
-            assert records[0] == records[1], f"seed {seed}"
-            first = records[0][0]
+            processor = RuleProcessor(
+                ruleset, database.copy(), strategy=RandomStrategy(site)
+            )
+            first = drive(processor, statements)
+            processor.begin_transaction()
+            drive(processor, second)
             rolled_back_mid_session += (
                 first["rolled_back"] and len(first["considered"]) > 1
             )
@@ -418,80 +481,89 @@ class TestTraceRunEquivalence:
     def test_traced_assertion_points_agree(self, seed):
         """``trace_run`` records TR and Choose(TR) at every step and
         reaches its assertion points through the processor's own
-        marker moves."""
+        marker moves; each event's TR is the refold's."""
         site, ruleset, database, statements = generated_session(
             "incremental-trace", seed
         )
         second = RandomInstanceGenerator(SESSION_CONFIG).generate_transition(
             ruleset.schema, seed=site + 77
         )
-        records = []
-        for incremental in (False, True):
-            processor = RuleProcessor(
-                ruleset,
-                database.copy(),
-                strategy=RandomStrategy(site),
-                max_steps=40,
-                config=ExecutionConfig(incremental=incremental),
-            )
-            record = []
+        processor = RuleProcessor(
+            ruleset,
+            database.copy(),
+            strategy=RandomStrategy(site),
+            max_steps=40,
+        )
+        with checked_against_refold():
             try:
                 for transition in (statements, second):
                     processor.begin_transaction()
                     for statement in transition:
                         processor.execute_user(statement)
                     result, events = trace_run(processor)
-                    record.append(
-                        (
-                            result.outcome,
-                            result.rules_considered,
-                            events,
-                            processor.state_key(),
-                        )
+                    assert [event.rule for event in events[:-1]] == (
+                        result.rules_considered
                     )
+                    processor.state_key()
             except RuleProcessingLimitExceeded:
-                record.append("exhausted")
-            record.append(processor.database.canonical())
-            records.append(record)
-        assert records[0] == records[1]
+                pass
 
 
 class TestParallelSchedulerEquivalence:
     @pytest.mark.parametrize("seed", range(4))
     def test_parallel_sessions_agree(self, seed):
-        """The drain's hot UPDATEs probe the ``region`` index; both
-        substrates must still consider the same rules and reach the
-        same state at every assertion point."""
+        """The drain's hot UPDATEs probe the ``region`` index; TR, the
+        slices and the key must still follow the refold at every
+        step."""
         before = plan.STATS.snapshot()
         site = derive_seed("incremental-parallel", seed)
         workload = partitioned_workload(
             rows=400, regions=3, seed=site, hot_rows_per_region=3
         )
-        records = []
-        for incremental in (False, True):
-            processor = RuleProcessor(
-                workload.ruleset,
-                workload.database.copy(),
-                strategy=RandomStrategy(site),
-                max_steps=500,
-                config=ExecutionConfig(incremental=incremental),
-            )
-            record = []
+        processor = RuleProcessor(
+            workload.ruleset,
+            workload.database.copy(),
+            strategy=RandomStrategy(site),
+            max_steps=500,
+        )
+        outcomes = []
+        with checked_against_refold():
             for __ in range(2):
                 processor.begin_transaction()
                 for statement in workload.drain_transition():
                     processor.execute_user(statement)
-                result = processor.run()
-                record.append(
-                    (
-                        result.outcome,
-                        result.rules_considered,
-                        processor.triggered_rules(),
-                        processor.state_key(),
-                    )
-                )
-            record.append(processor.database.canonical())
-            records.append(record)
-        assert records[0] == records[1]
-        assert records[0][0][0] == "quiescent"
+                outcomes.append(processor.run().outcome)
+                processor.state_key()
+        assert outcomes == ["quiescent", "quiescent"]
         assert plan.STATS.delta_since(before)["index_probes"] > 0
+
+
+class TestTheCheckIsLive:
+    """The reference check fails a processor whose maintained state
+    drifts from the log."""
+
+    SOURCE = """
+    create rule a on t when inserted then insert into u values (1)
+    create rule b on t when inserted then insert into u values (2)
+    """
+
+    def processor(self):
+        schema = schema_from_spec({"t": ["k"], "u": ["k"]})
+        processor = RuleProcessor(
+            RuleSet.parse(self.SOURCE, schema), Database(schema)
+        )
+        processor.execute_user("insert into t values (1)")
+        assert processor.triggered_rules() == ("a", "b")
+        return processor
+
+    def test_a_rule_missing_from_tr_fails_the_check(self):
+        processor = self.processor()
+        processor._triggered.discard("b")
+        with pytest.raises(AssertionError):
+            drive(processor, [])
+
+    def test_a_stale_slice_fails_the_check(self):
+        processor = self.processor()
+        processor._slices["t", 0].net = NetEffect()  # the fold forgotten
+        with pytest.raises(AssertionError):
+            drive(processor, [])

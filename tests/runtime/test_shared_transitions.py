@@ -1,21 +1,21 @@
 """Shared pending slices: one fold per table and marker.
 
-The incremental processor caches a pending transition per *slice*, one
-per (rule table, marker): every rule on the table that holds the marker
-reads it, along with the transition tables built from it and the
-equality indexes over them. These tests drive programs where many rules
-share a table against ``ExecutionConfig(incremental=False)``, which
-refolds every rule's transition from the log, and pin the sharing
-itself: a write is folded once per slice, an ``inserted`` index is
-built once per slice version, a fold drops what was built from the old
-version, and a fork's fold leaves its parent's slices alone.
+The processor caches a pending transition per *slice*, one per (rule
+table, marker): every rule on the table that holds the marker reads
+it, along with the transition tables built from it and the equality
+indexes over them. These tests drive programs where many rules
+share a table, checking TR, the slices, their transition tables and
+the state key against the log refold at every step
+(``tests/runtime/test_incremental_equivalence.py``), and pin the
+sharing itself: a write is folded once per slice, an ``inserted`` index
+is built once per slice version, a fold drops what was built from the
+old version, and a fork's fold leaves its parent's slices alone.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.config import ExecutionConfig
 from repro.engine import plan
 from repro.engine.database import Database
 from repro.runtime.exec_graph import explore
@@ -29,7 +29,11 @@ from repro.workloads.generator import (
     RandomInstanceGenerator,
     RandomRuleSetGenerator,
 )
-from tests.runtime.test_incremental_equivalence import both_ways, drive
+from tests.runtime.test_incremental_equivalence import (
+    checked_against_refold,
+    checked_run,
+    drive,
+)
 from tests.seeding import derive_seed
 
 #: generated programs crowded onto two tables, so most rules share one
@@ -53,8 +57,6 @@ LAYERED = GeneratorConfig(
     statements_per_transition=3,
 )
 
-BOTH = (ExecutionConfig(incremental=False), ExecutionConfig())
-
 
 def crowded_session(label: str, seed: int, layered: bool = False):
     """A crowded rule set, database and user transition for one site."""
@@ -71,18 +73,14 @@ def crowded_session(label: str, seed: int, layered: bool = False):
     return site, ruleset, database, statements
 
 
-def processors(ruleset, database, seed=0, max_steps=40):
-    """One processor per substrate, each on its own parse and database."""
-    return [
-        RuleProcessor(
-            RuleSet.parse(ruleset.source(), ruleset.schema),
-            database.copy(),
-            strategy=RandomStrategy(seed),
-            max_steps=max_steps,
-            config=config,
-        )
-        for config in BOTH
-    ]
+def processor_for(ruleset, database, seed=0, max_steps=40):
+    """A processor on its own parse of *ruleset* and copy of *database*."""
+    return RuleProcessor(
+        RuleSet.parse(ruleset.source(), ruleset.schema),
+        database.copy(),
+        strategy=RandomStrategy(seed),
+        max_steps=max_steps,
+    )
 
 
 class TestCrowdedEquivalence:
@@ -91,27 +89,21 @@ class TestCrowdedEquivalence:
         site, ruleset, database, statements = crowded_session(
             "shared-sessions", seed
         )
-        scratch, incremental = both_ways(ruleset, database, statements, site)
-        assert scratch == incremental
+        checked_run(ruleset, database, statements, site)
 
     @pytest.mark.parametrize("layered", [False, True])
     @pytest.mark.parametrize("seed", range(4))
     def test_explored_graphs_agree(self, seed, layered):
+        """Every state explore() reaches, through forks that share
+        their parent's slices, keys and triggers as the refold does."""
         site, ruleset, database, statements = crowded_session(
             "shared-explore", seed, layered
         )
-        graphs = []
-        for processor in processors(ruleset, database):
-            for statement in statements:
-                processor.execute_user(statement)
-            graphs.append(explore(processor, max_states=150, max_depth=25))
-        scratch, incremental = graphs
-        assert scratch.initial == incremental.initial
-        assert scratch.edges == incremental.edges
-        assert scratch.final_states == incremental.final_states
-        assert scratch.final_databases == incremental.final_databases
-        assert scratch.truncated == incremental.truncated
-        assert scratch.observable_streams == incremental.observable_streams
+        processor = processor_for(ruleset, database)
+        for statement in statements:
+            processor.execute_user(statement)
+        with checked_against_refold():
+            explore(processor, max_states=150, max_depth=25)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_forks_at_every_step_agree(self, seed):
@@ -120,22 +112,19 @@ class TestCrowdedEquivalence:
         site, ruleset, database, statements = crowded_session(
             "shared-forks", seed
         )
-        records = []
-        for processor in processors(ruleset, database, seed=site):
-            for statement in statements:
-                processor.execute_user(statement)
-            record = []
-            for __ in range(12):
+        processor = processor_for(ruleset, database, seed=site)
+        for statement in statements:
+            processor.execute_user(statement)
+        with checked_against_refold():
+            for step in range(12):
                 eligible = processor.eligible_rules()
                 if not eligible:
                     break
                 child = processor.fork()
-                child.strategy = RandomStrategy(site + len(record))
-                record.append(drive(child, [], max_steps=15))
+                child.strategy = RandomStrategy(site + step)
+                drive(child, [], max_steps=15)
                 processor.consider(eligible[-1], eligible=eligible)
-                record.append(processor.state_key())
-            records.append(record)
-        assert records[0] == records[1]
+                processor.state_key()
 
     def test_deactivation_and_priority_edits_agree(self):
         edited_while_triggered = 0
@@ -161,10 +150,7 @@ class TestCrowdedEquivalence:
             if unordered:
                 added = unordered[seed % len(unordered)]
                 edits[2] = lambda p: p.ruleset.add_priority(*added)
-            scratch, incremental = both_ways(
-                ruleset, database, statements, site, edits=edits
-            )
-            assert scratch == incremental, f"seed {seed}"
+            checked_run(ruleset, database, statements, site, edits=edits)
             edited_while_triggered += target["triggered"]
         assert edited_while_triggered >= 3
 
@@ -184,13 +170,10 @@ class TestCrowdedEquivalence:
             second = RandomInstanceGenerator(CROWDED).generate_transition(
                 ruleset.schema, seed=site + 77
             )
-            records = []
-            for processor in processors(ruleset, database, seed=site):
-                first = drive(processor, statements)
-                processor.begin_transaction()
-                records.append((first, drive(processor, second)))
-            assert records[0] == records[1], f"seed {seed}"
-            first = records[0][0]
+            processor = processor_for(ruleset, database, seed=site)
+            first = drive(processor, statements)
+            processor.begin_transaction()
+            drive(processor, second)
             rolled_back_mid_run += (
                 first["rolled_back"] and len(first["considered"]) > 1
             )
@@ -208,30 +191,19 @@ class TestCrowdedEquivalence:
             instances.generate_transition(ruleset.schema, seed=site + k)
             for k in (1, 2)
         ]
-        records = []
-        for processor in processors(ruleset, database, seed=site):
-            record = []
+        processor = processor_for(ruleset, database, seed=site)
+        with checked_against_refold():
             for transition in transitions:
                 processor.begin_transaction()
                 for statement in transition:
                     processor.execute_user(statement)
-                result = processor.run()
+                assert processor.run().outcome == "quiescent"
                 processor.commit()
                 assert not processor.log.since(0)  # compacted
-                record.append(
-                    (
-                        result.outcome,
-                        result.rules_considered,
-                        tuple(result.observables),
-                        processor.state_key(),
-                    )
-                )
-            record.append(processor.database.canonical())
-            records.append(record)
-        assert records[0] == records[1]
+                processor.state_key()
 
 
-def crowded_table_processor(conditions, action, config=None):
+def crowded_table_processor(conditions, action):
     """Sixteen rules on ``t(k, v)``, rule ``r{i}`` with condition
     ``conditions.format(i=i)`` (or none) and the one *action*."""
     schema = schema_from_spec({"t": ["k", "v"], "u": ["k", "v"]})
@@ -241,9 +213,7 @@ def crowded_table_processor(conditions, action, config=None):
         + f" then {action}"
         for i in range(16)
     )
-    return RuleProcessor(
-        RuleSet.parse(source, schema), Database(schema), config=config
-    )
+    return RuleProcessor(RuleSet.parse(source, schema), Database(schema))
 
 
 class TestSixteenRulesOnOneTable:
@@ -259,21 +229,19 @@ class TestSixteenRulesOnOneTable:
         assert processor.stats.primitives_folded == 1
 
     def test_an_inserted_probe_builds_one_index_per_slice_version(self):
-        conditions = "exists (select * from inserted where k = {i})"
-        counts = []
-        for config in BOTH:
-            processor = crowded_table_processor(
-                conditions, "insert into u values (1, 1)", config
-            )
-            processor.execute_user("insert into t values (3, 1), (5, 2)")
-            before = plan.STATS.snapshot()
+        processor = crowded_table_processor(
+            "exists (select * from inserted where k = {i})",
+            "insert into u values (1, 1)",
+        )
+        processor.execute_user("insert into t values (3, 1), (5, 2)")
+        before = plan.STATS.snapshot()
+        with checked_against_refold():
             result = processor.run()
-            delta = plan.STATS.delta_since(before)
-            assert len(result.steps) == 16
-            assert sum(step.condition_was_true for step in result.steps) == 2
-            assert delta["index_probes"] == 16
-            counts.append(delta["transient_index_builds"])
-        assert counts == [16, 1]
+        delta = plan.STATS.delta_since(before)
+        assert len(result.steps) == 16
+        assert sum(step.condition_was_true for step in result.steps) == 2
+        assert delta["index_probes"] == 16
+        assert delta["transient_index_builds"] == 1
 
     def test_a_write_on_the_table_starts_a_new_slice_version(self):
         """A write on ``t`` after r0's consideration folds into the
@@ -298,17 +266,14 @@ class TestFoldsDropWhatTheyInvalidate:
 
     def outcomes(self, source, statements):
         schema = schema_from_spec(self.SCHEMA)
-        finals = []
-        for config in BOTH:
-            processor = RuleProcessor(
-                RuleSet.parse(source, schema), Database(schema), config=config
-            )
+        processor = RuleProcessor(
+            RuleSet.parse(source, schema), Database(schema)
+        )
+        with checked_against_refold():
             for statement in statements:
                 processor.execute_user(statement)
             processor.run()
-            finals.append(processor.database.table("log").value_tuples())
-        assert finals[0] == finals[1]
-        return finals[1]
+        return processor.database.table("log").value_tuples()
 
     def test_a_rule_sees_rows_written_after_the_overlays_were_built(self):
         # a reads `inserted` (building the slice's overlays), then
@@ -346,11 +311,8 @@ class TestFoldsDropWhatTheyInvalidate:
         then insert into log (select k + 10, v from inserted)
         """
         schema = schema_from_spec(self.SCHEMA)
-        logs = []
-        for config in BOTH:
-            parent = RuleProcessor(
-                RuleSet.parse(source, schema), Database(schema), config=config
-            )
+        parent = RuleProcessor(RuleSet.parse(source, schema), Database(schema))
+        with checked_against_refold():
             parent.execute_user("insert into t values (1, 1)")
             eligible = parent.eligible_rules()
             parent.consider("a", eligible=eligible)  # builds the overlays
@@ -358,16 +320,14 @@ class TestFoldsDropWhatTheyInvalidate:
             child.execute_user("insert into t values (2, 2)")
             child.consider("b", eligible=child.eligible_rules())
             parent.consider("b", eligible=parent.eligible_rules())
-            logs.append(
-                (
-                    parent.database.table("log").value_tuples(),
-                    child.database.table("log").value_tuples(),
-                )
-            )
-        assert logs[0] == logs[1]
-        parent_log, child_log = logs[1]
-        assert parent_log == [(1, 1), (11, 1)]
-        assert child_log == [(1, 1), (11, 1), (12, 2)]
+            parent.state_key()
+            child.state_key()
+        assert parent.database.table("log").value_tuples() == [(1, 1), (11, 1)]
+        assert child.database.table("log").value_tuples() == [
+            (1, 1),
+            (11, 1),
+            (12, 2),
+        ]
 
 
 class TestSliceLifetimes:

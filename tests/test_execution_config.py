@@ -47,7 +47,6 @@ class TestConfigValue:
         config = ExecutionConfig()
         assert config.matching == "planned"
         assert config.planner is True
-        assert config.incremental is True
         assert config.wal is None
         assert config == DEFAULT_CONFIG
 
@@ -84,7 +83,9 @@ class TestResolveConfig:
         database.load("t", [(1, 9), (2, 1)])
         processor = RuleProcessor(ruleset, database, config=naive)
         assert processor.config is naive
-        assert processor.planner is False
+        # the session reads its options from the config alone
+        assert not hasattr(processor, "planner")
+        assert not hasattr(processor, "incremental")
         provider = DatabaseProvider(database)
         select = parse_statement("select * from t where v > 5")
         assert execute_select(provider, select, config=naive).rows == (
@@ -106,7 +107,6 @@ class TestConfigIsTheOnlySpelling:
         assert [field.name for field in fields(ExecutionConfig)] == [
             "matching",
             "planner",
-            "incremental",
             "wal",
         ]
 
@@ -121,6 +121,7 @@ class TestConfigIsTheOnlySpelling:
             lambda: execute_select(provider, select, planner=False),
             lambda: execute_statement(database, select, planner=False),
             lambda: ExecutionConfig(durable=True),
+            lambda: ExecutionConfig(**{"incremental": False}),
             lambda: ExecutionConfig(**{"scheduler": "parallel"}),
             lambda: ExecutionConfig(**{"partitions": 4}),
         ]

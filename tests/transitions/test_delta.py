@@ -55,14 +55,6 @@ class TestDeltaLogSharing:
         assert [p.tid for p in log.all()] == [1, 2, 3]
         assert [p.tid for p in clone.all()] == [1, 2, 9]
 
-    def test_fork_flat_copy_mode(self):
-        log = DeltaLog()
-        log.record_insert("t", 1, (1,))
-        clone = log.fork(share=False)
-        assert clone.all() == log.all()
-        clone.record_insert("t", 2, (2,))
-        assert log.position == 1
-
     def test_since_spans_sealed_chunks(self):
         log = DeltaLog()
         log.record_insert("t", 1, (1,))
@@ -292,13 +284,15 @@ class TestCompaction:
         assert list(log.iter_range(0, 2)) == []
         assert [p.tid for p in log.since(1)] == [3, 4]
 
-    @pytest.mark.parametrize("share", [True, False])
-    def test_fork_after_compaction_keeps_positions(self, share):
+    @pytest.mark.parametrize("sealed", [True, False])
+    def test_fork_after_compaction_keeps_positions(self, sealed):
         log = DeltaLog()
         log.record_insert("t", 1, (1,))
         log.compact()
         log.record_insert("t", 2, (2,))
-        clone = log.fork(share=share)
+        if sealed:
+            log.seal()  # the suffix past the floor is a chunk already
+        clone = log.fork()
         clone.record_insert("t", 3, (3,))
         assert [p.tid for p in clone.since(1)] == [2, 3]
         assert [p.seq for p in clone.all()] == [1, 2]

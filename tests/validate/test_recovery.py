@@ -117,7 +117,7 @@ def run_durable_session(
                 CommitPoint(
                     frames=frames,
                     canonical=database.canonical(),
-                    database=database.copy(cow=False),
+                    database=database.copy(),
                     next_statements=(
                         statements[k + 1] if k + 1 < transactions else []
                     ),
@@ -322,7 +322,7 @@ class TestRetriggerEquivalence:
             try:
                 reference = run_transaction(
                     trace.ruleset,
-                    commit.database.copy(cow=False),
+                    commit.database.copy(),
                     commit.next_statements,
                 )
             except RuleProcessingLimitExceeded:
